@@ -21,10 +21,6 @@ import numpy as np
 
 from .errors import InvariantViolation
 
-_GL3_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
-_GL3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
-
-
 def minmod4(a, b, c, d):
     """sign * min(|a|,|b|,|c|,|d|) when all four share a sign, else 0."""
     a, b, c, d = np.broadcast_arrays(a, b, c, d)
@@ -75,12 +71,16 @@ def scaling_limit_scalar(avg, left, mid, right, lo, hi):
 
 
 def scaling_limit_system(system, avg, left, mid, right, eps_rho=1e-13,
-                         eps_p=1e-13):
+                         eps_p=1e-13, p_avg=None):
     """Two-stage (density then pressure) scaling limiter for Euler/MHD.
 
     Floors are per cell: min(eps, value at the cell average). The pressure
     stage is re-halved up to three times (then fully collapsed) if rounding
     leaves the recomputed midpoint pressure under the floor.
+
+    p_avg: the pressures of avg, from a caller that has already checked avg
+    for positive, finite density and pressure. When given, the pressures of
+    the limited midpoints come back as a fifth result.
     """
     avg = np.asarray(avg, dtype=float)
     left = np.asarray(left, dtype=float)
@@ -88,21 +88,26 @@ def scaling_limit_system(system, avg, left, mid, right, eps_rho=1e-13,
     right = np.asarray(right, dtype=float)
 
     rho_a = avg[..., 0]
-    if np.any(rho_a <= 0) or not np.all(np.isfinite(rho_a)):
-        raise InvariantViolation("cell average with non-positive density")
-    p_a = system.pressure(avg)
-    if np.any(p_a <= 0) or not np.all(np.isfinite(p_a)):
-        raise InvariantViolation("cell average with non-positive pressure")
+    if p_avg is None:
+        if np.any(rho_a <= 0) or not np.all(np.isfinite(rho_a)):
+            raise InvariantViolation("cell average with non-positive density")
+        p_a = system.pressure(avg, check=False)
+        if np.any(p_a <= 0) or not np.all(np.isfinite(p_a)):
+            raise InvariantViolation("cell average with non-positive pressure")
+    else:
+        p_a = p_avg
     e_rho = np.minimum(eps_rho, rho_a)
     e_p = np.minimum(eps_p, p_a)
 
+    # every state below is a convex blend with the checked average whose
+    # density is at least the floor, so its pressure needs no guard
     rho_m = mid[..., 0]
     low_rho = rho_m < e_rho
     den = np.where(low_rho, rho_a - rho_m, 1.0)
     t_rho = np.where(low_rho, (rho_a - e_rho) / den, 1.0)
     u_star = (1.0 - t_rho)[..., None] * avg + t_rho[..., None] * mid
 
-    p_star = system.pressure(u_star)
+    p_star = system.pressure(u_star, check=False)
     low_p = p_star < e_p
     den = np.where(low_p, p_a - p_star, 1.0)
     t_p = np.where(low_p, (p_a - e_p) / den, 1.0)
@@ -111,23 +116,22 @@ def scaling_limit_system(system, avg, left, mid, right, eps_rho=1e-13,
         return (1.0 - t)[..., None] * avg + t[..., None] * u_star
 
     mid_hat = blend(t_p)
-    for _ in range(3):
-        bad = system.pressure(mid_hat) < e_p
+    p_mid = system.pressure(mid_hat, check=False)
+    for attempt in range(4):
+        bad = p_mid < e_p
         if not np.any(bad):
             break
-        t_p = np.where(bad, 0.5 * t_p, t_p)
+        t_p = np.where(bad, 0.5 * t_p if attempt < 3 else 0.0, t_p)
         mid_hat = blend(t_p)
-    else:
-        bad = system.pressure(mid_hat) < e_p
-        if np.any(bad):
-            t_p = np.where(bad, 0.0, t_p)
-            mid_hat = blend(t_p)
+        p_mid = system.pressure(mid_hat, check=False)
 
     theta = t_rho * t_p
     th = theta[..., None]
     left_hat = (1.0 - th) * avg + th * left
     right_hat = (1.0 - th) * avg + th * right
-    return left_hat, mid_hat, right_hat, theta
+    if p_avg is None:
+        return left_hat, mid_hat, right_hat, theta
+    return left_hat, mid_hat, right_hat, theta, p_mid
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +150,35 @@ def parabola_coeffs(avg, left, right):
     return c0, c1, c2
 
 
-def oe_theta(system, avgs, lefts, rights, sizes, dt):
+def _shifted(c0, c1, c2, a, b):
+    """Coefficients of x -> c0 + c1*x + c2*x^2 after x = a + b*xi."""
+    return c0 + a * (c1 + a * c2), b * (c1 + 2.0 * a * c2), b * b * c2
+
+
+def _square_integral(q0, q1, q2):
+    """Integral over xi in [-1/2, 1/2] of (q0 + q1*xi + q2*xi^2)^2, summed
+    over the components (axis 0): q0^2 + (q1^2 + 2*q0*q2)/12 + q2^2/80."""
+    return np.sum(q0 * q0 + (q1 * q1 + 2.0 * q0 * q2) / 12.0 + q2 * q2 / 80.0,
+                  axis=0)
+
+
+def oe_theta(system, avgs, lefts, rights, sizes, dt, p_avg=None):
     """Damping factors theta_OE for cells 1..K-2 given data for cells 0..K-1.
 
     avgs/lefts/rights: (K, d) cell averages and one-sided endpoint values;
-    sizes: (K,) cell sizes. Returns (K-2,) factors in (0, 1].
+    sizes: (K,) cell sizes; p_avg: the pressures of avgs if known (systems).
+    Returns (K-2,) factors in (0, 1].
+
+    The jump integrals over the own cell are exact: each neighbour's parabola
+    is rewritten in the own cell's coordinate xi in [-1/2, 1/2], and the
+    square of a parabola integrates in closed form.
     """
     avgs = np.asarray(avgs, dtype=float)
-    c0, c1, c2 = parabola_coeffs(avgs, lefts, rights)
+    # (d, K) copies: per-cell factors then broadcast along the contiguous
+    # cell axis, and the component sums add whole rows
+    A, L, R = (np.ascontiguousarray(np.asarray(x, dtype=float).T)
+               for x in (avgs, lefts, rights))
+    c0, c1, c2 = parabola_coeffs(A, L, R)
     own = slice(1, -1)
     lnb = slice(0, -2)
     rnb = slice(2, None)
@@ -161,37 +186,30 @@ def oe_theta(system, avgs, lefts, rights, sizes, dt):
     dxl = sizes[lnb]
     dxr = sizes[rnb]
 
-    g = _GL3_NODES[:, None]  # (3, 1): broadcast over cells
-    xi_o = 0.5 * g
-    xi_l = (0.5 * (dxl + dxo) + 0.5 * g * dxo) / dxl
-    xi_r = (-0.5 * (dxr + dxo) + 0.5 * g * dxo) / dxr
+    # x - x_neighbour = (x_own - x_neighbour) + xi*dxo, in neighbour units
+    o0, o1, o2 = c0[:, own], c1[:, own], c2[:, own]
+    l0, l1, l2 = _shifted(c0[:, lnb], c1[:, lnb], c2[:, lnb],
+                          0.5 * (dxl + dxo) / dxl, dxo / dxl)
+    r0, r1, r2 = _shifted(c0[:, rnb], c1[:, rnb], c2[:, rnb],
+                          -0.5 * (dxr + dxo) / dxr, dxo / dxr)
+    A = A[:, own]
+    own_dev = _square_integral(o0 - A, o1, o2)
 
-    def peval(sl, xi):
-        xi = xi[..., None]
-        return c0[sl] + c1[sl] * xi + c2[sl] * xi * xi
-
-    P = peval(own, xi_o)  # (3, K-2, d)
-    PL = peval(lnb, xi_l)
-    PR = peval(rnb, xi_r)
-    A = avgs[own]
-
-    wq = _GL3_WEIGHTS[:, None, None]
-
-    def cell_integral(Q):
-        # sum over quadrature points and components
-        return 0.5 * dxo * np.sum(wq * Q, axis=(0, 2))
-
-    ppo = 2.0 * c2[own] / dxo[:, None] ** 2
-    ppl = 2.0 * c2[lnb] / dxl[:, None] ** 2
-    ppr = 2.0 * c2[rnb] / dxr[:, None] ** 2
+    ppo = 2.0 * o2 / dxo ** 2
+    ppl = 2.0 * c2[:, lnb] / dxl ** 2
+    ppr = 2.0 * c2[:, rnb] / dxr ** 2
     dx5 = dxo ** 5 / 3.0
 
-    eta_l = cell_integral((P - PL) ** 2) + dx5 * np.sum((ppo - ppl) ** 2, axis=-1)
-    eta_r = cell_integral((P - PR) ** 2) + dx5 * np.sum((ppo - ppr) ** 2, axis=-1)
-    d_l = cell_integral((PL - A) ** 2 + (P - A) ** 2) + dx5 * np.sum(ppl ** 2, axis=-1)
-    d_r = cell_integral((PR - A) ** 2 + (P - A) ** 2) + dx5 * np.sum(ppr ** 2, axis=-1)
+    eta_l = dxo * _square_integral(o0 - l0, o1 - l1, o2 - l2) \
+        + dx5 * np.sum((ppo - ppl) ** 2, axis=0)
+    eta_r = dxo * _square_integral(o0 - r0, o1 - r1, o2 - r2) \
+        + dx5 * np.sum((ppo - ppr) ** 2, axis=0)
+    d_l = dxo * (_square_integral(l0 - A, l1, l2) + own_dev) \
+        + dx5 * np.sum(ppl ** 2, axis=0)
+    d_r = dxo * (_square_integral(r0 - A, r1, r2) + own_dev) \
+        + dx5 * np.sum(ppr ** 2, axis=0)
 
-    lo, hi = system.wave_speed_range(avgs)
+    lo, hi = system.wave_speed_range(avgs, p_avg)
     s_l = np.minimum(np.minimum(lo[lnb], lo[own]), np.minimum(lo[rnb], 0.0))
     s_r = np.maximum(np.maximum(hi[lnb], hi[own]), np.maximum(hi[rnb], 0.0))
     span = s_r - s_l
@@ -202,7 +220,8 @@ def oe_theta(system, avgs, lefts, rights, sizes, dt):
     den = w1 * d_l + w2 * d_r
     sigma = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
-    speed = system.max_wave_speed(avgs)
+    # max(|v - c|, |v + c|) is |v| + c bit for bit
+    speed = np.maximum(np.abs(lo), np.abs(hi))
     beta = np.maximum(np.maximum(speed[lnb], speed[own]), speed[rnb])
     return np.exp(-beta * dt * sigma / dxo)
 

@@ -5,16 +5,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import mesh, transform
+from . import __version__, mesh, transform
 from .config import RunConfig, build_system, limiter_config
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .presets import AVERAGE_BUILDERS, EXACT_REGISTRY, IC_REGISTRY
 from .scheme import DofField, PampaScheme, llf_flux
 from .systems import ScalarLaw
@@ -73,7 +71,11 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
     """Advance to t_final. The step size honours the CFL bound (scaled by
     the integrator's SSP factor) and divides the remaining time evenly, so
     constant-speed multistep runs see a truly constant dt; the final step
-    clamps to the remaining time."""
+    clamps to the remaining time.
+
+    A DomainError raised inside a step (a state that is not finite or has
+    left G) is raised again with the step number, counted from 1 as in
+    the diagnostics, and the time at which that step began."""
     integ = make_integrator(integrator) if isinstance(integrator, str) else integrator
     t = float(t0)
     step = 0
@@ -81,18 +83,21 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
     dt_frozen = None
     while t < t_final - eps_t:
         remaining = t_final - t
-        cfl_dt = scheme.max_dt(field, cfl) * integ.dt_scale
-        if integ.multistep and math.isfinite(cfl_dt):
-            if dt_frozen is None or cfl_dt < dt_frozen * (1.0 - 1e-12):
-                dt_frozen = cfl_dt
-            plan = dt_frozen
-        else:
-            plan = cfl_dt
-        plan = min(plan, remaining)
-        q = remaining / plan
-        m = int(q) if q - int(q) < 1e-9 else int(q) + 1
-        dt = remaining / max(m, 1)
-        field = integ.step(scheme, field, dt, t=t, step=step, on_stage=on_stage)
+        try:
+            cfl_dt = scheme.max_dt(field, cfl) * integ.dt_scale
+            if integ.multistep and math.isfinite(cfl_dt):
+                if dt_frozen is None or cfl_dt < dt_frozen * (1.0 - 1e-12):
+                    dt_frozen = cfl_dt
+                plan = dt_frozen
+            else:
+                plan = cfl_dt
+            plan = min(plan, remaining)
+            q = remaining / plan
+            m = int(q) if q - int(q) < 1e-9 else int(q) + 1
+            dt = remaining / max(m, 1)
+            field = integ.step(scheme, field, dt, t=t, step=step, on_stage=on_stage)
+        except DomainError as err:
+            raise DomainError(f"step {step + 1} (t = {t!r}): {err}") from err
         t += dt
         step += 1
         if on_step:
@@ -198,10 +203,9 @@ class DiagnosticsRecorder:
             state = [min(u_all[0], u_all[2]), max(u_all[1], u_all[3]),
                      float(np.min(field.points)), float(np.max(field.points))]
         else:
-            p_avg = sys._pressure_quiet(field.avgs)
-            p_nod = sys._pressure_quiet(u_nodes)
-            state = [min(float(np.min(field.avgs[:, 0])), float(np.min(u_nodes[:, 0]))),
-                     min(float(np.min(p_avg)), float(np.min(p_nod)))]
+            states = np.concatenate([field.avgs, u_nodes])
+            state = [float(np.min(states[:, 0])),
+                     float(np.min(sys.pressure(states, check=False)))]
         row = ([step, t, dt] + state
                + [self._theta_min, self._idp, self._oe, self._mp]
                + [float(v) for v in totals])
@@ -252,7 +256,7 @@ def run_to_files(cfg: RunConfig, outdir, svg: bool = False,
     write_cells_csv(paths["cells"], scheme, field)
     write_nodes_csv(paths["nodes"], scheme, field)
     meta = {"config": asdict(cfg), "n_steps": n_steps, "t_end": t_end,
-            "version": "0.1.0"}
+            "version": __version__}
     paths["meta"].write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     if svg:
         from .svgplot import write_solution_svgs
@@ -382,12 +386,7 @@ def convergence_table(cfg: RunConfig, n_list) -> list[ConvergenceRow]:
     """Errors and observed orders over a cell-count ladder; orders are only
     reported between consecutive doublings."""
     cfgs = [cfg.with_overrides(n=int(n)) for n in n_list]
-    workers = int(os.environ.get("PAMPA_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(_run_errors, cfgs))
-    else:
-        errors = [_run_errors(c) for c in cfgs]
+    errors = [_run_errors(c) for c in cfgs]
     rows: list[ConvergenceRow] = []
     for i, (c, (ea, ep)) in enumerate(zip(cfgs, errors)):
         oa = op = None

@@ -11,12 +11,12 @@ scaling IDP limiter, then flux/residual assembly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import limiters, mesh, transform
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .systems import ScalarLaw
 
 
@@ -50,16 +50,39 @@ class LimiterConfig:
 IDP_CFL_LIMIT = 1.0 / 6.0
 
 
-def llf_flux(system, UL, UR):
+def llf_flux(system, UL, UR, pL=None, pR=None):
     """Local Lax-Friedrichs flux with the pairwise IDP wave speed.
 
+    pL/pR: the pressures of UL/UR when the caller has them (systems only).
     Exactly consistent: identical inputs give F(U) bit for bit, because
     0.5*(F+F) and the zero jump term introduce no rounding.
     """
-    lam = system.pair_speed(UL, UR)
-    return 0.5 * (system.flux(UL) + system.flux(UR)) - 0.5 * lam[..., None] * (
+    lam = system.pair_speed(UL, UR, pL, pR)
+    return 0.5 * (system.flux(UL, pL) + system.flux(UR, pR)) - 0.5 * lam[..., None] * (
         np.asarray(UR, dtype=float) - np.asarray(UL, dtype=float)
     )
+
+
+def _guard(kind: str, states, values, positive: bool, offset: int, count: int):
+    """Raise DomainError unless every entry of `values` (a quantity of the
+    extended `states`) is finite, and positive if asked.
+
+    Ghost entries are images of interior ones, so the first bad interior
+    entry (interior starts at `offset`) names the cell or node.
+    """
+    lo, hi = values.min(), values.max()  # a nan fails both tests below
+    if (lo > 0.0 if positive else lo > -np.inf) and hi < np.inf:
+        return
+    inner = values[offset : offset + count]
+    ok = np.isfinite(inner) & (inner > 0.0 if positive else True)
+    j = int(np.argmin(ok.reshape(count, -1).all(axis=-1)))
+    need = "positive, finite density and pressure" if positive else "finite values"
+    raise DomainError(f"{kind} {j} needs {need}, got {states[offset + j]}")
+
+
+def _rows(p, lo: int, hi: int):
+    """p[lo:hi], or None for the scalar laws, which carry no pressure."""
+    return None if p is None else p[lo:hi]
 
 
 class PampaScheme:
@@ -72,6 +95,7 @@ class PampaScheme:
         self.grid = grid
         self.bc = bc
         self.limiter = limiter or LimiterConfig()
+        self.scalar = isinstance(system, ScalarLaw)
 
     @property
     def n_points(self) -> int:
@@ -93,7 +117,15 @@ class PampaScheme:
         """Limited triples for cells -1..n (index c+1), plus extended data.
 
         Returns a dict with hat_l/hat_m/hat_r (n+2, d), theta (n+2,), the
-        extended node states, and limiter activity counters.
+        extended node states, the pressures of the extended averages, the
+        nodes and hat_m (None for scalar laws), and limiter activity
+        counters.
+
+        The extended averages and nodes are checked once per stage here:
+        finite and, for systems, with positive density and pressure;
+        otherwise DomainError names the first bad cell or node. Every later
+        state of the stage is one of these or a convex blend of them, so its
+        pressure is computed once, unguarded, and handed to each consumer.
         """
         sys = self.system
         lim = self.limiter
@@ -101,7 +133,19 @@ class PampaScheme:
         A = mesh.extend_averages(field.avgs, self.bc, sys)       # cells -3..n+2
         Wx = mesh.extend_points(field.points, self.bc, sys)      # nodes -2..n+2
         dxx = mesh.extend_cell_sizes(self.grid, self.bc)
-        Ux = transform.from_transformed(sys, Wx)
+        Ux, p_node = transform.from_transformed(sys, Wx, with_pressure=True)
+
+        ga, gp, m = mesh.AVG_GHOST, mesh.PT_GHOST, self.n_points
+        _guard("point", Ux, Wx, False, gp, m)
+        if self.scalar:
+            _guard("average", A, A, False, ga, n)
+            p_avg = None
+        else:
+            _guard("average", A, A[:, 0], True, ga, n)
+            p_avg = sys.pressure(A, check=False)
+            _guard("average", A, p_avg, True, ga, n)
+            _guard("point", Ux, Ux[:, 0], True, gp, m)
+            _guard("point", Ux, p_node, True, gp, m)
 
         cel_a = A[2 : n + 4]                                     # cells -1..n
         u_l = Ux[1 : n + 3]
@@ -112,11 +156,11 @@ class PampaScheme:
         if lim.oscillation == "oe":
             theta_oe = limiters.oe_theta(
                 sys, A[1 : n + 5], Ux[0 : n + 4], Ux[1 : n + 5],
-                dxx[1 : n + 5], dt,
+                dxx[1 : n + 5], dt, _rows(p_avg, 1, n + 5),
             )
             u_l, u_m, u_r = limiters.oe_apply(theta_oe, cel_a, u_l, u_r)
         elif lim.oscillation == "mp":
-            w_avg = transform.to_transformed(sys, A)
+            w_avg = transform.to_transformed(sys, A, p_avg)
             # left-side values at nodes 0..n+1 (right endpoints of cells -1..n)
             w_left = limiters.mp_limit(
                 w_avg[0 : n + 2], w_avg[1 : n + 3], w_avg[2 : n + 4],
@@ -137,8 +181,9 @@ class PampaScheme:
         else:
             u_m = limiters.midpoint_value(cel_a, u_l, u_r)
 
+        p_mid = None
         if lim.idp:
-            if isinstance(sys, ScalarLaw):
+            if self.scalar:
                 hat_l, hat_m, hat_r, theta = limiters.scaling_limit_scalar(
                     cel_a[..., 0], u_l[..., 0], u_m[..., 0], u_r[..., 0],
                     sys.u_min, sys.u_max,
@@ -147,21 +192,28 @@ class PampaScheme:
                 hat_m = hat_m[..., None]
                 hat_r = hat_r[..., None]
             else:
-                hat_l, hat_m, hat_r, theta = limiters.scaling_limit_system(
+                hat_l, hat_m, hat_r, theta, p_mid = limiters.scaling_limit_system(
                     sys, cel_a, u_l, u_m, u_r, lim.eps_rho, lim.eps_p,
+                    p_avg=p_avg[2 : n + 4],
                 )
         else:
             hat_l, hat_m, hat_r = u_l, u_m, u_r
             theta = np.ones(n + 2)
+            if not self.scalar:
+                # guarded: the unlimited midpoint may leave G
+                p_mid = sys.pressure(hat_m)
 
         return {
             "avg_ext": A,
             "w_ext": Wx,
             "u_ext": Ux,
             "dx_ext": dxx,
+            "p_avg_ext": p_avg,
+            "p_node_ext": p_node,
             "hat_l": hat_l,
             "hat_m": hat_m,
             "hat_r": hat_r,
+            "p_mid": p_mid,
             "theta": theta,
             "theta_oe": theta_oe,
             "mp_changed": mp_changed,
@@ -175,19 +227,25 @@ class PampaScheme:
         n = self.grid.n_cells
         st = self.interface_states(field, dt)
         hat_l, hat_m, hat_r = st["hat_l"], st["hat_m"], st["hat_r"]
+        p_avg, p_node, p_mid = st["p_avg_ext"], st["p_node_ext"], st["p_mid"]
 
         # interface fluxes at nodes 0..n from one-sided limited states
-        fluxes = llf_flux(sys, hat_r[0 : n + 1], hat_l[1 : n + 2])
+        UL = hat_r[0 : n + 1]
+        UR = hat_l[1 : n + 2]
+        pL = pR = None
+        if not self.scalar:
+            # blends of guarded states: their density is positive
+            pL, pR = sys.pressure(UL, check=False), sys.pressure(UR, check=False)
+        fluxes = llf_flux(sys, UL, UR, pL, pR)
         davg = -(fluxes[1:] - fluxes[:-1]) / self.grid.cell_sizes[:, None]
 
         # point residual at owned nodes
         m = self.n_points
-        Wx, dxx = st["w_ext"], st["dx_ext"]
+        Wx, Ux, dxx = st["w_ext"], st["u_ext"], st["dx_ext"]
         w_prev = Wx[1 : m + 1]
         w_here = Wx[2 : m + 2]
         w_next = Wx[3 : m + 3]
-        w_mid = transform.to_transformed(sys, hat_m)
-        u_here = st["u_ext"][2 : m + 2]
+        w_mid = transform.to_transformed(sys, hat_m, p_mid)
         # alpha must dominate the node's own spectral radius for the
         # splitting to upwind correctly; the midpoint speeds enter as an
         # enlargement but are capped at twice the largest physical speed in
@@ -195,8 +253,9 @@ class PampaScheme:
         # strong transverse field carries an Alfven speed ~ |B|/sqrt(eps)
         # (10 orders above the flow scale), which would otherwise make the
         # point update explode at any practical time step.
-        speed_node = sys.max_wave_speed(st["u_ext"])
-        speed_avg = sys.max_wave_speed(st["avg_ext"][2 : m + 3])
+        speed_node = sys.max_wave_speed(Ux, p_node)
+        speed_avg = sys.max_wave_speed(st["avg_ext"][2 : m + 3],
+                                       _rows(p_avg, 2, m + 3))
         neighborhood = np.maximum(
             np.maximum(speed_node[1 : m + 1], speed_node[2 : m + 2]),
             speed_node[3 : m + 3],
@@ -204,21 +263,22 @@ class PampaScheme:
         neighborhood = np.maximum(
             neighborhood, np.maximum(speed_avg[0:m], speed_avg[1 : m + 1]))
         cap = 2.0 * neighborhood
-        speed_mid = sys.max_wave_speed(hat_m)
+        speed_mid = sys.max_wave_speed(hat_m, p_mid)
         alpha = np.maximum(
             speed_node[2 : m + 2],
             np.maximum(np.minimum(speed_mid[0:m], cap),
                        np.minimum(speed_mid[1 : m + 1], cap)),
         )
 
-        delta_m = -1.5 * w_here + 2.0 * w_mid[1 : m + 1] - 0.5 * w_next
-        delta_p = 0.5 * w_prev - 2.0 * w_mid[0:m] + 1.5 * w_here
-        jd_m = transform.apply_jacobian(sys, u_here, delta_m)
-        jd_p = transform.apply_jacobian(sys, u_here, delta_p)
-        a = alpha[:, None]
-        phi_m = (jd_m - a * delta_m) / dxx[3 : m + 3, None]
-        phi_p = (jd_p + a * delta_p) / dxx[2 : m + 2, None]
-        dpts = -(phi_m + phi_p)
+        # upwind split: (J - alpha) delta_m / dx_right + (J + alpha) delta_p
+        # / dx_left, with J linear, so one Jacobian action serves both sides
+        delta_m = (-1.5 * w_here + 2.0 * w_mid[1 : m + 1] - 0.5 * w_next) \
+            / dxx[3 : m + 3, None]
+        delta_p = (0.5 * w_prev - 2.0 * w_mid[0:m] + 1.5 * w_here) \
+            / dxx[2 : m + 2, None]
+        jd = transform.apply_jacobian(sys, Ux[2 : m + 2], delta_m + delta_p,
+                                      _rows(p_node, 2, m + 2))
+        dpts = -(jd - alpha[:, None] * (delta_m - delta_p))
 
         if record is not None:
             theta = st["theta"]
@@ -243,8 +303,9 @@ class PampaScheme:
                 f"cfl must lie in (0, 1/6] for the IDP guarantee, got {cfl}"
             )
         sys = self.system
-        u_nodes = transform.from_transformed(sys, field.points)
-        s_node = sys.max_wave_speed(u_nodes)
+        u_nodes, p_nodes = transform.from_transformed(sys, field.points,
+                                                      with_pressure=True)
+        s_node = sys.max_wave_speed(u_nodes, p_nodes)
         s_right = np.roll(s_node, -1) if self.bc == mesh.PERIODIC else s_node[1:]
         s_left = s_node if self.bc == mesh.PERIODIC else s_node[:-1]
         lam = np.maximum(sys.max_wave_speed(field.avgs),
@@ -267,9 +328,3 @@ class PampaScheme:
         pts[-1] = 0.5 * (pts[-1] + self.system.reflect_transformed(pts[-1]))
         return DofField(field.avgs, pts)
 
-
-def continuous_flux_config(limiter: LimiterConfig) -> LimiterConfig:
-    """Limiter settings of the original scheme (no IDP stage; with the
-    scaling limiter off, identical one-sided states make every interface
-    flux reduce to the continuous flux)."""
-    return replace(limiter, idp=False)

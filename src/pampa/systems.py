@@ -54,20 +54,22 @@ class ScalarLaw:
     def domain_spec(self) -> ScalarBounds:
         return ScalarBounds(self.u_min, self.u_max)
 
-    def flux(self, U):
+    # p (the pressure that gas systems accept precomputed) is ignored
+
+    def flux(self, U, p=None):
         U = np.asarray(U, dtype=float)
         return self.flux_fn(U[..., 0])[..., None]
 
-    def max_wave_speed(self, U):
+    def max_wave_speed(self, U, p=None):
         U = np.asarray(U, dtype=float)
         return np.abs(self.dflux_fn(U[..., 0]))
 
-    def wave_speed_range(self, U):
+    def wave_speed_range(self, U, p=None):
         U = np.asarray(U, dtype=float)
         s = self.dflux_fn(U[..., 0])
         return s, s
 
-    def pair_speed(self, UL, UR):
+    def pair_speed(self, UL, UR, pL=None, pR=None):
         return np.maximum(self.max_wave_speed(UL), self.max_wave_speed(UR))
 
     def in_domain(self, U, spec: ScalarBounds | None = None):
@@ -102,76 +104,102 @@ def burgers(u_min: float, u_max: float) -> ScalarLaw:
                      name="burgers")
 
 
-class Euler:
-    """1D compressible Euler equations, U = (rho, rho*v, E)."""
+class _Gas:
+    """What Euler and ideal MHD share: the positivity domain (density and
+    pressure), its predicate and margin, and the wall reflections."""
 
-    nvars = 3
-
-    def __init__(self, gamma: float = 1.4, rho_ref: float = 1.0):
-        self.gamma = float(gamma)
-        self.rho_ref = float(rho_ref)
-        self.name = "euler"
+    # sign of each conservative (and transformed) component under a wall
+    # reflection: only the normal momentum (velocity) flips
+    _reflection: np.ndarray
 
     def domain_spec(self) -> PositivityFloors:
         return PositivityFloors()
 
-    def pressure(self, U):
-        U = np.asarray(U, dtype=float)
-        rho = U[..., 0]
-        if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
-            raise DomainError("pressure recovery needs rho > 0")
-        return (self.gamma - 1.0) * (U[..., 2] - 0.5 * U[..., 1] ** 2 / rho)
-
-    def _pressure_quiet(self, U):
-        U = np.asarray(U, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (self.gamma - 1.0) * (U[..., 2] - 0.5 * U[..., 1] ** 2 / U[..., 0])
-
-    def sound_speed(self, U):
-        U = np.asarray(U, dtype=float)
-        p = np.maximum(self.pressure(U), 0.0)
-        return np.sqrt(self.gamma * p / U[..., 0])
-
-    def flux(self, U):
-        U = np.asarray(U, dtype=float)
-        p = self.pressure(U)
-        if not np.all(np.isfinite(p)):
-            raise DomainError("non-finite pressure in flux evaluation")
-        rho, mom, E = U[..., 0], U[..., 1], U[..., 2]
-        v = mom / rho
-        return np.stack([mom, mom * v + p, v * (E + p)], axis=-1)
-
-    def max_wave_speed(self, U):
-        U = np.asarray(U, dtype=float)
-        return np.abs(U[..., 1] / U[..., 0]) + self.sound_speed(U)
-
-    def wave_speed_range(self, U):
-        U = np.asarray(U, dtype=float)
-        v = U[..., 1] / U[..., 0]
-        c = self.sound_speed(U)
-        return v - c, v + c
-
-    def pair_speed(self, UL, UR):
-        return np.maximum(self.max_wave_speed(UL), self.max_wave_speed(UR))
-
     def in_domain(self, U, spec: PositivityFloors | None = None):
         spec = spec or PositivityFloors()
         U = np.asarray(U, dtype=float)
-        p = self._pressure_quiet(U)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = self.pressure(U, check=False)
             ok = (U[..., 0] > spec.eps_rho) & (p > spec.eps_p)
         return ok & _finite(U) & np.isfinite(p)
 
     def domain_margin(self, U, spec: PositivityFloors | None = None):
         spec = spec or PositivityFloors()
         U = np.asarray(U, dtype=float)
-        p = self._pressure_quiet(U)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = self.pressure(U, check=False)
         return np.minimum(U[..., 0] - spec.eps_rho, p - spec.eps_p)
+
+    def reflect_conserved(self, U):
+        return np.asarray(U, dtype=float) * self._reflection
+
+    def reflect_transformed(self, W):
+        return np.asarray(W, dtype=float) * self._reflection
+
+
+class Euler(_Gas):
+    """1D compressible Euler equations, U = (rho, rho*v, E).
+
+    The flux and wave-speed methods take an optional precomputed pressure p
+    of U; without it they compute (and guard) their own.
+    """
+
+    nvars = 3
+    _reflection = np.array([1.0, -1.0, 1.0])
+
+    def __init__(self, gamma: float = 1.4, rho_ref: float = 1.0):
+        self.gamma = float(gamma)
+        self.rho_ref = float(rho_ref)
+        self.name = "euler"
+
+    def pressure(self, U, check: bool = True):
+        """Pressure of the states U.
+
+        check=True raises DomainError unless every density is positive and
+        finite. check=False is the unguarded form, for states a caller has
+        already checked and for predicates that want nan or inf back from
+        states outside G.
+        """
+        U = np.asarray(U, dtype=float)
+        rho = U[..., 0]
+        if check and (np.any(rho <= 0) or not np.all(np.isfinite(rho))):
+            raise DomainError("pressure recovery needs rho > 0")
+        return (self.gamma - 1.0) * (U[..., 2] - 0.5 * U[..., 1] ** 2 / rho)
+
+    def sound_speed(self, U, p=None):
+        U = np.asarray(U, dtype=float)
+        p = np.maximum(self.pressure(U) if p is None else p, 0.0)
+        return np.sqrt(self.gamma * p / U[..., 0])
+
+    def flux(self, U, p=None):
+        U = np.asarray(U, dtype=float)
+        if p is None:
+            p = self.pressure(U)
+            if not np.all(np.isfinite(p)):
+                raise DomainError("non-finite pressure in flux evaluation")
+        rho, mom, E = U[..., 0], U[..., 1], U[..., 2]
+        v = mom / rho
+        return np.stack([mom, mom * v + p, v * (E + p)], axis=-1)
+
+    def max_wave_speed(self, U, p=None):
+        U = np.asarray(U, dtype=float)
+        return np.abs(U[..., 1] / U[..., 0]) + self.sound_speed(U, p)
+
+    def wave_speed_range(self, U, p=None):
+        U = np.asarray(U, dtype=float)
+        v = U[..., 1] / U[..., 0]
+        c = self.sound_speed(U, p)
+        return v - c, v + c
+
+    def pair_speed(self, UL, UR, pL=None, pR=None):
+        return np.maximum(self.max_wave_speed(UL, pL), self.max_wave_speed(UR, pR))
 
     def primitive(self, U):
         U = np.asarray(U, dtype=float)
-        v = U[..., 1] / U[..., 0]
-        return np.stack([U[..., 0], v, self._pressure_quiet(U)], axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = U[..., 1] / U[..., 0]
+            p = self.pressure(U, check=False)
+        return np.stack([U[..., 0], v, p], axis=-1)
 
     def from_primitive(self, prim):
         prim = np.asarray(prim, dtype=float)
@@ -179,17 +207,15 @@ class Euler:
         E = p / (self.gamma - 1.0) + 0.5 * rho * v * v
         return np.stack([rho, rho * v, E], axis=-1)
 
-    def reflect_conserved(self, U):
-        return np.asarray(U, dtype=float) * np.array([1.0, -1.0, 1.0])
 
-    def reflect_transformed(self, W):
-        return np.asarray(W, dtype=float) * np.array([1.0, -1.0, 1.0])
+class IdealMHD(_Gas):
+    """1D ideal MHD, U = (rho, rho*vx, rho*vy, rho*vz, By, Bz, E); Bx constant.
 
-
-class IdealMHD:
-    """1D ideal MHD, U = (rho, rho*vx, rho*vy, rho*vz, By, Bz, E); Bx constant."""
+    Pressure arguments work as for Euler.
+    """
 
     nvars = 7
+    _reflection = np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
     def __init__(self, gamma: float = 5.0 / 3.0, bx: float = 0.0,
                  rho_ref: float = 1.0):
@@ -197,9 +223,6 @@ class IdealMHD:
         self.bx = float(bx)
         self.rho_ref = float(rho_ref)
         self.name = "mhd"
-
-    def domain_spec(self) -> PositivityFloors:
-        return PositivityFloors()
 
     def _split(self, U):
         rho = U[..., 0]
@@ -210,34 +233,30 @@ class IdealMHD:
     def _b_squared(self, U):
         return self.bx ** 2 + U[..., 4] ** 2 + U[..., 5] ** 2
 
-    def pressure(self, U):
+    def pressure(self, U, check: bool = True):
+        """Thermal pressure of the states U; check as for Euler.pressure."""
         U = np.asarray(U, dtype=float)
         rho = U[..., 0]
-        if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
+        if check and (np.any(rho <= 0) or not np.all(np.isfinite(rho))):
             raise DomainError("pressure recovery needs rho > 0")
         kin = 0.5 * np.sum(U[..., 1:4] ** 2, axis=-1) / rho
         return (self.gamma - 1.0) * (U[..., 6] - kin - 0.5 * self._b_squared(U))
 
-    def _pressure_quiet(self, U):
-        U = np.asarray(U, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kin = 0.5 * np.sum(U[..., 1:4] ** 2, axis=-1) / U[..., 0]
-            return (self.gamma - 1.0) * (U[..., 6] - kin - 0.5 * self._b_squared(U))
-
-    def fast_speed(self, U):
+    def fast_speed(self, U, p=None):
         """Fast magnetoacoustic speed c_f for propagation along x."""
         U = np.asarray(U, dtype=float)
         rho = U[..., 0]
-        p = np.maximum(self.pressure(U), 0.0)
+        p = np.maximum(self.pressure(U) if p is None else p, 0.0)
         a = (self.gamma * p + self._b_squared(U)) / rho
         disc = np.maximum(a * a - 4.0 * self.gamma * p * self.bx ** 2 / rho ** 2, 0.0)
         return np.sqrt(0.5 * (a + np.sqrt(disc)))
 
-    def flux(self, U):
+    def flux(self, U, p=None):
         U = np.asarray(U, dtype=float)
-        p = self.pressure(U)
-        if not np.all(np.isfinite(p)):
-            raise DomainError("non-finite pressure in flux evaluation")
+        if p is None:
+            p = self.pressure(U)
+            if not np.all(np.isfinite(p)):
+                raise DomainError("non-finite pressure in flux evaluation")
         rho, v, By, Bz, E = self._split(U)
         vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
         bx = self.bx
@@ -256,26 +275,26 @@ class IdealMHD:
             axis=-1,
         )
 
-    def max_wave_speed(self, U):
+    def max_wave_speed(self, U, p=None):
         U = np.asarray(U, dtype=float)
         vx = U[..., 1] / U[..., 0]
-        return np.abs(vx) + self.fast_speed(U)
+        return np.abs(vx) + self.fast_speed(U, p)
 
-    def wave_speed_range(self, U):
+    def wave_speed_range(self, U, p=None):
         U = np.asarray(U, dtype=float)
         vx = U[..., 1] / U[..., 0]
-        cf = self.fast_speed(U)
+        cf = self.fast_speed(U, p)
         return vx - cf, vx + cf
 
-    def pair_speed(self, UL, UR):
+    def pair_speed(self, UL, UR, pL=None, pR=None):
         UL = np.asarray(UL, dtype=float)
         UR = np.asarray(UR, dtype=float)
         sl = np.sqrt(UL[..., 0])
         sr = np.sqrt(UR[..., 0])
         vxl = UL[..., 1] / UL[..., 0]
         vxr = UR[..., 1] / UR[..., 0]
-        cfl = self.fast_speed(UL)
-        cfr = self.fast_speed(UR)
+        cfl = self.fast_speed(UL, pL)
+        cfr = self.fast_speed(UR, pR)
         # |v_roe|: the signed Roe average suppresses the third candidate
         # when both states move the same way, and sampled pairs with fast
         # common motion then violate the splitting property
@@ -289,26 +308,14 @@ class IdealMHD:
         )
         return base + db / (sl + sr)
 
-    def in_domain(self, U, spec: PositivityFloors | None = None):
-        spec = spec or PositivityFloors()
-        U = np.asarray(U, dtype=float)
-        p = self._pressure_quiet(U)
-        with np.errstate(invalid="ignore"):
-            ok = (U[..., 0] > spec.eps_rho) & (p > spec.eps_p)
-        return ok & _finite(U) & np.isfinite(p)
-
-    def domain_margin(self, U, spec: PositivityFloors | None = None):
-        spec = spec or PositivityFloors()
-        U = np.asarray(U, dtype=float)
-        p = self._pressure_quiet(U)
-        return np.minimum(U[..., 0] - spec.eps_rho, p - spec.eps_p)
-
     def primitive(self, U):
         """(rho, vx, vy, vz, By, Bz, p)."""
         U = np.asarray(U, dtype=float)
-        rho, v, By, Bz, _ = self._split(U)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho, v, By, Bz, _ = self._split(U)
+            p = self.pressure(U, check=False)
         return np.stack(
-            [rho, v[..., 0], v[..., 1], v[..., 2], By, Bz, self._pressure_quiet(U)],
+            [rho, v[..., 0], v[..., 1], v[..., 2], By, Bz, p],
             axis=-1,
         )
 
@@ -323,9 +330,3 @@ class IdealMHD:
             [rho, rho * v[..., 0], rho * v[..., 1], rho * v[..., 2], By, Bz, E],
             axis=-1,
         )
-
-    def reflect_conserved(self, U):
-        return np.asarray(U, dtype=float) * np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-
-    def reflect_transformed(self, W):
-        return np.asarray(W, dtype=float) * np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])

@@ -49,26 +49,24 @@ def _softplus_deriv_inv(x):
     return 1.0 / (-np.expm1(-x))
 
 
-def to_transformed(system, U):
-    """W = Psi(U); requires U strictly inside the invariant domain for systems."""
+def to_transformed(system, U, p=None):
+    """W = Psi(U); requires U strictly inside the invariant domain for systems.
+
+    p: the pressure of U when the caller has it already (systems only).
+    """
     U = np.asarray(U, dtype=float)
     if isinstance(system, ScalarLaw):
         return (U - system.u_min) / (system.u_max - system.u_min)
-    if isinstance(system, Euler):
-        rho = U[..., 0]
+    if p is None:
         p = system.pressure(U)
-        if np.any(p <= 0):
-            raise DomainError("transform needs p > 0")
-        q = inv_softplus(rho / system.rho_ref)
-        s = np.log(p) - system.gamma * np.log(rho)
+    if np.any(p <= 0):
+        raise DomainError("transform needs p > 0")
+    rho = U[..., 0]
+    q = inv_softplus(rho / system.rho_ref)
+    s = np.log(p) - system.gamma * np.log(rho)
+    if isinstance(system, Euler):
         return np.stack([q, U[..., 1] / rho, s], axis=-1)
     if isinstance(system, IdealMHD):
-        rho = U[..., 0]
-        p = system.pressure(U)
-        if np.any(p <= 0):
-            raise DomainError("transform needs p > 0")
-        q = inv_softplus(rho / system.rho_ref)
-        s = np.log(p) - system.gamma * np.log(rho)
         v = U[..., 1:4] / rho[..., None]
         return np.stack(
             [q, v[..., 0], v[..., 1], v[..., 2], U[..., 4], U[..., 5], s], axis=-1
@@ -102,11 +100,18 @@ def primitive_from_transformed(system, W):
     raise TypeError(f"no transform for {type(system).__name__}")
 
 
-def from_transformed(system, W):
-    """U = Psi^{-1}(W); lands in the invariant domain for every finite W."""
+def from_transformed(system, W, with_pressure: bool = False):
+    """U = Psi^{-1}(W); lands in the invariant domain for every finite W.
+
+    with_pressure=True returns (U, p) with the decoded pressure p (None for
+    scalar laws), which is more accurate than one recomputed from U.
+    """
     if isinstance(system, ScalarLaw):
-        return primitive_from_transformed(system, W)
-    return system.from_primitive(primitive_from_transformed(system, W))
+        U = primitive_from_transformed(system, W)
+        return (U, None) if with_pressure else U
+    prim = primitive_from_transformed(system, W)
+    U = system.from_primitive(prim)
+    return (U, prim[..., -1]) if with_pressure else U
 
 
 def _euler_jacobian(system: Euler, U):
@@ -177,8 +182,7 @@ def jacobian_transformed(system, U):
     """Jacobian of the W-variable quasilinear form at the state U (in G)."""
     U = np.asarray(U, dtype=float)
     if isinstance(system, ScalarLaw):
-        u = from_transformed(system, to_transformed(system, U))
-        return system.dflux_fn(u[..., 0])[..., None, None]
+        return system.dflux_fn(U[..., 0])[..., None, None]
     if isinstance(system, Euler):
         return _euler_jacobian(system, U)
     if isinstance(system, IdealMHD):
@@ -186,17 +190,20 @@ def jacobian_transformed(system, U):
     raise TypeError(f"no Jacobian for {type(system).__name__}")
 
 
-def apply_jacobian(system, U, vec):
-    """J(U) @ vec without materialising the matrices (hot path)."""
+def apply_jacobian(system, U, vec, p=None):
+    """J(U) @ vec without materialising the matrices (hot path).
+
+    p: the pressure of U when the caller has it already (systems only).
+    """
     U = np.asarray(U, dtype=float)
     vec = np.asarray(vec, dtype=float)
     if isinstance(system, ScalarLaw):
-        u = from_transformed(system, to_transformed(system, U))
-        return system.dflux_fn(u[..., 0])[..., None] * vec
+        return system.dflux_fn(U[..., 0])[..., None] * vec
+    if p is None:
+        p = system.pressure(U)
     if isinstance(system, Euler):
         rho = U[..., 0]
         v = U[..., 1] / rho
-        p = system.pressure(U)
         qp = _softplus_deriv_inv(rho / system.rho_ref) / system.rho_ref
         g = system.gamma
         y0 = v * vec[..., 0] + qp * rho * vec[..., 1]
@@ -208,7 +215,6 @@ def apply_jacobian(system, U, vec):
         rho = U[..., 0]
         vx = U[..., 1] / rho
         By, Bz = U[..., 4], U[..., 5]
-        p = system.pressure(U)
         qp = _softplus_deriv_inv(rho / system.rho_ref) / system.rho_ref
         g = system.gamma
         bx = system.bx

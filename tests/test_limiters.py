@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pampa import limiters, oracle, run as run_mod
 from pampa.config import load_config
 from pampa.errors import InvariantViolation
-from pampa.systems import Euler, advection
+from pampa.systems import Euler, IdealMHD, advection
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -159,6 +159,80 @@ def test_oe_theta_smooth_limit_quartic_tangency():
     th = scheme.interface_states(field, dt)['theta_oe']
     assert np.mean(th >= 1.0 - 1e-3) >= 0.95
     assert np.min(th) >= 0.8
+
+
+def _oe_theta_gauss(system, avgs, lefts, rights, sizes, dt):
+    """Reference theta_OE: the jump integrals by the 3-point Gauss rule,
+    which is exact for the quartic integrands, on (3, K-2, d) samples."""
+    nodes = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
+    weights = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+    c0, c1, c2 = limiters.parabola_coeffs(avgs, lefts, rights)
+    own, lnb, rnb = slice(1, -1), slice(0, -2), slice(2, None)
+    dxo, dxl, dxr = sizes[own], sizes[lnb], sizes[rnb]
+    g = nodes[:, None]
+    xi_o = 0.5 * g
+    xi_l = (0.5 * (dxl + dxo) + 0.5 * g * dxo) / dxl
+    xi_r = (-0.5 * (dxr + dxo) + 0.5 * g * dxo) / dxr
+
+    def peval(sl, xi):
+        xi = xi[..., None]
+        return c0[sl] + c1[sl] * xi + c2[sl] * xi * xi
+
+    P, PL, PR = peval(own, xi_o), peval(lnb, xi_l), peval(rnb, xi_r)
+    A = avgs[own]
+
+    def cell_integral(Q):
+        return 0.5 * dxo * np.sum(weights[:, None, None] * Q, axis=(0, 2))
+
+    ppo = 2.0 * c2[own] / dxo[:, None] ** 2
+    ppl = 2.0 * c2[lnb] / dxl[:, None] ** 2
+    ppr = 2.0 * c2[rnb] / dxr[:, None] ** 2
+    dx5 = dxo ** 5 / 3.0
+    eta_l = cell_integral((P - PL) ** 2) + dx5 * np.sum((ppo - ppl) ** 2, axis=-1)
+    eta_r = cell_integral((P - PR) ** 2) + dx5 * np.sum((ppo - ppr) ** 2, axis=-1)
+    d_l = cell_integral((PL - A) ** 2 + (P - A) ** 2) + dx5 * np.sum(ppl ** 2, axis=-1)
+    d_r = cell_integral((PR - A) ** 2 + (P - A) ** 2) + dx5 * np.sum(ppr ** 2, axis=-1)
+
+    lo, hi = system.wave_speed_range(avgs)
+    s_l = np.minimum(np.minimum(lo[lnb], lo[own]), np.minimum(lo[rnb], 0.0))
+    s_r = np.maximum(np.maximum(hi[lnb], hi[own]), np.maximum(hi[rnb], 0.0))
+    span = s_r - s_l
+    w1 = np.where(span > 0, s_r / np.where(span > 0, span, 1.0), 0.0)
+    w2 = np.where(span > 0, -s_l / np.where(span > 0, span, 1.0), 0.0)
+    num = w1 * eta_l + w2 * eta_r
+    den = w1 * d_l + w2 * d_r
+    sigma = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+    speed = system.max_wave_speed(avgs)
+    beta = np.maximum(np.maximum(speed[lnb], speed[own]), speed[rnb])
+    return np.exp(-beta * dt * sigma / dxo)
+
+
+@pytest.mark.parametrize("system", [advection(-1.0, 2.0), Euler(1.4),
+                                    IdealMHD(gamma=5.0 / 3.0, bx=0.7)],
+                         ids=lambda s: s.name)
+def test_oe_theta_closed_form_matches_gauss(system, rng):
+    K = 400
+    for _ in range(5):
+        # non-uniform grid with neighbour size ratios up to 4
+        sizes = 0.01 * rng.uniform(0.5, 2.0, K)
+
+        def states():
+            if system.nvars == 1:
+                return rng.uniform(-1.0, 2.0, (K, 1))
+            prim = rng.uniform(-1.0, 1.0, (K, system.nvars))
+            prim[:, 0] = rng.uniform(0.1, 2.0, K)
+            prim[:, -1] = rng.uniform(0.1, 2.0, K)
+            return system.from_primitive(prim)
+
+        avgs, lefts, rights = states(), states(), states()
+        # smooth cells too, where the jump integrals are small
+        smooth = rng.random(K) < 0.3
+        lefts[smooth] = rights[smooth] = avgs[smooth]
+        dt = 0.05 * sizes.min() / system.max_wave_speed(avgs).max()
+        th = limiters.oe_theta(system, avgs, lefts, rights, sizes, dt)
+        ref = _oe_theta_gauss(system, avgs, lefts, rights, sizes, dt)
+        assert np.any(ref < 0.5) and np.any(ref > 0.99)
+        np.testing.assert_allclose(th, ref, rtol=1e-12, atol=0.0)
 
 
 def test_oe_apply():

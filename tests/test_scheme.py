@@ -5,7 +5,7 @@ import pytest
 
 from pampa import mesh, run as run_mod, transform
 from pampa.config import build_system, load_config
-from pampa.errors import ConfigError
+from pampa.errors import ConfigError, DomainError
 from pampa.presets import IC_REGISTRY
 from pampa.scheme import DofField, LimiterConfig, PampaScheme, llf_flux
 from pampa.systems import Euler, advection, burgers
@@ -268,3 +268,47 @@ def test_reflective_run_keeps_mirror_symmetry():
     # wall nodes keep zero normal velocity
     assert field.points[0, 1] == 0.0
     assert field.points[-1, 1] == 0.0
+
+
+@pytest.mark.parametrize("preset,n", [("jiang_shu", 100), ("sod", 200)])
+def test_nonfinite_point_fails_loudly(preset, n):
+    # a nan planted in one point value must stop the run at the first step,
+    # naming the node, for scalar laws as for systems
+    cfg = load_config(preset).with_overrides(n=n)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    field.points[10] = np.nan
+    with pytest.raises(DomainError, match=r"^step 1 \(t = 0\.0\): point 10 "):
+        run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator)
+
+
+def test_bad_average_fails_loudly():
+    cfg = load_config("sod").with_overrides(n=50)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    field.avgs[7, 2] = 0.1 * field.avgs[7, 2] - 1.0  # negative pressure
+    with pytest.raises(DomainError, match=r"average 7 needs positive"):
+        scheme.residual(field, 1e-3)
+
+
+@pytest.mark.parametrize("preset", ["mhd_shock_tube", "double_rarefaction"])
+def test_pressure_calls_per_residual(preset, monkeypatch):
+    # one pressure per distinct state array of a stage: the extended
+    # averages, the density-limited and limited midpoints and the two
+    # one-sided interface states (node pressures come from the decode)
+    cfg = load_config(preset).with_overrides(n=200)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    field, _, _ = run_mod.advance(scheme, field, 0.05 * cfg.t_final, cfg.cfl,
+                                  cfg.integrator)
+    dt = scheme.max_dt(field, cfg.cfl)
+    pressure = scheme.system.pressure
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return pressure(*args, **kwargs)
+
+    monkeypatch.setattr(scheme.system, "pressure", counted)
+    scheme.residual(field, dt, {})
+    assert 0 < len(calls) <= 6, calls
