@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import oracle, run as run_mod
-from .config import build_system, load_config, preset_names
+from .config import load_config, preset_names
 from .errors import PampaError
 from .systems import Euler, IdealMHD, advection, burgers
 
@@ -110,8 +110,7 @@ def _verify_limiters(args) -> list[str]:
 def _verify_sweep(args) -> list[str]:
     cfg = load_config(args.preset)
     scheme = run_mod.build_scheme(cfg)
-    system = build_system(cfg)
-    sweep = oracle.DomainSweep(system)
+    sweep = oracle.DomainSweep(scheme.system)
     field = run_mod.initial_field(cfg, scheme)
     sweep.check_field(field)
     run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator,

@@ -64,26 +64,39 @@ def uniform_grid(a: float, b: float, n: int) -> Grid1D:
 def check_bc(bc: str, system) -> None:
     if bc not in BC_KINDS:
         raise ConfigError(f"unknown boundary condition {bc!r}")
-    if bc == REFLECTIVE and not hasattr(system, "reflect_conserved"):
+    if bc == REFLECTIVE and not hasattr(system, "reflect"):
         raise ConfigError(
             f"reflective boundaries need a velocity component; {system.name} has none"
         )
 
 
-def extend_averages(avgs: np.ndarray, bc: str, system) -> np.ndarray:
-    """Cell averages for cells -AVG_GHOST .. n-1+AVG_GHOST as an (n+6, d) array."""
-    g = AVG_GHOST
+def _extend(data: np.ndarray, bc: str, g: int, reflect=None, nodal: bool = False):
+    """data with g ghost rows per side under the boundary condition bc.
+
+    Cell data gains cells -g .. n-1+g. Nodal data gains nodes -g .. n+g:
+    periodic nodal data holds n values (node n is node 0), so it wraps one
+    more row on the right, and a wall mirrors about the boundary node, which
+    is not repeated. reflect maps mirrored states (None: plain copies).
+    """
+    k = int(nodal)
+    m = data.shape[0]
     if bc == PERIODIC:
-        idx = np.arange(-g, avgs.shape[0] + g) % avgs.shape[0]
-        return avgs[idx]
-    if bc == OUTFLOW:
-        left = np.repeat(avgs[:1], g, axis=0)
-        right = np.repeat(avgs[-1:], g, axis=0)
-        return np.concatenate([left, avgs, right], axis=0)
-    # reflective: mirror about the boundary node, negating normal momentum
-    left = system.reflect_conserved(avgs[:g][::-1])
-    right = system.reflect_conserved(avgs[-g:][::-1])
-    return np.concatenate([left, avgs, right], axis=0)
+        left, right = data[m - g :], data[: g + k]
+    elif bc == OUTFLOW:
+        left = np.repeat(data[:1], g, axis=0)
+        right = np.repeat(data[-1:], g, axis=0)
+    else:
+        left, right = data[k : g + k][::-1], data[m - g - k : m - k][::-1]
+        if reflect is not None:
+            left, right = reflect(left), reflect(right)
+    return np.concatenate([left, data, right], axis=0)
+
+
+def extend_averages(avgs: np.ndarray, bc: str, system) -> np.ndarray:
+    """Cell averages for cells -AVG_GHOST .. n-1+AVG_GHOST as an (n+6, d) array.
+
+    A wall mirrors about the boundary node, negating normal momentum."""
+    return _extend(avgs, bc, AVG_GHOST, getattr(system, "reflect", None))
 
 
 def extend_points(points: np.ndarray, bc: str, system) -> np.ndarray:
@@ -93,27 +106,9 @@ def extend_points(points: np.ndarray, bc: str, system) -> np.ndarray:
     node 0); otherwise n+1 values. The result has points.shape[0]+(4 or 5)
     rows so that nodes -2 .. n+2 are always addressable.
     """
-    g = PT_GHOST
-    if bc == PERIODIC:
-        n = points.shape[0]
-        idx = np.arange(-g, n + g + 1) % n
-        return points[idx]
-    if bc == OUTFLOW:
-        left = np.repeat(points[:1], g, axis=0)
-        right = np.repeat(points[-1:], g, axis=0)
-        return np.concatenate([left, points, right], axis=0)
-    # reflective: ghost node -k mirrors interior node k
-    left = system.reflect_transformed(points[1 : g + 1][::-1])
-    right = system.reflect_transformed(points[-g - 1 : -1][::-1])
-    return np.concatenate([left, points, right], axis=0)
+    return _extend(points, bc, PT_GHOST, getattr(system, "reflect", None),
+                   nodal=True)
 
 
 def extend_cell_sizes(grid: Grid1D, bc: str) -> np.ndarray:
-    g = AVG_GHOST
-    dx = grid.cell_sizes
-    if bc == PERIODIC:
-        idx = np.arange(-g, dx.shape[0] + g) % dx.shape[0]
-        return dx[idx]
-    if bc == OUTFLOW:
-        return np.concatenate([np.repeat(dx[:1], g), dx, np.repeat(dx[-1:], g)])
-    return np.concatenate([dx[:g][::-1], dx, dx[-g:][::-1]])
+    return _extend(grid.cell_sizes, bc, AVG_GHOST)

@@ -45,23 +45,28 @@ def build_scheme(cfg: RunConfig) -> PampaScheme:
     return PampaScheme(system, grid, cfg.bc, limiter_config(cfg))
 
 
-def initial_field(cfg: RunConfig, scheme: PampaScheme) -> DofField:
-    system, grid = scheme.system, scheme.grid
-    ic = IC_REGISTRY[cfg.ic]
+def _initial_state(cfg: RunConfig, system, x) -> np.ndarray:
+    return system.from_primitive(IC_REGISTRY[cfg.ic](cfg, x))
 
-    def conserved(x):
-        return system.from_primitive(ic(cfg, x))
 
+def initial_averages(cfg: RunConfig, system, grid: mesh.Grid1D) -> np.ndarray:
+    """Initial cell averages: the preset's own builder if it has one,
+    otherwise 5-point Gauss averages of its initial condition."""
     builder = AVERAGE_BUILDERS.get(cfg.ic)
     if builder is not None:
-        avgs = builder(cfg, system, grid, gauss_cell_averages)
-    else:
-        avgs = gauss_cell_averages(conserved, grid)
-        if isinstance(system, ScalarLaw):
-            # quadrature rounding must not push averages past the bounds
-            avgs = np.clip(avgs, system.u_min, system.u_max)
+        return builder(cfg, system, grid, gauss_cell_averages)
+    avgs = gauss_cell_averages(lambda x: _initial_state(cfg, system, x), grid)
+    if isinstance(system, ScalarLaw):
+        # quadrature rounding must not push averages past the bounds
+        avgs = np.clip(avgs, system.u_min, system.u_max)
+    return avgs
+
+
+def initial_field(cfg: RunConfig, scheme: PampaScheme) -> DofField:
+    system, grid = scheme.system, scheme.grid
+    avgs = initial_averages(cfg, system, grid)
     nodes = grid.nodes[: scheme.n_points]
-    points = transform.to_transformed(system, conserved(nodes))
+    points = transform.to_transformed(system, _initial_state(cfg, system, nodes))
     return DofField(avgs=avgs, points=np.atleast_2d(points))
 
 
@@ -109,23 +114,6 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
 # output files
 
 
-def conservative_names(system) -> list[str]:
-    if isinstance(system, ScalarLaw):
-        return ["u"]
-    if system.nvars == 3:
-        return ["density", "momentum", "energy"]
-    return ["density", "mom_x", "mom_y", "mom_z", "b_y", "b_z", "energy"]
-
-
-def primitive_names(system) -> list[str]:
-    if isinstance(system, ScalarLaw):
-        return ["u"]
-    if system.nvars == 3:
-        return ["density", "velocity", "pressure"]
-    return ["density", "velocity_x", "velocity_y", "velocity_z", "b_y", "b_z",
-            "pressure"]
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -141,12 +129,10 @@ def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
 def write_cells_csv(path, scheme, field) -> None:
     sys = scheme.system
     prim = sys.primitive(field.avgs)
-    cnames = conservative_names(sys)
-    pnames = primitive_names(sys)
-    header = ["x_center"] + cnames
+    header = ["x_center", *sys.conservative_names]
     cols = [scheme.grid.cell_centers] + [field.avgs[:, k] for k in range(sys.nvars)]
-    for k, name in enumerate(pnames):
-        if name not in cnames:
+    for k, name in enumerate(sys.primitive_names):
+        if name not in sys.conservative_names:
             header.append(name)
             cols.append(prim[:, k])
     _write_csv(path, header, cols)
@@ -157,7 +143,7 @@ def write_nodes_csv(path, scheme, field) -> None:
     u = transform.from_transformed(sys, field.points)
     prim = sys.primitive(u)
     nodes = scheme.grid.nodes[: scheme.n_points]
-    header = ["x"] + primitive_names(sys)
+    header = ["x", *sys.primitive_names]
     _write_csv(path, header, [nodes] + [prim[:, k] for k in range(sys.nvars)])
 
 
@@ -172,7 +158,7 @@ class DiagnosticsRecorder:
         self.scalar = isinstance(sys, ScalarLaw)
         state_cols = (["min_u", "max_u", "w_min", "w_max"] if self.scalar
                       else ["min_rho", "min_p"])
-        totals = [f"total_{name}" for name in conservative_names(sys)]
+        totals = [f"total_{name}" for name in sys.conservative_names]
         self.header = (["step", "t", "dt"] + state_cols
                        + ["theta_min", "idp_active", "oe_active", "mp_active"]
                        + totals)
@@ -283,32 +269,14 @@ def reference_solution(cfg: RunConfig, n_cells: int, cfl: float = 0.45):
     cfg = cfg.validate()
     system = build_system(cfg)
     grid = mesh.uniform_grid(cfg.a, cfg.b, n_cells)
-    ic = IC_REGISTRY[cfg.ic]
-
-    def conserved(x):
-        return system.from_primitive(ic(cfg, x))
-
-    builder = AVERAGE_BUILDERS.get(cfg.ic)
-    if builder is not None:
-        U = builder(cfg, system, grid, gauss_cell_averages)
-    else:
-        U = gauss_cell_averages(conserved, grid)
-        if isinstance(system, ScalarLaw):
-            U = np.clip(U, system.u_min, system.u_max)
-
-    def ghost(U):
-        if cfg.bc == mesh.PERIODIC:
-            return U[[-1]], U[[0]]
-        if cfg.bc == mesh.OUTFLOW:
-            return U[[0]], U[[-1]]
-        return system.reflect_conserved(U[[0]]), system.reflect_conserved(U[[-1]])
-
+    U = initial_averages(cfg, system, grid)
+    # one ghost cell per side
+    inner = slice(mesh.AVG_GHOST - 1, n_cells + mesh.AVG_GHOST + 1)
     dx = grid.cell_sizes
     t = 0.0
     eps_t = 1e-12 * max(1.0, cfg.t_final)
     while t < cfg.t_final - eps_t:
-        gl, gr = ghost(U)
-        ext = np.concatenate([gl, U, gr], axis=0)
+        ext = mesh.extend_averages(U, cfg.bc, system)[inner]
         lam = system.max_wave_speed(ext)
         pairmax = np.maximum(lam[:-1], lam[1:])  # interface bounds
         cellmax = np.maximum(pairmax[:-1], pairmax[1:])
@@ -326,7 +294,7 @@ def write_reference_csv(cfg: RunConfig, n_cells: int, outdir, cfl: float = 0.45)
     centers, U, prim = reference_solution(cfg, n_cells, cfl)
     system = build_system(cfg)
     path = outdir / "reference.csv"
-    header = ["x_center"] + primitive_names(system)
+    header = ["x_center", *system.primitive_names]
     _write_csv(path, header, [centers] + [prim[:, k] for k in range(system.nvars)])
     meta = {"config": asdict(cfg), "reference_cells": n_cells, "cfl": cfl}
     pub = PUBLISHED_REFERENCE_CELLS.get(cfg.label)

@@ -324,7 +324,7 @@ class PampaScheme:
         if self.bc != mesh.REFLECTIVE:
             return field
         pts = field.points.copy()
-        pts[0] = 0.5 * (pts[0] + self.system.reflect_transformed(pts[0]))
-        pts[-1] = 0.5 * (pts[-1] + self.system.reflect_transformed(pts[-1]))
+        pts[0] = 0.5 * (pts[0] + self.system.reflect(pts[0]))
+        pts[-1] = 0.5 * (pts[-1] + self.system.reflect(pts[-1]))
         return DofField(field.avgs, pts)
 

@@ -6,8 +6,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .run import primitive_names
-
 _W, _H = 840, 525
 _ML, _MR, _MT, _MB = 70, 20, 30, 45
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
@@ -76,7 +74,7 @@ def write_solution_svgs(outdir, label, scheme, field, reference=None) -> list[Pa
     prim = sys.primitive(field.avgs)
     x = scheme.grid.cell_centers
     paths = []
-    for k, name in enumerate(primitive_names(sys)):
+    for k, name in enumerate(sys.primitive_names):
         series = []
         if reference is not None:
             rx, rprim = reference

@@ -1,9 +1,10 @@
 """Equation systems: linear advection, Burgers, compressible Euler, ideal MHD.
 
 Each system provides the algebraic flux, pointwise and pairwise wave-speed
-estimates, the invariant-domain predicate, and primitive<->conservative
-converters. States are arrays whose last axis holds the d components, so
-every operation works on a single state or a whole field at once.
+estimates, the invariant-domain predicate, primitive<->conservative
+converters and the names of its components. States are arrays whose last
+axis holds the d components, so every operation works on a single state or
+a whole field at once.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ class ScalarLaw:
     """Scalar conservation law u_t + f(u)_x = 0 with invariant interval G."""
 
     nvars = 1
+    conservative_names = primitive_names = ("u",)
 
     def __init__(self, flux_fn: Callable, dflux_fn: Callable, u_min: float,
                  u_max: float, name: str = "scalar"):
@@ -130,11 +132,9 @@ class _Gas:
             p = self.pressure(U, check=False)
         return np.minimum(U[..., 0] - spec.eps_rho, p - spec.eps_p)
 
-    def reflect_conserved(self, U):
+    def reflect(self, U):
+        """Mirror states at a wall; conservative and transformed alike."""
         return np.asarray(U, dtype=float) * self._reflection
-
-    def reflect_transformed(self, W):
-        return np.asarray(W, dtype=float) * self._reflection
 
 
 class Euler(_Gas):
@@ -145,6 +145,8 @@ class Euler(_Gas):
     """
 
     nvars = 3
+    conservative_names = ("density", "momentum", "energy")
+    primitive_names = ("density", "velocity", "pressure")
     _reflection = np.array([1.0, -1.0, 1.0])
 
     def __init__(self, gamma: float = 1.4, rho_ref: float = 1.0):
@@ -194,11 +196,12 @@ class Euler(_Gas):
     def pair_speed(self, UL, UR, pL=None, pR=None):
         return np.maximum(self.max_wave_speed(UL, pL), self.max_wave_speed(UR, pR))
 
-    def primitive(self, U):
+    def primitive(self, U, p=None):
         U = np.asarray(U, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = U[..., 1] / U[..., 0]
-            p = self.pressure(U, check=False)
+            if p is None:
+                p = self.pressure(U, check=False)
         return np.stack([U[..., 0], v, p], axis=-1)
 
     def from_primitive(self, prim):
@@ -215,6 +218,10 @@ class IdealMHD(_Gas):
     """
 
     nvars = 7
+    conservative_names = ("density", "mom_x", "mom_y", "mom_z", "b_y", "b_z",
+                          "energy")
+    primitive_names = ("density", "velocity_x", "velocity_y", "velocity_z",
+                       "b_y", "b_z", "pressure")
     _reflection = np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
     def __init__(self, gamma: float = 5.0 / 3.0, bx: float = 0.0,
@@ -239,7 +246,7 @@ class IdealMHD(_Gas):
         rho = U[..., 0]
         if check and (np.any(rho <= 0) or not np.all(np.isfinite(rho))):
             raise DomainError("pressure recovery needs rho > 0")
-        kin = 0.5 * np.sum(U[..., 1:4] ** 2, axis=-1) / rho
+        kin = 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2 + U[..., 3] ** 2) / rho
         return (self.gamma - 1.0) * (U[..., 6] - kin - 0.5 * self._b_squared(U))
 
     def fast_speed(self, U, p=None):
@@ -308,12 +315,13 @@ class IdealMHD(_Gas):
         )
         return base + db / (sl + sr)
 
-    def primitive(self, U):
+    def primitive(self, U, p=None):
         """(rho, vx, vy, vz, By, Bz, p)."""
         U = np.asarray(U, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             rho, v, By, Bz, _ = self._split(U)
-            p = self.pressure(U, check=False)
+            if p is None:
+                p = self.pressure(U, check=False)
         return np.stack(
             [rho, v[..., 0], v[..., 1], v[..., 2], By, Bz, p],
             axis=-1,
@@ -321,12 +329,9 @@ class IdealMHD(_Gas):
 
     def from_primitive(self, prim):
         prim = np.asarray(prim, dtype=float)
-        rho = prim[..., 0]
-        v = prim[..., 1:4]
+        rho, vx, vy, vz = prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3]
         By, Bz, p = prim[..., 4], prim[..., 5], prim[..., 6]
         b2 = self.bx ** 2 + By ** 2 + Bz ** 2
-        E = p / (self.gamma - 1.0) + 0.5 * rho * np.sum(v * v, axis=-1) + 0.5 * b2
-        return np.stack(
-            [rho, rho * v[..., 0], rho * v[..., 1], rho * v[..., 2], By, Bz, E],
-            axis=-1,
-        )
+        v2 = vx * vx + vy * vy + vz * vz
+        E = p / (self.gamma - 1.0) + 0.5 * rho * v2 + 0.5 * b2
+        return np.stack([rho, rho * vx, rho * vy, rho * vz, By, Bz, E], axis=-1)

@@ -4,10 +4,10 @@ The point-value scheme evolves variables chosen so that Psi^{-1}(W) lies in
 the invariant domain for every finite W:
 
 * scalar laws: u = (u_max-u_min)*min(ReLU(w), 1) + u_min (clipped ReLU);
-* Euler: W = (q, v, s) with q = ln(e^{rho/rho_ref} - 1) (inverse Softplus)
-  and s = ln p - gamma*ln rho, so rho = rho_ref*ln(e^q+1) > 0 and
-  p = rho^gamma * e^s > 0;
-* MHD: W = (q, vx, vy, vz, By, Bz, s) likewise.
+* gas systems: W is the primitive vector with q = ln(e^{rho/rho_ref} - 1)
+  (inverse Softplus) in place of rho and s = ln p - gamma*ln rho in place
+  of p, so rho = rho_ref*ln(e^q+1) > 0 and p = rho^gamma * e^s > 0: Euler
+  W = (q, v, s), MHD W = (q, vx, vy, vz, By, Bz, s).
 
 Jacobians are for the non-conservative form W_t + J(W) W_x = 0 and are
 similar to dF/dU, so their eigenvalues are the physical wave speeds.
@@ -62,16 +62,10 @@ def to_transformed(system, U, p=None):
     if np.any(p <= 0):
         raise DomainError("transform needs p > 0")
     rho = U[..., 0]
-    q = inv_softplus(rho / system.rho_ref)
-    s = np.log(p) - system.gamma * np.log(rho)
-    if isinstance(system, Euler):
-        return np.stack([q, U[..., 1] / rho, s], axis=-1)
-    if isinstance(system, IdealMHD):
-        v = U[..., 1:4] / rho[..., None]
-        return np.stack(
-            [q, v[..., 0], v[..., 1], v[..., 2], U[..., 4], U[..., 5], s], axis=-1
-        )
-    raise TypeError(f"no transform for {type(system).__name__}")
+    W = system.primitive(U, p)
+    W[..., 0] = inv_softplus(rho / system.rho_ref)
+    W[..., -1] = np.log(p) - system.gamma * np.log(rho)
+    return W
 
 
 def primitive_from_transformed(system, W):
@@ -86,18 +80,11 @@ def primitive_from_transformed(system, W):
     if isinstance(system, ScalarLaw):
         span = system.u_max - system.u_min
         return span * np.clip(W, 0.0, 1.0) + system.u_min
-    if isinstance(system, Euler):
-        rho = system.rho_ref * softplus(W[..., 0])
-        p = np.exp(W[..., 2] + system.gamma * np.log(rho))
-        return np.stack([rho, W[..., 1], p], axis=-1)
-    if isinstance(system, IdealMHD):
-        rho = system.rho_ref * softplus(W[..., 0])
-        p = np.exp(W[..., 6] + system.gamma * np.log(rho))
-        return np.stack(
-            [rho, W[..., 1], W[..., 2], W[..., 3], W[..., 4], W[..., 5], p],
-            axis=-1,
-        )
-    raise TypeError(f"no transform for {type(system).__name__}")
+    prim = W.copy()
+    rho = system.rho_ref * softplus(W[..., 0])
+    prim[..., 0] = rho
+    prim[..., -1] = np.exp(W[..., -1] + system.gamma * np.log(rho))
+    return prim
 
 
 def from_transformed(system, W, with_pressure: bool = False):
@@ -114,80 +101,14 @@ def from_transformed(system, W, with_pressure: bool = False):
     return (U, prim[..., -1]) if with_pressure else U
 
 
-def _euler_jacobian(system: Euler, U):
-    rho = U[..., 0]
-    v = U[..., 1] / rho
-    p = system.pressure(U)
-    x = rho / system.rho_ref
-    # dq/drho = 1/(rho_ref*(1 - e^{-x})); the printed entries are
-    # J01 = rho*dq/drho restated, J10 = gamma*p/(rho^2*dq/drho).
-    qp = _softplus_deriv_inv(x) / system.rho_ref
-    J = np.zeros(U.shape[:-1] + (3, 3))
-    J[..., 0, 0] = v
-    J[..., 0, 1] = qp * rho
-    J[..., 1, 0] = system.gamma * p / (rho * rho * qp)
-    J[..., 1, 1] = v
-    J[..., 1, 2] = p / rho
-    J[..., 2, 2] = v
-    return J
-
-
-def _mhd_jacobian(system: IdealMHD, U):
-    # J = T A T^{-1}: A is the quasilinear matrix in primitive variables
-    # (rho, vx, vy, vz, By, Bz, p); T = dW/dV is near-diagonal because q
-    # depends on rho alone and s on (rho, p).
-    rho = U[..., 0]
-    vx = U[..., 1] / rho
-    vy = U[..., 2] / rho
-    vz = U[..., 3] / rho
-    By, Bz = U[..., 4], U[..., 5]
-    p = system.pressure(U)
-    if np.any(p <= 0):
-        raise DomainError("Jacobian needs p > 0")
-    bx = system.bx
-    g = system.gamma
-    shp = U.shape[:-1]
-
-    A = np.zeros(shp + (7, 7))
-    for i in range(7):
-        A[..., i, i] = vx
-    A[..., 0, 1] = rho
-    A[..., 1, 4] = By / rho
-    A[..., 1, 5] = Bz / rho
-    A[..., 1, 6] = 1.0 / rho
-    A[..., 2, 4] = -bx / rho
-    A[..., 3, 5] = -bx / rho
-    A[..., 4, 1] = By
-    A[..., 4, 2] = -bx
-    A[..., 5, 1] = Bz
-    A[..., 5, 3] = -bx
-    A[..., 6, 1] = g * p
-
-    qp = _softplus_deriv_inv(rho / system.rho_ref) / system.rho_ref
-    T = np.zeros(shp + (7, 7))
-    Tinv = np.zeros(shp + (7, 7))
-    for i in range(1, 6):
-        T[..., i, i] = 1.0
-        Tinv[..., i, i] = 1.0
-    T[..., 0, 0] = qp
-    T[..., 6, 0] = -g / rho
-    T[..., 6, 6] = 1.0 / p
-    Tinv[..., 0, 0] = 1.0 / qp
-    Tinv[..., 6, 0] = g * p / (rho * qp)
-    Tinv[..., 6, 6] = p
-    return T @ (A @ Tinv)
-
-
 def jacobian_transformed(system, U):
-    """Jacobian of the W-variable quasilinear form at the state U (in G)."""
+    """Jacobian matrices of the W-variable quasilinear form at the states U
+    (in G), built column by column from apply_jacobian on the identity, so
+    they are the hot path's own action."""
     U = np.asarray(U, dtype=float)
-    if isinstance(system, ScalarLaw):
-        return system.dflux_fn(U[..., 0])[..., None, None]
-    if isinstance(system, Euler):
-        return _euler_jacobian(system, U)
-    if isinstance(system, IdealMHD):
-        return _mhd_jacobian(system, U)
-    raise TypeError(f"no Jacobian for {type(system).__name__}")
+    eye = np.eye(U.shape[-1])
+    # row k of the result is J e_k, i.e. column k of J
+    return np.swapaxes(apply_jacobian(system, U[..., None, :], eye), -1, -2)
 
 
 def apply_jacobian(system, U, vec, p=None):
@@ -235,8 +156,3 @@ def apply_jacobian(system, U, vec, p=None):
         return np.stack([qp * r0, r1, r2, r3, r4, r5,
                          -(g / rho) * r0 + r6 / p], axis=-1)
     raise TypeError(f"no Jacobian for {type(system).__name__}")
-
-
-def spectral_radius(system, U):
-    """Upper bound on |eigenvalues| of the transformed Jacobian at U."""
-    return system.max_wave_speed(U)

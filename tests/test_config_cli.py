@@ -191,6 +191,29 @@ def test_cli_reference_run(tmp_path):
     assert meta["reference_cells"] == 60
 
 
+def test_reference_reflective_walls_conserve_mass():
+    # the LLF mass flux through a mirrored wall is exactly 0, so the total
+    # mass changes only by rounding
+    cfg = load_config("blast_waves")
+    _, U0, _ = run_mod.reference_solution(cfg.with_overrides(t_final=1e-12), 101)
+    _, U, _ = run_mod.reference_solution(cfg, 101)
+    assert np.sum(U[:, 0]) == pytest.approx(np.sum(U0[:, 0]), rel=1e-12, abs=0)
+    assert abs(U[0, 1]) > 1e-3  # gas moves at the wall: a copied ghost leaks mass
+
+
+def test_reference_uses_the_average_builder():
+    # the point blast deposits its energy in the centre cell average, and
+    # only at odd cell counts
+    cfg = load_config("sedov")
+    centers, U, prim = run_mod.reference_solution(cfg, 61)
+    assert np.all(np.isfinite(U))
+    assert np.all(prim[:, 0] > 0.0) and np.all(prim[:, 2] > 0.0)
+    dx = 4.0 / 61
+    assert np.sum(U[:, 2]) * dx == pytest.approx(3.2e6 * dx * dx, rel=1e-12)
+    with pytest.raises(ConfigError):
+        run_mod.reference_solution(cfg, 60)
+
+
 def test_reference_metadata_notes_published_resolution(tmp_path):
     cfg = load_config("shu_osher").with_overrides(n=64, t_final=0.01)
     run_mod.write_reference_csv(cfg, 100, tmp_path)

@@ -7,6 +7,25 @@ from pampa import mesh
 from pampa.errors import ConfigError
 from pampa.systems import Euler, advection
 
+N = 5  # cells of the grid in test_ghost_extension_index_map
+
+# Source row of every extended row for n = 5 cells; the ghost rows are the
+# first and last PT_GHOST (points) or AVG_GHOST (the rest). Periodic points
+# hold n values, the other point sets n+1.
+GHOST_ROWS = {
+    ("periodic", "averages"): [2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2],
+    ("periodic", "points"): [3, 4, 0, 1, 2, 3, 4, 0, 1, 2],
+    ("periodic", "cell_sizes"): [2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2],
+    ("outflow", "averages"): [0, 0, 0, 0, 1, 2, 3, 4, 4, 4, 4],
+    ("outflow", "points"): [0, 0, 0, 1, 2, 3, 4, 5, 5, 5],
+    ("outflow", "cell_sizes"): [0, 0, 0, 0, 1, 2, 3, 4, 4, 4, 4],
+    # a wall mirrors cells about the boundary node and nodes about the
+    # boundary node itself, which is not repeated
+    ("reflective", "averages"): [2, 1, 0, 0, 1, 2, 3, 4, 4, 3, 2],
+    ("reflective", "points"): [2, 1, 0, 1, 2, 3, 4, 5, 4, 3],
+    ("reflective", "cell_sizes"): [2, 1, 0, 0, 1, 2, 3, 4, 4, 3, 2],
+}
+
 
 def test_uniform_grid_small():
     g = mesh.uniform_grid(0.0, 1.0, 4)
@@ -71,7 +90,7 @@ def test_reflective_point_value_example():
     # interior point (rho, v, p) = (1, 0.3, 1) mirrors to (1, -0.3, 1)
     sys = Euler(1.4)
     U = sys.from_primitive(np.array([1.0, 0.3, 1.0]))
-    M = sys.reflect_conserved(U)
+    M = sys.reflect(U)
     prim = sys.primitive(M)
     assert prim[0] == pytest.approx(1.0, abs=0)
     assert prim[1] == pytest.approx(-0.3, rel=1e-15)
@@ -109,3 +128,27 @@ def test_periodic_shift_invariance_of_extension(k):
     idx = (np.arange(-g, n + g) - k) % n
     assert np.array_equal(ext_rolled, avgs[idx])
     assert np.array_equal(ext, avgs[(np.arange(-g, n + g)) % n])
+
+
+@pytest.mark.parametrize("kind", ["averages", "points", "cell_sizes"])
+@pytest.mark.parametrize("bc", mesh.BC_KINDS)
+def test_ghost_extension_index_map(bc, kind):
+    sys = Euler(1.4)
+    rng = np.random.Generator(np.random.Philox(3))
+    grid = mesh.grid_from_nodes(np.cumsum(rng.uniform(0.5, 1.5, N + 1)))
+    rows = np.array(GHOST_ROWS[(bc, kind)])
+    if kind == "cell_sizes":
+        ext = mesh.extend_cell_sizes(grid, bc)
+        expected = grid.cell_sizes[rows]
+    else:
+        m = N + (kind == "points" and bc != mesh.PERIODIC)
+        data = rng.uniform(-1.0, 1.0, (m, 3))
+        extend = mesh.extend_averages if kind == "averages" else mesh.extend_points
+        ext = extend(data, bc, sys)
+        expected = data[rows]
+        if bc == mesh.REFLECTIVE:
+            g = mesh.PT_GHOST if kind == "points" else mesh.AVG_GHOST
+            ghost = np.r_[:g, len(rows) - g : len(rows)]
+            expected[ghost] *= np.array([1.0, -1.0, 1.0])
+    assert ext.shape == expected.shape
+    assert np.array_equal(ext, expected)

@@ -162,11 +162,9 @@ def test_point_residual_quadratic_exactness():
 
 
 def test_alpha_is_max_of_three_speeds():
-    from pampa.transform import spectral_radius
-
     sys = burgers(-5.0, 5.0)
     vals = np.array([[2.0], [-1.0], [0.5]])
-    assert max(spectral_radius(sys, v) for v in vals) == 2.0
+    assert max(sys.max_wave_speed(v) for v in vals) == 2.0
     e = Euler(1.4)
     states = e.from_primitive(np.array([[1.0, 0.5, 1.0], [1.0, 0.0, 1.2],
                                         [2.0, -0.3, 0.5]]))

@@ -104,7 +104,8 @@ def test_euler_jacobian_eigenvalues():
 
 
 def test_jacobian_similarity_fd():
-    for sys, seed in [(Euler(1.4), 5), (IdealMHD(gamma=5.0 / 3.0, bx=0.6), 6)]:
+    for sys, seed in [(Euler(1.4), 5), (IdealMHD(gamma=5.0 / 3.0, bx=0.6), 6),
+                      (burgers(-1.0, 2.0), 7)]:
         rep = oracle.check_jacobian_similarity(sys, 300, seed)
         assert rep.passed, rep.summary()
 
@@ -115,5 +116,5 @@ def test_spectral_radius_bounds_jacobian():
         states = oracle.sample_states_moderate(sys, rng, 200)
         J = transform.jacobian_transformed(sys, states)
         radius = np.max(np.abs(np.linalg.eigvals(J)), axis=-1)
-        bound = transform.spectral_radius(sys, states)
+        bound = sys.max_wave_speed(states)
         assert np.all(radius <= bound * (1.0 + 1e-10))
