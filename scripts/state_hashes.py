@@ -12,7 +12,8 @@ mhd_leblanc) it prints the step count and the hashes of
 * the first-order reference solution on 2n+1 cells, to the same time;
 
 and the hashes of the cells, nodes and diagnostics CSVs of `run_to_files`
-for double_rarefaction, blast_waves and jiang_shu at n=60 and t_final/10.
+for double_rarefaction, blast_waves and jiang_shu at n=60 and t_final/10,
+plus the SVG plots of the double_rarefaction run (`svg=True`).
 
 A refactor that claims byte-identical outputs is checked by diffing this
 output between two checkouts.
@@ -27,6 +28,7 @@ from pathlib import Path
 
 CSV_RUNS = ("double_rarefaction", "blast_waves", "jiang_shu")
 CSV_FILES = ("cells.csv", "nodes.csv", "diagnostics.csv")
+SVG_RUN = "double_rarefaction"
 
 
 def _digest(*arrays) -> str:
@@ -66,8 +68,9 @@ def main():
         base = load_config(name)
         cfg = base.with_overrides(n=60, t_final=base.t_final / 10.0)
         with tempfile.TemporaryDirectory() as tmp:
-            run_mod.run_to_files(cfg, tmp)
-            for fname in CSV_FILES:
+            run_mod.run_to_files(cfg, tmp, svg=name == SVG_RUN)
+            svgs = sorted(p.name for p in Path(tmp).glob("*.svg"))
+            for fname in (*CSV_FILES, *svgs):
                 data = (Path(tmp) / fname).read_bytes()
                 out[f"{name}/{fname}"] = hashlib.sha256(data).hexdigest()
 

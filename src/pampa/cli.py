@@ -68,14 +68,19 @@ def _verify_systems(which):
     return [table[which]]
 
 
-def _verify_splitting(args) -> list[str]:
+def _report_lines(reports) -> list[str]:
+    """Each report's summary, followed by FAILED if it did not pass."""
     lines = []
-    for system in _verify_systems(args.system):
-        rep = oracle.sample_lf_splitting(system, args.samples, args.seed)
+    for rep in reports:
         lines.append(rep.summary())
         if not rep.passed:
             lines.append("FAILED")
     return lines
+
+
+def _verify_splitting(args) -> list[str]:
+    return _report_lines(oracle.sample_lf_splitting(system, args.samples, args.seed)
+                         for system in _verify_systems(args.system))
 
 
 def _verify_thm43(args) -> list[str]:
@@ -85,26 +90,16 @@ def _verify_thm43(args) -> list[str]:
 
 
 def _verify_transform(args) -> list[str]:
-    lines = []
-    for system in _verify_systems(args.system):
+    n_roundtrip = max(args.samples // 10, 1000)
+    return _report_lines(
+        rep for system in _verify_systems(args.system)
         for rep in (oracle.check_transform_membership(system, args.samples, args.seed),
-                    oracle.check_transform_roundtrip(system,
-                                                     max(args.samples // 10, 1000),
-                                                     args.seed + 1)):
-            lines.append(rep.summary())
-            if not rep.passed:
-                lines.append("FAILED")
-    return lines
+                    oracle.check_transform_roundtrip(system, n_roundtrip, args.seed + 1)))
 
 
 def _verify_limiters(args) -> list[str]:
-    lines = []
-    for system in _verify_systems(args.system):
-        rep = oracle.check_limiter_invariants(system, args.samples, args.seed)
-        lines.append(rep.summary())
-        if not rep.passed:
-            lines.append("FAILED")
-    return lines
+    return _report_lines(oracle.check_limiter_invariants(system, args.samples, args.seed)
+                         for system in _verify_systems(args.system))
 
 
 def _verify_sweep(args) -> list[str]:
@@ -156,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a benchmark preset or config file")
     p.add_argument("config")
     p.add_argument("--svg", action="store_true", help="emit SVG plots")
-    p.add_argument("--snapshots", type=int, default=None,
-                   help="write cell snapshots every K steps")
+    p.add_argument("--snapshots", type=int, default=0,
+                   help="write cell snapshots every K steps (0: none)")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--oscillation", choices=("none", "oe", "mp"), default=None)
     p.add_argument("--t-final", dest="t_final", type=float, default=None)

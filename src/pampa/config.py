@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -29,19 +29,13 @@ class RunConfig:
     ic: str
     gamma: float = 1.4
     bx: float = 0.0
-    rho_ref: float = 1.0
     u_min: float | None = None
     u_max: float | None = None
     integrator: str = "ssp_rk3"
     cfl: float = 0.1
     idp: bool = True
     oscillation: str = "none"
-    mp_alpha: float = 2.0
-    mp_beta: float = 4.0
-    eps_rho: float = 1e-13
-    eps_p: float = 1e-13
     exact: str | None = None
-    snapshot_every: int = 0
 
     def validate(self) -> "RunConfig":
         if self.system not in SYSTEM_KINDS:
@@ -80,29 +74,25 @@ def build_system(cfg: RunConfig):
     if cfg.system == "burgers":
         return burgers(cfg.u_min, cfg.u_max)
     if cfg.system == "euler":
-        return Euler(gamma=cfg.gamma, rho_ref=cfg.rho_ref)
+        return Euler(gamma=cfg.gamma)
     if cfg.system == "mhd":
-        return IdealMHD(gamma=cfg.gamma, bx=cfg.bx, rho_ref=cfg.rho_ref)
+        return IdealMHD(gamma=cfg.gamma, bx=cfg.bx)
     raise ConfigError(f"unknown system {cfg.system!r}")
 
 
 def limiter_config(cfg: RunConfig) -> LimiterConfig:
-    return LimiterConfig(idp=cfg.idp, oscillation=cfg.oscillation,
-                         mp_alpha=cfg.mp_alpha, mp_beta=cfg.mp_beta,
-                         eps_rho=cfg.eps_rho, eps_p=cfg.eps_p)
+    return LimiterConfig(idp=cfg.idp, oscillation=cfg.oscillation)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _SECTION_KEYS = {
-    "system": ("kind", "gamma", "bx", "rho_ref", "u_min", "u_max"),
+    "system": ("kind", "gamma", "bx", "u_min", "u_max"),
     "grid": ("a", "b", "n", "bc"),
     "time": ("t_final", "integrator", "cfl"),
-    "limiter": ("idp", "oscillation", "mp_alpha", "mp_beta", "eps_rho", "eps_p"),
+    "limiter": ("idp", "oscillation"),
     "ic": ("name", "exact"),
-    "output": ("snapshot_every",),
 }
 _RENAMES = {("system", "kind"): "system", ("ic", "name"): "ic"}
-_INT_KEYS = {"n", "snapshot_every"}
+_INT_KEYS = {"n"}
 _BOOL_KEYS = {"idp"}
 _STR_KEYS = {"system", "bc", "integrator", "oscillation", "ic", "exact"}
 
@@ -111,9 +101,8 @@ def parse_config_text(text: str, label: str) -> RunConfig:
     parser = configparser.ConfigParser()
     parser.read_string(text)
     kw = {"label": label}
-    for section, keys in _SECTION_KEYS.items():
-        if not parser.has_section(section):
-            continue
+    for section in parser.sections():
+        keys = _SECTION_KEYS.get(section, ())
         for key in parser[section]:
             if key not in keys:
                 raise ConfigError(f"unknown key [{section}] {key}")

@@ -21,6 +21,12 @@ import numpy as np
 
 from .errors import InvariantViolation
 
+# positivity floors of the scaling limiter (Zhang & Shu, JCP 229, 2010)
+EPS_RHO = EPS_P = 1e-13
+# MP limiter constants (Suresh & Huynh, JCP 136, 1997)
+MP_ALPHA, MP_BETA = 2.0, 4.0
+
+
 def minmod4(a, b, c, d):
     """sign * min(|a|,|b|,|c|,|d|) when all four share a sign, else 0."""
     a, b, c, d = np.broadcast_arrays(a, b, c, d)
@@ -70,17 +76,18 @@ def scaling_limit_scalar(avg, left, mid, right, lo, hi):
     return left_hat, mid_hat, right_hat, theta
 
 
-def scaling_limit_system(system, avg, left, mid, right, eps_rho=1e-13,
-                         eps_p=1e-13, p_avg=None):
+def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
     """Two-stage (density then pressure) scaling limiter for Euler/MHD.
 
-    Floors are per cell: min(eps, value at the cell average). The pressure
-    stage is re-halved up to three times (then fully collapsed) if rounding
-    leaves the recomputed midpoint pressure under the floor.
+    Floors are per cell: min(EPS_RHO or EPS_P, value at the cell average).
+    The pressure stage is re-halved up to three times (then fully
+    collapsed) if rounding leaves the recomputed midpoint pressure under
+    the floor.
 
     p_avg: the pressures of avg, from a caller that has already checked avg
-    for positive, finite density and pressure. When given, the pressures of
-    the limited midpoints come back as a fifth result.
+    for positive, finite density and pressure; without it avg is checked
+    here. Returns (left_hat, mid_hat, right_hat, theta, p_mid) with p_mid
+    the pressures of the limited midpoints.
     """
     avg = np.asarray(avg, dtype=float)
     left = np.asarray(left, dtype=float)
@@ -96,8 +103,8 @@ def scaling_limit_system(system, avg, left, mid, right, eps_rho=1e-13,
             raise InvariantViolation("cell average with non-positive pressure")
     else:
         p_a = p_avg
-    e_rho = np.minimum(eps_rho, rho_a)
-    e_p = np.minimum(eps_p, p_a)
+    e_rho = np.minimum(EPS_RHO, rho_a)
+    e_p = np.minimum(EPS_P, p_a)
 
     # every state below is a convex blend with the checked average whose
     # density is at least the floor, so its pressure needs no guard
@@ -129,8 +136,6 @@ def scaling_limit_system(system, avg, left, mid, right, eps_rho=1e-13,
     th = theta[..., None]
     left_hat = (1.0 - th) * avg + th * left
     right_hat = (1.0 - th) * avg + th * right
-    if p_avg is None:
-        return left_hat, mid_hat, right_hat, theta
     return left_hat, mid_hat, right_hat, theta, p_mid
 
 
@@ -240,7 +245,7 @@ def oe_apply(theta, avg, left, right):
 # MP limiter
 
 
-def mp_limit(a0, a1, a2, a3, a4, u, alpha=2.0, beta=4.0):
+def mp_limit(a0, a1, a2, a3, a4, u):
     """Monotonicity-preserving clip of the node value u.
 
     a0..a4 are the five cell averages around the node ordered from the far
@@ -260,8 +265,8 @@ def mp_limit(a0, a1, a2, a3, a4, u, alpha=2.0, beta=4.0):
     dm4_node = minmod4(4.0 * d2c - d2p, 4.0 * d2p - d2c, d2c, d2p)
     dm4_prev = minmod4(4.0 * d2m - d2c, 4.0 * d2c - d2m, d2m, d2c)
     u_md = 0.5 * (a2 + a3) - 0.5 * dm4_node
-    u_ul = a2 + alpha * (a2 - a1)
-    u_lc = a2 + 0.5 * (a2 - a1) + (beta / 3.0) * dm4_prev
+    u_ul = a2 + MP_ALPHA * (a2 - a1)
+    u_lc = a2 + 0.5 * (a2 - a1) + (MP_BETA / 3.0) * dm4_prev
     u_min = np.maximum(np.minimum(np.minimum(a2, a3), u_md),
                        np.minimum(np.minimum(a2, u_ul), u_lc))
     u_max = np.minimum(np.maximum(np.maximum(a2, a3), u_md),

@@ -32,14 +32,6 @@ class Grid1D:
     def n_cells(self) -> int:
         return self.cell_sizes.shape[0]
 
-    @property
-    def a(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.nodes[-1])
-
 
 def grid_from_nodes(nodes) -> Grid1D:
     nodes = np.asarray(nodes, dtype=float)

@@ -71,7 +71,7 @@ def initial_field(cfg: RunConfig, scheme: PampaScheme) -> DofField:
 
 
 def advance(scheme: PampaScheme, field: DofField, t_final: float,
-            cfl: float = 0.1, integrator="ssp_rk3", t0: float = 0.0,
+            cfl: float = 0.1, integrator: str = "ssp_rk3",
             on_stage=None, on_step=None):
     """Advance to t_final. The step size honours the CFL bound (scaled by
     the integrator's SSP factor) and divides the remaining time evenly, so
@@ -81,8 +81,8 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
     A DomainError raised inside a step (a state that is not finite or has
     left G) is raised again with the step number, counted from 1 as in
     the diagnostics, and the time at which that step began."""
-    integ = make_integrator(integrator) if isinstance(integrator, str) else integrator
-    t = float(t0)
+    integ = make_integrator(integrator)
+    t = 0.0
     step = 0
     eps_t = 1e-12 * max(1.0, abs(t_final))
     dt_frozen = None
@@ -203,21 +203,21 @@ class DiagnosticsRecorder:
 
 
 def run_to_files(cfg: RunConfig, outdir, svg: bool = False,
-                 snapshot_every: int | None = None, on_stage=None) -> dict:
-    """Full benchmark run; writes cells/nodes/diagnostics (+ optional SVG)."""
+                 snapshot_every: int = 0, on_stage=None) -> dict:
+    """Full benchmark run; writes cells/nodes/diagnostics (+ optional SVG,
+    and cell snapshots every `snapshot_every` steps when it is positive)."""
     cfg = cfg.validate()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     scheme = build_scheme(cfg)
     field = initial_field(cfg, scheme)
-    cadence = cfg.snapshot_every if snapshot_every is None else snapshot_every
 
     diag = DiagnosticsRecorder(scheme, outdir / "diagnostics.csv")
     snap_dir = outdir / "snapshots"
 
     def on_step(t, step, dt, fld):
         diag.on_step(t, step, dt, fld)
-        if cadence and step % cadence == 0:
+        if snapshot_every and step % snapshot_every == 0:
             snap_dir.mkdir(exist_ok=True)
             write_cells_csv(snap_dir / f"cells_{step:06d}.csv", scheme, fld)
 
@@ -319,11 +319,11 @@ class ConvergenceRow:
     order_point: float | None
 
 
-def l1_errors(cfg: RunConfig, scheme: PampaScheme, field: DofField,
-              component: int = 0) -> tuple[float, float]:
-    """Normalised l1 errors of cell averages and point values against the
-    exact solution (component 0 = density/u), exact averages by 5-point
-    Gauss quadrature."""
+def l1_errors(cfg: RunConfig, scheme: PampaScheme,
+              field: DofField) -> tuple[float, float]:
+    """Normalised l1 errors of the density (or u) cell averages and point
+    values against the exact solution, exact averages by 5-point Gauss
+    quadrature."""
     if cfg.exact is None:
         raise ConfigError(f"preset {cfg.label!r} has no exact solution")
     exact = EXACT_REGISTRY[cfg.exact]
@@ -334,12 +334,11 @@ def l1_errors(cfg: RunConfig, scheme: PampaScheme, field: DofField,
 
     avg_ex = gauss_cell_averages(conserved, grid)
     err_avg = float(
-        np.sum(np.abs(field.avgs[:, component] - avg_ex[:, component])
-               * grid.cell_sizes) / (cfg.b - cfg.a))
+        np.sum(np.abs(field.avgs[:, 0] - avg_ex[:, 0]) * grid.cell_sizes)
+        / (cfg.b - cfg.a))
     nodes = grid.nodes[: scheme.n_points]
     u_nodes = transform.from_transformed(system, field.points)
-    err_pt = float(np.mean(np.abs(u_nodes[:, component]
-                                  - conserved(nodes)[:, component])))
+    err_pt = float(np.mean(np.abs(u_nodes[:, 0] - conserved(nodes)[:, 0])))
     return err_avg, err_pt
 
 

@@ -36,10 +36,6 @@ class DofField:
 class LimiterConfig:
     idp: bool = True
     oscillation: str = "none"  # none | oe | mp
-    mp_alpha: float = 2.0
-    mp_beta: float = 4.0
-    eps_rho: float = 1e-13
-    eps_p: float = 1e-13
 
     def __post_init__(self):
         if self.oscillation not in ("none", "oe", "mp"):
@@ -111,15 +107,10 @@ class PampaScheme:
                 f"points must have shape {(self.n_points, self.system.nvars)}"
             )
 
-    # -- limiting pipeline -------------------------------------------------
+    # -- residuals ----------------------------------------------------------
 
-    def interface_states(self, field: DofField, dt: float):
-        """Limited triples for cells -1..n (index c+1), plus extended data.
-
-        Returns a dict with hat_l/hat_m/hat_r (n+2, d), theta (n+2,), the
-        extended node states, the pressures of the extended averages, the
-        nodes and hat_m (None for scalar laws), and limiter activity
-        counters.
+    def residual(self, field: DofField, dt: float, record: dict | None = None):
+        """Semi-discrete rates (d avgs/dt, d points/dt) for one stage.
 
         The extended averages and nodes are checked once per stage here:
         finite and, for systems, with positive density and pressure;
@@ -147,6 +138,7 @@ class PampaScheme:
             _guard("point", Ux, Ux[:, 0], True, gp, m)
             _guard("point", Ux, p_node, True, gp, m)
 
+        # limited triples (left, mid, right) for cells -1..n (index c+1)
         cel_a = A[2 : n + 4]                                     # cells -1..n
         u_l = Ux[1 : n + 3]
         u_r = Ux[2 : n + 4]
@@ -165,13 +157,11 @@ class PampaScheme:
             w_left = limiters.mp_limit(
                 w_avg[0 : n + 2], w_avg[1 : n + 3], w_avg[2 : n + 4],
                 w_avg[3 : n + 5], w_avg[4 : n + 6], Wx[2 : n + 4],
-                lim.mp_alpha, lim.mp_beta,
             )
             # right-side values at nodes -1..n (left endpoints of cells -1..n)
             w_right = limiters.mp_limit(
                 w_avg[4 : n + 6], w_avg[3 : n + 5], w_avg[2 : n + 4],
                 w_avg[1 : n + 3], w_avg[0 : n + 2], Wx[1 : n + 3],
-                lim.mp_alpha, lim.mp_beta,
             )
             mp_changed = int(np.count_nonzero(w_right != Wx[1 : n + 3])
                              + np.count_nonzero(w_left != Wx[2 : n + 4]))
@@ -193,8 +183,7 @@ class PampaScheme:
                 hat_r = hat_r[..., None]
             else:
                 hat_l, hat_m, hat_r, theta, p_mid = limiters.scaling_limit_system(
-                    sys, cel_a, u_l, u_m, u_r, lim.eps_rho, lim.eps_p,
-                    p_avg=p_avg[2 : n + 4],
+                    sys, cel_a, u_l, u_m, u_r, p_avg=p_avg[2 : n + 4],
                 )
         else:
             hat_l, hat_m, hat_r = u_l, u_m, u_r
@@ -202,32 +191,6 @@ class PampaScheme:
             if not self.scalar:
                 # guarded: the unlimited midpoint may leave G
                 p_mid = sys.pressure(hat_m)
-
-        return {
-            "avg_ext": A,
-            "w_ext": Wx,
-            "u_ext": Ux,
-            "dx_ext": dxx,
-            "p_avg_ext": p_avg,
-            "p_node_ext": p_node,
-            "hat_l": hat_l,
-            "hat_m": hat_m,
-            "hat_r": hat_r,
-            "p_mid": p_mid,
-            "theta": theta,
-            "theta_oe": theta_oe,
-            "mp_changed": mp_changed,
-        }
-
-    # -- residuals ----------------------------------------------------------
-
-    def residual(self, field: DofField, dt: float, record: dict | None = None):
-        """Semi-discrete rates (d avgs/dt, d points/dt) for one stage."""
-        sys = self.system
-        n = self.grid.n_cells
-        st = self.interface_states(field, dt)
-        hat_l, hat_m, hat_r = st["hat_l"], st["hat_m"], st["hat_r"]
-        p_avg, p_node, p_mid = st["p_avg_ext"], st["p_node_ext"], st["p_mid"]
 
         # interface fluxes at nodes 0..n from one-sided limited states
         UL = hat_r[0 : n + 1]
@@ -240,8 +203,6 @@ class PampaScheme:
         davg = -(fluxes[1:] - fluxes[:-1]) / self.grid.cell_sizes[:, None]
 
         # point residual at owned nodes
-        m = self.n_points
-        Wx, Ux, dxx = st["w_ext"], st["u_ext"], st["dx_ext"]
         w_prev = Wx[1 : m + 1]
         w_here = Wx[2 : m + 2]
         w_next = Wx[3 : m + 3]
@@ -254,8 +215,7 @@ class PampaScheme:
         # (10 orders above the flow scale), which would otherwise make the
         # point update explode at any practical time step.
         speed_node = sys.max_wave_speed(Ux, p_node)
-        speed_avg = sys.max_wave_speed(st["avg_ext"][2 : m + 3],
-                                       _rows(p_avg, 2, m + 3))
+        speed_avg = sys.max_wave_speed(A[2 : m + 3], _rows(p_avg, 2, m + 3))
         neighborhood = np.maximum(
             np.maximum(speed_node[1 : m + 1], speed_node[2 : m + 2]),
             speed_node[3 : m + 3],
@@ -281,16 +241,15 @@ class PampaScheme:
         dpts = -(jd - alpha[:, None] * (delta_m - delta_p))
 
         if record is not None:
-            theta = st["theta"]
             record["theta"] = theta
             record["mid_hat"] = hat_m[1 : n + 1]
             record["idp_active"] = int(np.count_nonzero(theta < 1.0))
-            record["theta_oe"] = st["theta_oe"]
+            record["theta_oe"] = theta_oe
             record["oe_active"] = (
-                0 if st["theta_oe"] is None
-                else int(np.count_nonzero(st["theta_oe"] < 1.0 - 1e-12))
+                0 if theta_oe is None
+                else int(np.count_nonzero(theta_oe < 1.0 - 1e-12))
             )
-            record["mp_active"] = st["mp_changed"]
+            record["mp_active"] = mp_changed
         return davg, dpts
 
     # -- time-step control ---------------------------------------------------

@@ -66,20 +66,14 @@ def write_svg(path, series, title: str = "", xlabel: str = "x",
     return path
 
 
-def write_solution_svgs(outdir, label, scheme, field, reference=None) -> list[Path]:
-    """One SVG per primitive variable: cell averages plus optional reference
-    (x, prim) series."""
+def write_solution_svgs(outdir, label, scheme, field) -> list[Path]:
+    """One SVG per primitive variable of the cell averages."""
     outdir = Path(outdir)
     sys = scheme.system
     prim = sys.primitive(field.avgs)
     x = scheme.grid.cell_centers
     paths = []
     for k, name in enumerate(sys.primitive_names):
-        series = []
-        if reference is not None:
-            rx, rprim = reference
-            series.append(("reference", rx, rprim[:, k]))
-        series.append((name, x, prim[:, k]))
-        paths.append(write_svg(outdir / f"{name}.svg", series,
+        paths.append(write_svg(outdir / f"{name}.svg", [(name, x, prim[:, k])],
                                title=f"{label}: {name}", ylabel=name))
     return paths

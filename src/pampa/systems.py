@@ -108,7 +108,9 @@ def burgers(u_min: float, u_max: float) -> ScalarLaw:
 
 class _Gas:
     """What Euler and ideal MHD share: the positivity domain (density and
-    pressure), its predicate and margin, and the wall reflections."""
+    pressure), its predicate and margin, the wave speeds built on each
+    system's signal speed `fast_speed`, the primitive decode and the wall
+    reflections."""
 
     # sign of each conservative (and transformed) component under a wall
     # reflection: only the normal momentum (velocity) flips
@@ -132,6 +134,25 @@ class _Gas:
             p = self.pressure(U, check=False)
         return np.minimum(U[..., 0] - spec.eps_rho, p - spec.eps_p)
 
+    def max_wave_speed(self, U, p=None):
+        U = np.asarray(U, dtype=float)
+        return np.abs(U[..., 1] / U[..., 0]) + self.fast_speed(U, p)
+
+    def wave_speed_range(self, U, p=None):
+        U = np.asarray(U, dtype=float)
+        v = U[..., 1] / U[..., 0]
+        c = self.fast_speed(U, p)
+        return v - c, v + c
+
+    def primitive(self, U, p=None):
+        """Primitive variables of U. Given p, U must have positive density;
+        without it, states outside G decode to nan or inf silently."""
+        U = np.asarray(U, dtype=float)
+        if p is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return self._primitive(U, self.pressure(U, check=False))
+        return self._primitive(U, p)
+
     def reflect(self, U):
         """Mirror states at a wall; conservative and transformed alike."""
         return np.asarray(U, dtype=float) * self._reflection
@@ -149,9 +170,8 @@ class Euler(_Gas):
     primitive_names = ("density", "velocity", "pressure")
     _reflection = np.array([1.0, -1.0, 1.0])
 
-    def __init__(self, gamma: float = 1.4, rho_ref: float = 1.0):
+    def __init__(self, gamma: float = 1.4):
         self.gamma = float(gamma)
-        self.rho_ref = float(rho_ref)
         self.name = "euler"
 
     def pressure(self, U, check: bool = True):
@@ -168,7 +188,8 @@ class Euler(_Gas):
             raise DomainError("pressure recovery needs rho > 0")
         return (self.gamma - 1.0) * (U[..., 2] - 0.5 * U[..., 1] ** 2 / rho)
 
-    def sound_speed(self, U, p=None):
+    def fast_speed(self, U, p=None):
+        """Sound speed c: the fast speed without a magnetic field."""
         U = np.asarray(U, dtype=float)
         p = np.maximum(self.pressure(U) if p is None else p, 0.0)
         return np.sqrt(self.gamma * p / U[..., 0])
@@ -183,26 +204,11 @@ class Euler(_Gas):
         v = mom / rho
         return np.stack([mom, mom * v + p, v * (E + p)], axis=-1)
 
-    def max_wave_speed(self, U, p=None):
-        U = np.asarray(U, dtype=float)
-        return np.abs(U[..., 1] / U[..., 0]) + self.sound_speed(U, p)
-
-    def wave_speed_range(self, U, p=None):
-        U = np.asarray(U, dtype=float)
-        v = U[..., 1] / U[..., 0]
-        c = self.sound_speed(U, p)
-        return v - c, v + c
-
     def pair_speed(self, UL, UR, pL=None, pR=None):
         return np.maximum(self.max_wave_speed(UL, pL), self.max_wave_speed(UR, pR))
 
-    def primitive(self, U, p=None):
-        U = np.asarray(U, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = U[..., 1] / U[..., 0]
-            if p is None:
-                p = self.pressure(U, check=False)
-        return np.stack([U[..., 0], v, p], axis=-1)
+    def _primitive(self, U, p):
+        return np.stack([U[..., 0], U[..., 1] / U[..., 0], p], axis=-1)
 
     def from_primitive(self, prim):
         prim = np.asarray(prim, dtype=float)
@@ -224,11 +230,9 @@ class IdealMHD(_Gas):
                        "b_y", "b_z", "pressure")
     _reflection = np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
-    def __init__(self, gamma: float = 5.0 / 3.0, bx: float = 0.0,
-                 rho_ref: float = 1.0):
+    def __init__(self, gamma: float = 5.0 / 3.0, bx: float = 0.0):
         self.gamma = float(gamma)
         self.bx = float(bx)
-        self.rho_ref = float(rho_ref)
         self.name = "mhd"
 
     def _split(self, U):
@@ -282,17 +286,6 @@ class IdealMHD(_Gas):
             axis=-1,
         )
 
-    def max_wave_speed(self, U, p=None):
-        U = np.asarray(U, dtype=float)
-        vx = U[..., 1] / U[..., 0]
-        return np.abs(vx) + self.fast_speed(U, p)
-
-    def wave_speed_range(self, U, p=None):
-        U = np.asarray(U, dtype=float)
-        vx = U[..., 1] / U[..., 0]
-        cf = self.fast_speed(U, p)
-        return vx - cf, vx + cf
-
     def pair_speed(self, UL, UR, pL=None, pR=None):
         UL = np.asarray(UL, dtype=float)
         UR = np.asarray(UR, dtype=float)
@@ -315,13 +308,9 @@ class IdealMHD(_Gas):
         )
         return base + db / (sl + sr)
 
-    def primitive(self, U, p=None):
+    def _primitive(self, U, p):
         """(rho, vx, vy, vz, By, Bz, p)."""
-        U = np.asarray(U, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho, v, By, Bz, _ = self._split(U)
-            if p is None:
-                p = self.pressure(U, check=False)
+        rho, v, By, Bz, _ = self._split(U)
         return np.stack(
             [rho, v[..., 0], v[..., 1], v[..., 2], By, Bz, p],
             axis=-1,

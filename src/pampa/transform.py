@@ -4,10 +4,10 @@ The point-value scheme evolves variables chosen so that Psi^{-1}(W) lies in
 the invariant domain for every finite W:
 
 * scalar laws: u = (u_max-u_min)*min(ReLU(w), 1) + u_min (clipped ReLU);
-* gas systems: W is the primitive vector with q = ln(e^{rho/rho_ref} - 1)
-  (inverse Softplus) in place of rho and s = ln p - gamma*ln rho in place
-  of p, so rho = rho_ref*ln(e^q+1) > 0 and p = rho^gamma * e^s > 0: Euler
-  W = (q, v, s), MHD W = (q, vx, vy, vz, By, Bz, s).
+* gas systems: W is the primitive vector with q = ln(e^rho - 1) (inverse
+  Softplus) in place of rho and s = ln p - gamma*ln rho in place of p, so
+  rho = ln(e^q+1) > 0 and p = rho^gamma * e^s > 0: Euler W = (q, v, s),
+  MHD W = (q, vx, vy, vz, By, Bz, s).
 
 Jacobians are for the non-conservative form W_t + J(W) W_x = 0 and are
 similar to dF/dU, so their eigenvalues are the physical wave speeds.
@@ -63,7 +63,7 @@ def to_transformed(system, U, p=None):
         raise DomainError("transform needs p > 0")
     rho = U[..., 0]
     W = system.primitive(U, p)
-    W[..., 0] = inv_softplus(rho / system.rho_ref)
+    W[..., 0] = inv_softplus(rho)
     W[..., -1] = np.log(p) - system.gamma * np.log(rho)
     return W
 
@@ -81,7 +81,7 @@ def primitive_from_transformed(system, W):
         span = system.u_max - system.u_min
         return span * np.clip(W, 0.0, 1.0) + system.u_min
     prim = W.copy()
-    rho = system.rho_ref * softplus(W[..., 0])
+    rho = softplus(W[..., 0])
     prim[..., 0] = rho
     prim[..., -1] = np.exp(W[..., -1] + system.gamma * np.log(rho))
     return prim
@@ -125,7 +125,7 @@ def apply_jacobian(system, U, vec, p=None):
     if isinstance(system, Euler):
         rho = U[..., 0]
         v = U[..., 1] / rho
-        qp = _softplus_deriv_inv(rho / system.rho_ref) / system.rho_ref
+        qp = _softplus_deriv_inv(rho)
         g = system.gamma
         y0 = v * vec[..., 0] + qp * rho * vec[..., 1]
         y1 = (g * p / (rho * rho * qp)) * vec[..., 0] + v * vec[..., 1] \
@@ -136,7 +136,7 @@ def apply_jacobian(system, U, vec, p=None):
         rho = U[..., 0]
         vx = U[..., 1] / rho
         By, Bz = U[..., 4], U[..., 5]
-        qp = _softplus_deriv_inv(rho / system.rho_ref) / system.rho_ref
+        qp = _softplus_deriv_inv(rho)
         g = system.gamma
         bx = system.bx
         # Tinv: W-perturbation -> primitive perturbation

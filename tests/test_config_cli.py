@@ -1,10 +1,12 @@
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from pampa import cli, run as run_mod
-from pampa.config import load_config, preset_names
+from pampa import cli, config, run as run_mod
+from pampa.config import load_config, parse_config_text, preset_names
 from pampa.errors import ConfigError
 
 PAPER_PRESETS = {
@@ -138,6 +140,40 @@ name = burgers_square
     cfg = load_config(str(path))
     assert cfg.label == "custom"
     assert cfg.system == "burgers" and cfg.cfl == 0.05
+
+
+def test_every_run_config_field_has_one_ini_key():
+    names = [config._RENAMES.get((section, key), key)
+             for section, keys in config._SECTION_KEYS.items() for key in keys]
+    settable = {f.name for f in fields(config.RunConfig)} - {"label"}
+    assert len(names) == len(set(names))
+    assert set(names) == settable
+    assert config._INT_KEYS | config._BOOL_KEYS | config._STR_KEYS <= settable
+
+
+_MINIMAL_INI = {
+    "system": "kind = burgers\nu_min = -1.0\nu_max = 2.0\n",
+    "grid": "a = -1.0\nb = 1.0\nn = 40\nbc = periodic\n",
+    "time": "t_final = 0.1\n",
+    "limiter": "oscillation = mp\n",
+    "ic": "name = burgers_square\n",
+}
+
+
+def _ini_with(section: str, line: str) -> str:
+    sections = dict(_MINIMAL_INI)
+    sections[section] = sections.get(section, "") + line
+    return "".join(f"[{name}]\n{body}" for name, body in sections.items())
+
+
+@pytest.mark.parametrize("section,key", [
+    ("system", "rho_ref"), ("limiter", "mp_alpha"), ("limiter", "mp_beta"),
+    ("limiter", "eps_rho"), ("limiter", "eps_p"), ("output", "snapshot_every"),
+])
+def test_config_rejects_removed_keys(section, key):
+    assert parse_config_text(_ini_with(section, ""), "ok").n == 40
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+        parse_config_text(_ini_with(section, f"{key} = 1\n"), "bad")
 
 
 def test_cli_run_and_determinism(tmp_path):

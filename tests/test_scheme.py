@@ -310,3 +310,33 @@ def test_pressure_calls_per_residual(preset, monkeypatch):
     monkeypatch.setattr(scheme.system, "pressure", counted)
     scheme.residual(field, dt, {})
     assert 0 < len(calls) <= 6, calls
+
+
+STAGE_RECORD_KEYS = {"theta", "mid_hat", "idp_active", "theta_oe", "oe_active",
+                     "mp_active"}
+
+
+@pytest.mark.parametrize("oscillation", ["none", "oe", "mp"])
+@pytest.mark.parametrize("preset", ["jiang_shu", "sod"])
+def test_stage_record_contract(preset, oscillation):
+    # the diagnostics CSV, the domain sweep and the benchmark's tracer read
+    # the stage record by key: one residual call fills exactly these six
+    cfg = load_config(preset).with_overrides(n=40, oscillation=oscillation)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    record = {}
+    scheme.residual(field, scheme.max_dt(field, cfg.cfl), record)
+    assert set(record) == STAGE_RECORD_KEYS
+    n = cfg.n
+    assert record["theta"].shape == (n + 2,)
+    assert record["mid_hat"].shape == (n, scheme.system.nvars)
+    assert record["idp_active"] == np.count_nonzero(record["theta"] < 1.0)
+    if oscillation == "oe":
+        assert record["theta_oe"].shape == (n + 2,)
+        assert record["oe_active"] > 0  # both profiles have jumps
+    else:
+        assert record["theta_oe"] is None and record["oe_active"] == 0
+    if oscillation == "mp":
+        assert record["mp_active"] > 0
+    else:
+        assert record["mp_active"] == 0

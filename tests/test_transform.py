@@ -12,7 +12,7 @@ LN_2 = 0.6931471805599453
 
 
 def test_euler_density_channel():
-    sys = Euler(1.4, rho_ref=1.0)
+    sys = Euler(1.4)
     U = sys.from_primitive(np.array([1.0, 0.0, 1.0]))
     W = transform.to_transformed(sys, U)
     assert W[0] == pytest.approx(LN_E_MINUS_1, rel=1e-14)
@@ -77,7 +77,7 @@ def test_euler_jacobian_structure_at_rest():
     J = transform.jacobian_transformed(sys, U)
     assert np.allclose(np.diag(J), 0.0, atol=0)
     x = 1.2
-    expected_01 = x / -np.expm1(-x)  # e^{x-q} * rho / rho_ref
+    expected_01 = x / -np.expm1(-x)  # e^{x-q} * rho
     assert J[0, 1] == pytest.approx(expected_01, rel=1e-13)
     assert J[1, 0] == pytest.approx(1.4 * 0.9 / (1.2 * expected_01), rel=1e-13)
     assert J[1, 2] == pytest.approx(0.9 / 1.2, rel=1e-14)
