@@ -10,6 +10,7 @@ from pathlib import Path
 from . import oracle, run as run_mod
 from .config import load_config, preset_names
 from .errors import PampaError
+from .scheme import OSCILLATION_KINDS
 from .systems import Euler, IdealMHD, advection, burgers
 
 
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshots", type=int, default=0,
                    help="write cell snapshots every K steps (0: none)")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--oscillation", choices=("none", "oe", "mp"), default=None)
+    p.add_argument("--oscillation", choices=OSCILLATION_KINDS, default=None)
     p.add_argument("--t-final", dest="t_final", type=float, default=None)
     p.add_argument("--integrator", default=None)
     p.add_argument("--cfl", type=float, default=None)
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="error table over a cell-count ladder")
     p.add_argument("config")
     p.add_argument("--N", required=True, help="comma-separated cell counts")
-    p.add_argument("--oscillation", choices=("none", "oe", "mp"), default=None)
+    p.add_argument("--oscillation", choices=OSCILLATION_KINDS, default=None)
     p.add_argument("--integrator", default=None)
     p.add_argument("--cfl", type=float, default=None)
     _add_common(p)

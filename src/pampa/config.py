@@ -10,7 +10,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .mesh import BC_KINDS
 from .presets import EXACT_REGISTRY, IC_REGISTRY
-from .scheme import IDP_CFL_LIMIT, LimiterConfig
+from .scheme import IDP_CFL_LIMIT, OSCILLATION_KINDS, LimiterConfig
 from .systems import Euler, IdealMHD, advection, burgers
 from .timeint import INTEGRATOR_KINDS
 
@@ -47,7 +47,7 @@ class RunConfig:
             raise ConfigError(f"unknown boundary condition {self.bc!r}")
         if self.integrator not in INTEGRATOR_KINDS:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
-        if self.oscillation not in ("none", "oe", "mp"):
+        if self.oscillation not in OSCILLATION_KINDS:
             raise ConfigError(f"unknown oscillation control {self.oscillation!r}")
         if not 0.0 < self.cfl <= IDP_CFL_LIMIT + 1e-15:
             raise ConfigError(

@@ -1,4 +1,4 @@
-"""Per-cell point-value limiters.
+"""Point-value limiters.
 
 Three independent pieces, all preserving the 1/6-4/6-1/6 decomposition of
 the cell average over (left endpoint, midpoint, right endpoint):
@@ -12,7 +12,11 @@ the cell average over (left endpoint, midpoint, right endpoint):
 * the MP limiter, which clips node values into a monotonicity-preserving
   interval built from neighbouring cell averages and curvature estimates.
 
-All functions are vectorised over leading axes.
+The IDP and OE pieces work per cell and are vectorised over leading axes.
+The MP limiter is a whole-field kernel: it limits both one-sided values of
+every node at once, so each curvature and each four-argument minmod is
+computed once per side orientation instead of once per node side that
+reads it.
 """
 
 from __future__ import annotations
@@ -28,16 +32,17 @@ MP_ALPHA, MP_BETA = 2.0, 4.0
 
 
 def minmod4(a, b, c, d):
-    """sign * min(|a|,|b|,|c|,|d|) when all four share a sign, else 0."""
-    a, b, c, d = np.broadcast_arrays(a, b, c, d)
-    pos = (a > 0) & (b > 0) & (c > 0) & (d > 0)
-    neg = (a < 0) & (b < 0) & (c < 0) & (d < 0)
-    m = np.minimum(np.minimum(np.abs(a), np.abs(b)), np.minimum(np.abs(c), np.abs(d)))
-    return np.where(pos, m, np.where(neg, -m, 0.0))
+    """sign * min(|a|,|b|,|c|,|d|) when all four share a sign, else 0.
+
+    With lo/hi the min/max of the four: all positive means lo > 0 and the
+    result is lo; all negative means hi < 0 and the result is hi.
+    """
+    lo = np.minimum(np.minimum(a, b), np.minimum(c, d))
+    hi = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    return np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
 
 
 def median3(a, b, c):
-    a, b, c = np.broadcast_arrays(a, b, c)
     return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
@@ -245,30 +250,58 @@ def oe_apply(theta, avg, left, right):
 # MP limiter
 
 
-def mp_limit(a0, a1, a2, a3, a4, u):
-    """Monotonicity-preserving clip of the node value u.
+def mp_limit(w_avg, w_node):
+    """Monotonicity-preserving clip of both one-sided values of every node.
 
-    a0..a4 are the five cell averages around the node ordered from the far
-    side of the node's own cell to the straddling neighbour: for the value
-    on the left side of a node, (a0..a4) are the averages of cells
-    j-3, j-2, j-1, j, j+1 (own cell j-1); the right side uses the mirrored
-    order. The median/curvature construction follows the classical MP
-    limiter: the min/max groups pair the own-cell average with the
-    straddling neighbour a3, and u_md carries -d/2 (a smooth profile is
-    never modified; the transcription pairing the away neighbour with +d/2
-    clips smooth curved regions at second order and breaks the scheme's
-    accuracy tables). Returns median(u, u_min, u_max).
+    w_avg: (n+6, d) averages of cells -3..n+2; w_node: (n+5, d) values at
+    nodes -2..n+2. Returns a (2, n+2, d) array: row 0 holds the left-side
+    values at nodes 0..n+1 (right endpoints of cells -1..n), row 1 the
+    right-side values at nodes -1..n (left endpoints of cells -1..n).
+
+    Per node side the classical MP construction reads five averages
+    a0..a4 ordered from the far side of the node's own cell a2 to the
+    straddling neighbour a3, the curvatures d2m, d2c, d2p centred on a1, a2,
+    a3, and minmod4(4c - e, 4e - c, c, e) of the curvature pairs (d2c, d2p)
+    at the node and (d2m, d2c) at the own cell's far face. The min/max
+    groups pair the own-cell average with the straddling neighbour, and
+    u_md carries -d/2 (a smooth profile is never modified; the
+    transcription pairing the away neighbour with +d/2 clips smooth curved
+    regions at second order and breaks the scheme's accuracy tables). The
+    value is median(u, u_min, u_max).
+
+    Each side orientation builds one curvature array over cells -2..n+1 and
+    one minmod4 array over the interfaces between them; the node and
+    far-face terms are two shifted slices of it. The curvature keeps the
+    per-node summation order of its orientation, (a[i+1] - 2a[i]) + a[i-1]
+    for the left side and (a[i-1] - 2a[i]) + a[i+1] for the mirrored right
+    side: the two orders round differently, so one shared array would
+    change the limited values in the last bit.
     """
-    d2m = a2 - 2.0 * a1 + a0
-    d2c = a3 - 2.0 * a2 + a1
-    d2p = a4 - 2.0 * a3 + a2
-    dm4_node = minmod4(4.0 * d2c - d2p, 4.0 * d2p - d2c, d2c, d2p)
-    dm4_prev = minmod4(4.0 * d2m - d2c, 4.0 * d2c - d2m, d2m, d2c)
-    u_md = 0.5 * (a2 + a3) - 0.5 * dm4_node
-    u_ul = a2 + MP_ALPHA * (a2 - a1)
-    u_lc = a2 + 0.5 * (a2 - a1) + (MP_BETA / 3.0) * dm4_prev
-    u_min = np.maximum(np.minimum(np.minimum(a2, a3), u_md),
-                       np.minimum(np.minimum(a2, u_ul), u_lc))
-    u_max = np.minimum(np.maximum(np.maximum(a2, a3), u_md),
-                       np.maximum(np.maximum(a2, u_ul), u_lc))
-    return median3(u, u_min, u_max)
+    n2 = len(w_avg) - 4                      # nodes per side, n + 2
+    # the cells before, at and after each node's own cell, in w_avg rows
+    lo, mid, hi = slice(1, n2 + 1), slice(2, n2 + 2), slice(3, n2 + 3)
+    # the minmod4 interfaces before and after each node's own cell
+    face_lo, face_hi = slice(0, n2), slice(1, n2 + 1)
+    own = w_avg[mid]
+    ahead, behind, twice = w_avg[2:], w_avg[:-2], 2.0 * w_avg[1:-1]
+    out = np.empty((2,) + own.shape)
+    # per row: curvature summation order (leading, trailing term), far cell,
+    # straddling cell, node and far-face minmod slices, node values
+    sides = ((ahead, behind, lo, hi, face_hi, face_lo, w_node[mid]),
+             (behind, ahead, hi, lo, face_lo, face_hi, w_node[lo]))
+    for row, (lead, trail, far, near, at_node, at_face, u) in enumerate(sides):
+        curv = (lead - twice) + trail        # centred on cells -2..n+1
+        c4 = 4.0 * curv
+        c, e = curv[:-1], curv[1:]
+        dm4 = minmod4(c4[:-1] - e, c4[1:] - c, c, e)
+        a_near = w_avg[near]
+        step = own - w_avg[far]
+        u_md = 0.5 * (own + a_near) - 0.5 * dm4[at_node]
+        u_ul = own + MP_ALPHA * step
+        u_lc = own + 0.5 * step + (MP_BETA / 3.0) * dm4[at_face]
+        u_min = np.maximum(np.minimum(np.minimum(own, a_near), u_md),
+                           np.minimum(np.minimum(own, u_ul), u_lc))
+        u_max = np.minimum(np.maximum(np.maximum(own, a_near), u_md),
+                           np.maximum(np.maximum(own, u_ul), u_lc))
+        out[row] = median3(u, u_min, u_max)
+    return out

@@ -32,13 +32,16 @@ class DofField:
         return DofField(self.avgs.copy(), self.points.copy())
 
 
+OSCILLATION_KINDS = ("none", "oe", "mp")
+
+
 @dataclass(frozen=True)
 class LimiterConfig:
     idp: bool = True
-    oscillation: str = "none"  # none | oe | mp
+    oscillation: str = "none"  # one of OSCILLATION_KINDS
 
     def __post_init__(self):
-        if self.oscillation not in ("none", "oe", "mp"):
+        if self.oscillation not in OSCILLATION_KINDS:
             raise ConfigError(f"unknown oscillation control {self.oscillation!r}")
 
 
@@ -153,20 +156,11 @@ class PampaScheme:
             u_l, u_m, u_r = limiters.oe_apply(theta_oe, cel_a, u_l, u_r)
         elif lim.oscillation == "mp":
             w_avg = transform.to_transformed(sys, A, p_avg)
-            # left-side values at nodes 0..n+1 (right endpoints of cells -1..n)
-            w_left = limiters.mp_limit(
-                w_avg[0 : n + 2], w_avg[1 : n + 3], w_avg[2 : n + 4],
-                w_avg[3 : n + 5], w_avg[4 : n + 6], Wx[2 : n + 4],
-            )
-            # right-side values at nodes -1..n (left endpoints of cells -1..n)
-            w_right = limiters.mp_limit(
-                w_avg[4 : n + 6], w_avg[3 : n + 5], w_avg[2 : n + 4],
-                w_avg[1 : n + 3], w_avg[0 : n + 2], Wx[1 : n + 3],
-            )
-            mp_changed = int(np.count_nonzero(w_right != Wx[1 : n + 3])
-                             + np.count_nonzero(w_left != Wx[2 : n + 4]))
-            u_l = transform.from_transformed(sys, w_right)
-            u_r = transform.from_transformed(sys, w_left)
+            # row 0: right endpoints of cells -1..n; row 1: left endpoints
+            w_lim = limiters.mp_limit(w_avg, Wx)
+            mp_changed = int(np.count_nonzero(w_lim[0] != Wx[2 : n + 4])
+                             + np.count_nonzero(w_lim[1] != Wx[1 : n + 3]))
+            u_r, u_l = transform.from_transformed(sys, w_lim)
             u_m = limiters.midpoint_value(cel_a, u_l, u_r)
         else:
             u_m = limiters.midpoint_value(cel_a, u_l, u_r)

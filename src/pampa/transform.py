@@ -27,10 +27,11 @@ _EXP_SWITCH = 30.0
 def softplus(q):
     """ln(1 + e^q), overflow-safe for any finite q."""
     q = np.asarray(q, dtype=float)
+    out = np.log1p(np.exp(np.minimum(q, _EXP_SWITCH)))
     big = q > _EXP_SWITCH
-    safe = np.where(big, 0.0, q)
-    out = np.log1p(np.exp(safe))
-    return np.where(big, q + np.log1p(np.exp(-np.abs(q))), out)
+    if big.any():
+        out = np.where(big, q + np.log1p(np.exp(-np.abs(q))), out)
+    return out
 
 
 def inv_softplus(x):
@@ -38,10 +39,11 @@ def inv_softplus(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("inverse Softplus needs a positive argument")
+    out = np.log(np.expm1(np.minimum(x, _EXP_SWITCH)))
     big = x > _EXP_SWITCH
-    safe = np.where(big, 1.0, x)
-    out = np.log(np.expm1(safe))
-    return np.where(big, x + np.log1p(-np.exp(-x)), out)
+    if big.any():
+        out = np.where(big, x + np.log1p(-np.exp(-x)), out)
+    return out
 
 
 def _softplus_deriv_inv(x):

@@ -268,18 +268,70 @@ def test_mp_linear_data_identity():
     s = 0.7
     a = np.arange(5.0) * s
     u = a[2] + 0.5 * s  # node value between cells 2 and 3
-    out = limiters.mp_limit(a[0], a[1], a[2], a[3], a[4], u)
+    out = limiters.mp_limit(a[:, None], np.full((4, 1), u))[0, 0, 0]
     assert out == pytest.approx(u, rel=1e-15)
 
 
 def test_mp_clips_outlier_to_max():
-    out = limiters.mp_limit(0.0, 0.0, 0.0, 0.0, 0.0, 5.0)
+    out = limiters.mp_limit(np.zeros((5, 1)), np.full((4, 1), 5.0))[0, 0, 0]
     assert out == 0.0
 
 
 def test_mp_constant_identity():
-    out = limiters.mp_limit(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    out = limiters.mp_limit(np.ones((5, 1)), np.ones((4, 1)))[0, 0, 0]
     assert out == 1.0
+
+
+def _minmod4_node(a, b, c, d):
+    pos = (a > 0) & (b > 0) & (c > 0) & (d > 0)
+    neg = (a < 0) & (b < 0) & (c < 0) & (d < 0)
+    m = np.minimum(np.minimum(np.abs(a), np.abs(b)), np.minimum(np.abs(c), np.abs(d)))
+    return np.where(pos, m, np.where(neg, -m, 0.0))
+
+
+def _mp_limit_node(a0, a1, a2, a3, a4, u):
+    """Reference MP clip of one node side, written per node: a0..a4 run from
+    the far side of the own cell a2 to the straddling neighbour a3."""
+    d2m = a2 - 2.0 * a1 + a0
+    d2c = a3 - 2.0 * a2 + a1
+    d2p = a4 - 2.0 * a3 + a2
+    dm4_node = _minmod4_node(4.0 * d2c - d2p, 4.0 * d2p - d2c, d2c, d2p)
+    dm4_prev = _minmod4_node(4.0 * d2m - d2c, 4.0 * d2c - d2m, d2m, d2c)
+    u_md = 0.5 * (a2 + a3) - 0.5 * dm4_node
+    u_ul = a2 + limiters.MP_ALPHA * (a2 - a1)
+    u_lc = a2 + 0.5 * (a2 - a1) + (limiters.MP_BETA / 3.0) * dm4_prev
+    u_min = np.maximum(np.minimum(np.minimum(a2, a3), u_md),
+                       np.minimum(np.minimum(a2, u_ul), u_lc))
+    u_max = np.minimum(np.maximum(np.maximum(a2, a3), u_md),
+                       np.maximum(np.maximum(a2, u_ul), u_lc))
+    return np.maximum(np.minimum(u, u_min), np.minimum(np.maximum(u, u_min), u_max))
+
+
+def _assert_same_bits(x, y):
+    assert x.shape == y.shape
+    assert np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+@pytest.mark.parametrize("n", [3, 17, 200])
+def test_mp_field_kernel_matches_per_node_formula(n, d, rng):
+    fields = [
+        (rng.normal(size=(n + 6, d)), rng.normal(size=(n + 5, d))),
+        # smooth averages with node values near them: mostly left alone
+        (np.cumsum(rng.normal(size=(n + 6, d)), axis=0) * 1e-3,
+         rng.normal(scale=1e-3, size=(n + 5, d))),
+        # small integers: ties, exact zeros and curvature sign changes
+        (rng.integers(-2, 3, size=(n + 6, d)).astype(float),
+         0.5 * rng.integers(-5, 6, size=(n + 5, d))),
+    ]
+    for w_avg, w_node in fields:
+        out = limiters.mp_limit(w_avg, w_node)
+        a = [w_avg[k : k + n + 2] for k in range(5)]
+        # left side of nodes 0..n+1: own cell k-1, straddling cell k
+        _assert_same_bits(out[0], _mp_limit_node(*a, w_node[2 : n + 4]))
+        # right side of nodes -1..n: the mirrored stencil
+        _assert_same_bits(out[1], _mp_limit_node(*a[::-1], w_node[1 : n + 3]))
+        assert np.any(out != np.stack([w_node[2 : n + 4], w_node[1 : n + 3]]))
 
 
 # ---------------------------------------------------------------------------

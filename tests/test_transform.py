@@ -55,6 +55,40 @@ def test_softplus_overflow_guard():
     assert tiny[0] > 0.0
 
 
+def _softplus_two_branch(q):
+    q = np.asarray(q, dtype=float)
+    big = q > 30.0
+    out = np.log1p(np.exp(np.where(big, 0.0, q)))
+    return np.where(big, q + np.log1p(np.exp(-np.abs(q))), out)
+
+
+def _inv_softplus_two_branch(x):
+    x = np.asarray(x, dtype=float)
+    big = x > 30.0
+    out = np.log(np.expm1(np.where(big, 1.0, x)))
+    return np.where(big, x + np.log1p(-np.exp(-x)), out)
+
+
+def test_softplus_matches_two_branch_formula(rng):
+    # the overflow branch runs only when some element needs it; every
+    # value must equal the formula that evaluates both branches everywhere
+    small = np.concatenate([rng.uniform(-40.0, 30.0, 300), [30.0, -745.0]])
+    large = np.concatenate([small, rng.uniform(30.0, 800.0, 20), [1e300]])
+    positive = np.concatenate([rng.uniform(1e-12, 30.0, 300), [30.0, 1e-15]])
+    cases = [
+        (transform.softplus, _softplus_two_branch,
+         [small, large, np.float64(0.3), np.float64(31.0), np.array(-2.0)]),
+        (transform.inv_softplus, _inv_softplus_two_branch,
+         [positive, np.concatenate([positive, large[large > 30.0]]),
+          np.float64(0.3), np.float64(31.0), np.array(4.0)]),
+    ]
+    for fn, ref, inputs in cases:
+        for x in inputs:
+            got, want = np.asarray(fn(x)), ref(x)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_unconditional_membership_bulk():
     for sys, seed in [(Euler(1.4), 7), (IdealMHD(gamma=5.0 / 3.0, bx=0.5), 8),
                       (burgers(-1.0, 2.0), 9)]:
