@@ -15,6 +15,12 @@ and the hashes of the cells, nodes and diagnostics CSVs of `run_to_files`
 for double_rarefaction, blast_waves and jiang_shu at n=60 and t_final/10,
 plus the SVG plots of the double_rarefaction run (`svg=True`).
 
+For Euler(1.4), IdealMHD(5/3, 0.75), burgers(-1, 2) and advection(0, 1) it
+also prints the SHA-256 of the `repr` of each oracle report (LF splitting,
+transform membership and round trip, limiter invariants and, for the
+gases, Jacobian similarity), and one hash of the three state samplers'
+draws at a fixed seed, including each generator's next draw.
+
 A refactor that claims byte-identical outputs is checked by diffing this
 output between two checkouts.
 """
@@ -37,6 +43,40 @@ def _digest(*arrays) -> str:
         h.update(str((a.dtype.str, a.shape)).encode())
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+def _oracle_hashes(out):
+    import numpy as np
+
+    from pampa import oracle
+    from pampa.systems import Euler, IdealMHD, advection, burgers
+
+    systems = {"euler": Euler(1.4), "mhd": IdealMHD(5.0 / 3.0, 0.75),
+               "burgers": burgers(-1.0, 2.0), "advection": advection(0.0, 1.0)}
+    for label, system in systems.items():
+        reports = {
+            "splitting": oracle.sample_lf_splitting(system, 5000, 42),
+            "membership": oracle.check_transform_membership(system, 5000, 42),
+            "roundtrip": oracle.check_transform_roundtrip(system, 1000, 43),
+            "limiter": oracle.check_limiter_invariants(system, 5000, 42),
+        }
+        if label in ("euler", "mhd"):
+            reports["jacobian"] = oracle.check_jacobian_similarity(system, 50, 42)
+        # arrays inside a report (a first violation) print every digit
+        with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+            for name, rep in reports.items():
+                digest = hashlib.sha256(repr(rep).encode()).hexdigest()
+                out[f"oracle/{label}/{name}"] = digest
+
+    samplers = (oracle._sample_states, oracle.sample_states_representable,
+                oracle.sample_states_moderate)
+    draws = []
+    for system in (*systems.values(), IdealMHD(5.0 / 3.0, 0.0),
+                   IdealMHD(5.0 / 3.0, 3.0)):
+        for sample in samplers:
+            rng = np.random.Generator(np.random.Philox(7))
+            draws += [sample(system, rng, 500), rng.uniform(size=1)]
+    out["oracle/samplers"] = _digest(*draws)
 
 
 def main():
@@ -74,6 +114,7 @@ def main():
                 data = (Path(tmp) / fname).read_bytes()
                 out[f"{name}/{fname}"] = hashlib.sha256(data).hexdigest()
 
+    _oracle_hashes(out)
     print(json.dumps(out, indent=1, sort_keys=True))
 
 

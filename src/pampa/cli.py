@@ -14,12 +14,6 @@ from .scheme import OSCILLATION_KINDS
 from .systems import Euler, IdealMHD, advection, burgers
 
 
-def _add_common(p):
-    p.add_argument("--out", default=None, help="output directory or file")
-    p.add_argument("--seed", type=int, default=42,
-                   help="seed for randomised verification (runs are deterministic)")
-
-
 def _overrides(args):
     return dict(n=args.n, oscillation=args.oscillation, t_final=args.t_final,
                 integrator=args.integrator, cfl=args.cfl)
@@ -159,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-final", dest="t_final", type=float, default=None)
     p.add_argument("--integrator", default=None)
     p.add_argument("--cfl", type=float, default=None)
-    _add_common(p)
+    p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("convergence", help="error table over a cell-count ladder")
@@ -168,14 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oscillation", choices=OSCILLATION_KINDS, default=None)
     p.add_argument("--integrator", default=None)
     p.add_argument("--cfl", type=float, default=None)
-    _add_common(p)
+    p.add_argument("--out", default=None, help="CSV file for the table")
     p.set_defaults(fn=cmd_convergence)
 
     p = sub.add_parser("reference", help="first-order LLF reference run")
     p.add_argument("config")
     p.add_argument("--n", type=int, required=True, help="reference cell count")
     p.add_argument("--cfl", type=float, default=0.45)
-    _add_common(p)
+    p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(fn=cmd_reference)
 
     p = sub.add_parser("verify", help="run oracle/property verification suites")
@@ -185,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--preset", default="jiang_shu", help="preset for the sweep suite")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=42,
+                   help="seed for the randomised suites")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("presets", help="list bundled benchmark presets")

@@ -12,7 +12,7 @@ from .mesh import BC_KINDS
 from .presets import EXACT_REGISTRY, IC_REGISTRY
 from .scheme import IDP_CFL_LIMIT, OSCILLATION_KINDS, LimiterConfig
 from .systems import Euler, IdealMHD, advection, burgers
-from .timeint import INTEGRATOR_KINDS
+from .timeint import INTEGRATORS
 
 SYSTEM_KINDS = ("advection", "burgers", "euler", "mhd")
 
@@ -45,7 +45,7 @@ class RunConfig:
                 raise ConfigError("scalar systems need u_min and u_max")
         if self.bc not in BC_KINDS:
             raise ConfigError(f"unknown boundary condition {self.bc!r}")
-        if self.integrator not in INTEGRATOR_KINDS:
+        if self.integrator not in INTEGRATORS:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.oscillation not in OSCILLATION_KINDS:
             raise ConfigError(f"unknown oscillation control {self.oscillation!r}")
@@ -98,8 +98,14 @@ _STR_KEYS = {"system", "bc", "integrator", "oscillation", "ic", "exact"}
 
 
 def parse_config_text(text: str, label: str) -> RunConfig:
+    """A validated RunConfig from INI text. Booleans take configparser's
+    words (1/yes/true/on, 0/no/false/off); a value that does not parse is a
+    ConfigError naming its key."""
     parser = configparser.ConfigParser()
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"unreadable config: {exc}") from None
     kw = {"label": label}
     for section in parser.sections():
         keys = _SECTION_KEYS.get(section, ())
@@ -107,15 +113,18 @@ def parse_config_text(text: str, label: str) -> RunConfig:
             if key not in keys:
                 raise ConfigError(f"unknown key [{section}] {key}")
             name = _RENAMES.get((section, key), key)
-            raw = parser[section][key]
-            if name in _INT_KEYS:
-                kw[name] = int(raw)
-            elif name in _BOOL_KEYS:
-                kw[name] = raw.strip().lower() in ("1", "true", "yes", "on")
-            elif name in _STR_KEYS:
-                kw[name] = raw.strip()
-            else:
-                kw[name] = float(raw)
+            try:
+                if name in _INT_KEYS:
+                    kw[name] = parser.getint(section, key)
+                elif name in _BOOL_KEYS:
+                    kw[name] = parser.getboolean(section, key)
+                elif name in _STR_KEYS:
+                    kw[name] = parser.get(section, key).strip()
+                else:
+                    kw[name] = parser.getfloat(section, key)
+            except (ValueError, configparser.Error):
+                raw = parser.get(section, key, raw=True)
+                raise ConfigError(f"[{section}] {key}: bad value {raw!r}") from None
     missing = {"system", "a", "b", "n", "bc", "t_final", "ic"} - set(kw)
     if missing:
         raise ConfigError(f"config is missing required keys: {sorted(missing)}")

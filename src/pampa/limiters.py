@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvariantViolation
+from .systems import ScalarLaw
 
 # positivity floors of the scaling limiter (Zhang & Shu, JCP 229, 2010)
 EPS_RHO = EPS_P = 1e-13
@@ -142,6 +143,20 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
     left_hat = (1.0 - th) * avg + th * left
     right_hat = (1.0 - th) * avg + th * right
     return left_hat, mid_hat, right_hat, theta, p_mid
+
+
+def scaling_limit(system, avg, left, mid, right, p_avg=None):
+    """The scaling IDP limiter of any system on (..., d) states: scalar laws
+    through `scaling_limit_scalar` with the law's interval, gases through
+    `scaling_limit_system` (p_avg as there). Returns (left_hat, mid_hat,
+    right_hat, theta, p_mid); p_mid is None for scalar laws."""
+    if isinstance(system, ScalarLaw):
+        hat_l, hat_m, hat_r, theta = scaling_limit_scalar(
+            avg[..., 0], left[..., 0], mid[..., 0], right[..., 0],
+            system.u_min, system.u_max,
+        )
+        return hat_l[..., None], hat_m[..., None], hat_r[..., None], theta, None
+    return scaling_limit_system(system, avg, left, mid, right, p_avg)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,14 @@ from . import limiters, transform
 from .errors import ConfigError
 from .systems import Euler, IdealMHD, ScalarLaw
 
+# fixed parameters of the property checks
+W_RANGE = 50.0           # transform membership: W drawn from [-W_RANGE, W_RANGE]
+JACOBIAN_TOL = 1e-5      # relative eigenvalue mismatch of similar Jacobians
+ROUNDTRIP_TOL = 1e-11    # relative primitive error of Psi^{-1}(Psi(U))
+CAD_TOL = 1e-12          # relative error of the limited 1/6-4/6-1/6 decomposition
+N_LAMBDAS = 10           # speeds sampled by splitting_monotone_in_lambda
+FD_REL_STEP = 1e-6       # relative central-difference step of the FD Jacobian
+
 
 @dataclass
 class Violation:
@@ -56,15 +64,14 @@ class DomainSweep:
 
     MAX_RECORDED = 50
 
-    def __init__(self, system, spec=None):
+    def __init__(self, system):
         self.system = system
-        self.spec = spec if spec is not None else system.domain_spec()
         self.report = ViolationReport()
 
     def _check(self, states, kind, step, stage):
         rep = self.report
-        margin = self.system.domain_margin(states, self.spec)
-        ok = self.system.in_domain(states, self.spec)
+        margin = self.system.domain_margin(states)
+        ok = self.system.in_domain(states)
         rep.n_checked += states.shape[0]
         rep.worst_margin = min(rep.worst_margin, float(np.min(margin)))
         if not np.all(ok):
@@ -87,13 +94,13 @@ class DomainSweep:
             self._check(record["mid_hat"], "midpoint", step, stage)
 
 
-def sweep_domain(snapshots, system, spec=None) -> ViolationReport:
+def sweep_domain(snapshots, system) -> ViolationReport:
     """Offline sweep over recorded stage snapshots.
 
     Each snapshot is (step, stage, field, record) as delivered to a stage
     observer; `record` may be None.
     """
-    sweep = DomainSweep(system, spec)
+    sweep = DomainSweep(system)
     for step, stage, fld, record in snapshots:
         sweep.on_stage(None, step, stage, fld, record)
     return sweep.report
@@ -126,22 +133,31 @@ def _log_uniform(rng, lo, hi, size):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
 
 
+def _gas_states(system, rng, n, rho_range, p_range, v_max, b_max, scaled):
+    """n Euler or MHD states with log-uniform density and pressure and
+    uniform velocity in [-v_max, v_max] and transverse field in
+    [-b_max, b_max], drawn in that order. scaled=True measures the velocity
+    in sound speeds and the field in sqrt(p)."""
+    nv = 1 if isinstance(system, Euler) else 3
+    rho = _log_uniform(rng, *rho_range, n)
+    p = _log_uniform(rng, *p_range, n)
+    v = rng.uniform(-v_max, v_max, (n, nv))
+    b = rng.uniform(-b_max, b_max, (n, system.nvars - 2 - nv))  # Euler: (n, 0), no draw
+    if scaled:
+        v = v * np.sqrt(system.gamma * p / rho)[:, None]
+        b = b * np.sqrt(p)[:, None]
+    prim = np.concatenate([rho[:, None], v, b, p[:, None]], axis=-1)
+    return system.from_primitive(prim)
+
+
 def _sample_states(system, rng, n):
+    """States from all of G: the whole interval of a scalar law; for the
+    gases density over 9 and pressure over 14 decades, |v|, |B| <= 100."""
     if isinstance(system, ScalarLaw):
-        u = rng.uniform(system.u_min, system.u_max, n)
-        return u[:, None]
-    if isinstance(system, Euler):
-        rho = _log_uniform(rng, 1e-6, 1e3, n)
-        p = _log_uniform(rng, 1e-8, 1e6, n)
-        v = rng.uniform(-100.0, 100.0, n)
-        return system.from_primitive(np.stack([rho, v, p], axis=-1))
-    if isinstance(system, IdealMHD):
-        rho = _log_uniform(rng, 1e-6, 1e3, n)
-        p = _log_uniform(rng, 1e-8, 1e6, n)
-        v = rng.uniform(-100.0, 100.0, (n, 3))
-        b = rng.uniform(-100.0, 100.0, (n, 2))
-        prim = np.concatenate([rho[:, None], v, b, p[:, None]], axis=-1)
-        return system.from_primitive(prim)
+        return rng.uniform(system.u_min, system.u_max, n)[:, None]
+    if isinstance(system, (Euler, IdealMHD)):
+        return _gas_states(system, rng, n, (1e-6, 1e3), (1e-8, 1e6),
+                           100.0, 100.0, scaled=False)
     raise ConfigError(f"no sampler for {type(system).__name__}")
 
 
@@ -153,65 +169,50 @@ def _splitting_states(system, UL, UR, lam_scale=1.0):
     return np.where((lam > 0)[..., None], mean - dF / (2.0 * safe), mean)
 
 
-def _splitting_batch(system, rng, n, lam_scale):
-    UL = _sample_states(system, rng, n)
-    UR = _sample_states(system, rng, n)
-    states = _splitting_states(system, UL, UR, lam_scale)
-    margin = system.domain_margin(states)
-    ok = system.in_domain(states)
-    return margin, ok, UL, UR
-
-
 def sample_lf_splitting(system, n_samples: int, seed: int,
                         lam_scale: float = 1.0) -> SplittingReport:
     """Sample random state pairs from G and test membership of
     (UL+UR)/2 - (F(UR)-F(UL))/(2*lambda) with the pairwise IDP speed.
 
-    For MHD the pairs are drawn in batches sharing one sampled Bx each
-    (Bx must match between the two states of a pair). Deterministic for a
-    given seed (counter-based Philox generator).
+    For MHD the pairs are drawn in 32 batches sharing one sampled Bx each
+    (Bx must match between the two states of a pair); any other system
+    draws them in one batch. Deterministic for a given seed (counter-based
+    Philox generator).
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    worst = np.inf
-    n_bad = 0
-    first = None
-
-    if isinstance(system, IdealMHD):
-        n_batches = 32
-        per = (n_samples + n_batches - 1) // n_batches
-        done = 0
-        while done < n_samples:
-            m = min(per, n_samples - done)
+    mhd = isinstance(system, IdealMHD)
+    per = -(-n_samples // 32) if mhd else n_samples
+    worst, n_bad, first, done = np.inf, 0, None, 0
+    while done < n_samples:
+        m = min(per, n_samples - done)
+        bx, batch = None, system
+        if mhd:
             bx = float(rng.uniform(-100.0, 100.0))
-            sys_b = IdealMHD(gamma=system.gamma, bx=bx)
-            margin, ok, UL, UR = _splitting_batch(sys_b, rng, m, lam_scale)
-            worst = min(worst, float(np.min(margin)))
-            n_bad += int(np.count_nonzero(~ok))
-            if first is None and not np.all(ok):
-                i = int(np.flatnonzero(~ok)[0])
-                first = (UL[i].copy(), UR[i].copy(), bx)
-            done += m
-    else:
-        margin, ok, UL, UR = _splitting_batch(system, rng, n_samples, lam_scale)
-        worst = float(np.min(margin))
-        n_bad = int(np.count_nonzero(~ok))
-        if not np.all(ok):
+            batch = IdealMHD(gamma=system.gamma, bx=bx)
+        UL = _sample_states(batch, rng, m)
+        UR = _sample_states(batch, rng, m)
+        states = _splitting_states(batch, UL, UR, lam_scale)
+        margin = batch.domain_margin(states)
+        ok = batch.in_domain(states)
+        worst = min(worst, float(np.min(margin)))
+        n_bad += int(np.count_nonzero(~ok))
+        if first is None and not np.all(ok):
             i = int(np.flatnonzero(~ok)[0])
-            first = (UL[i].copy(), UR[i].copy(), None)
+            first = (UL[i].copy(), UR[i].copy(), bx)
+        done += m
 
     return SplittingReport(system=system.name, n_samples=n_samples,
                            n_violations=n_bad, worst_margin=worst,
                            first_violation=first)
 
 
-def splitting_monotone_in_lambda(system, n_pairs: int, seed: int,
-                                 n_lambdas: int = 10) -> bool:
+def splitting_monotone_in_lambda(system, n_pairs: int, seed: int) -> bool:
     """Once the splitting state enters G at some lambda*, it stays in G for
     every larger sampled lambda (the segment toward the arithmetic mean)."""
     rng = np.random.Generator(np.random.Philox(seed))
     UL = _sample_states(system, rng, n_pairs)
     UR = _sample_states(system, rng, n_pairs)
-    scales = np.linspace(1.0, 20.0, n_lambdas)
+    scales = np.linspace(1.0, 20.0, N_LAMBDAS)
     prev_ok = None
     for s in scales:
         ok = system.in_domain(_splitting_states(system, UL, UR, s))
@@ -292,13 +293,12 @@ class PropertyReport:
                 f"{self.n_failures} failures, worst {self.worst:.6e}")
 
 
-def check_transform_membership(system, n_samples: int, seed: int,
-                               w_range: float = 50.0) -> PropertyReport:
+def check_transform_membership(system, n_samples: int, seed: int) -> PropertyReport:
     """Random finite W must map into G: the decoded density and pressure
-    are strictly positive (zero floors, no tolerance) and the conservative
-    vector is finite."""
+    are strictly positive (no tolerance) and the conservative vector is
+    finite."""
     rng = np.random.Generator(np.random.Philox(seed))
-    W = rng.uniform(-w_range, w_range, (n_samples, system.nvars))
+    W = rng.uniform(-W_RANGE, W_RANGE, (n_samples, system.nvars))
     prim = transform.primitive_from_transformed(system, W)
     U = transform.from_transformed(system, W)
     finite = np.all(np.isfinite(U), axis=-1)
@@ -321,21 +321,11 @@ def sample_states_representable(system, rng, n):
     term's rounding noise alone would exceed any 1e-11 relative claim."""
     if isinstance(system, ScalarLaw):
         return _sample_states(system, rng, n)
-    rho = _log_uniform(rng, 1e-6, 1e3, n)
-    if isinstance(system, Euler):
-        p = _log_uniform(rng, 1e-8, 1e6, n)
-        c = np.sqrt(system.gamma * p / rho)
-        v = rng.uniform(-50.0, 50.0, n) * c
-        return system.from_primitive(np.stack([rho, v, p], axis=-1))
-    # the constant Bx adds Bx^2/2 to E unconditionally, so p below that
-    # times machine epsilon is unrepresentable as well
-    p_lo = max(1e-8, system.bx ** 2 / 2000.0)
-    p = _log_uniform(rng, p_lo, 1e6, n)
-    c = np.sqrt(system.gamma * p / rho)
-    v = rng.uniform(-50.0, 50.0, (n, 3)) * c[:, None]
-    b = rng.uniform(-25.0, 25.0, (n, 2)) * np.sqrt(p)[:, None]
-    prim = np.concatenate([rho[:, None], v, b, p[:, None]], axis=-1)
-    return system.from_primitive(prim)
+    # the constant Bx of MHD adds Bx^2/2 to E unconditionally, so p below
+    # that times machine epsilon is unrepresentable as well
+    p_lo = max(1e-8, getattr(system, "bx", 0.0) ** 2 / 2000.0)
+    return _gas_states(system, rng, n, (1e-6, 1e3), (p_lo, 1e6),
+                       50.0, 25.0, scaled=True)
 
 
 def sample_states_moderate(system, rng, n):
@@ -343,19 +333,11 @@ def sample_states_moderate(system, rng, n):
     near-vacuum states with large energies leave the domain)."""
     if isinstance(system, ScalarLaw):
         return _sample_states(system, rng, n)
-    rho = _log_uniform(rng, 0.1, 10.0, n)
-    p = _log_uniform(rng, 0.1, 10.0, n)
-    if isinstance(system, Euler):
-        v = rng.uniform(-3.0, 3.0, n)
-        return system.from_primitive(np.stack([rho, v, p], axis=-1))
-    v = rng.uniform(-3.0, 3.0, (n, 3))
-    b = rng.uniform(-2.0, 2.0, (n, 2))
-    prim = np.concatenate([rho[:, None], v, b, p[:, None]], axis=-1)
-    return system.from_primitive(prim)
+    return _gas_states(system, rng, n, (0.1, 10.0), (0.1, 10.0), 3.0, 2.0,
+                       scaled=False)
 
 
-def check_jacobian_similarity(system, n_samples: int, seed: int,
-                              tol: float = 1e-5) -> PropertyReport:
+def check_jacobian_similarity(system, n_samples: int, seed: int) -> PropertyReport:
     """Eigenvalues of the transformed Jacobian must match those of the
     finite-difference conservative flux Jacobian (similar matrices)."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -370,15 +352,14 @@ def check_jacobian_similarity(system, n_samples: int, seed: int,
         scale = max(float(np.max(np.abs(e2))), 1e-30)
         err = float(np.max(np.abs(e1 - e2)) / scale)
         worst = max(worst, err)
-        bad += err > tol
+        bad += err > JACOBIAN_TOL
     return PropertyReport(name=f"jacobian-similarity[{system.name}]",
                           n_samples=n_samples, n_failures=bad, worst=worst)
 
 
-def check_transform_roundtrip(system, n_samples: int, seed: int,
-                              tol: float = 1e-11) -> PropertyReport:
-    """Psi^{-1}(Psi(U)) must reproduce U to tol, relative, per primitive
-    component."""
+def check_transform_roundtrip(system, n_samples: int, seed: int) -> PropertyReport:
+    """Psi^{-1}(Psi(U)) must reproduce U to ROUNDTRIP_TOL, relative, per
+    primitive component."""
     rng = np.random.Generator(np.random.Philox(seed))
     U = sample_states_representable(system, rng, n_samples)
     U2 = transform.from_transformed(system, transform.to_transformed(system, U))
@@ -391,35 +372,27 @@ def check_transform_roundtrip(system, n_samples: int, seed: int,
         floor = 1e-3 * (system.u_max - system.u_min)
     rel = np.abs(p2 - p1) / np.maximum(np.abs(p1), floor)
     worst = float(np.max(rel))
-    bad = int(np.count_nonzero(np.any(rel > tol, axis=-1)))
+    bad = int(np.count_nonzero(np.any(rel > ROUNDTRIP_TOL, axis=-1)))
     return PropertyReport(name=f"transform-roundtrip[{system.name}]",
                           n_samples=n_samples, n_failures=bad, worst=worst)
 
 
-def check_limiter_invariants(system, n_samples: int, seed: int,
-                             cad_tol: float = 1e-12) -> PropertyReport:
+def check_limiter_invariants(system, n_samples: int, seed: int) -> PropertyReport:
     """Random limiter invocations: inputs are admissible cell averages and
     endpoint values (the raw midpoint follows from them and may leave G);
-    outputs must keep the 1/6-4/6-1/6 decomposition to cad_tol relative and
-    pass the system's domain predicate (zero floors for gases)."""
+    outputs must keep the 1/6-4/6-1/6 decomposition to CAD_TOL relative and
+    pass the system's domain predicate."""
     rng = np.random.Generator(np.random.Philox(seed))
     avg = _sample_states(system, rng, n_samples)
     left = _sample_states(system, rng, n_samples)
     right = _sample_states(system, rng, n_samples)
     mid = limiters.midpoint_value(avg, left, right)
-    if isinstance(system, ScalarLaw):
-        hl, hm, hr, _ = limiters.scaling_limit_scalar(
-            avg[..., 0], left[..., 0], mid[..., 0], right[..., 0],
-            system.u_min, system.u_max)
-        hl, hm, hr = hl[..., None], hm[..., None], hr[..., None]
-    else:
-        hl, hm, hr, _, _ = limiters.scaling_limit_system(
-            system, avg, left, mid, right)
+    hl, hm, hr, _, _ = limiters.scaling_limit(system, avg, left, mid, right)
     recomposed = (hl + 4.0 * hm + hr) / 6.0
     scale = np.maximum(np.max(np.abs(avg), axis=-1, keepdims=True), 1e-300)
     cad_err = np.max(np.abs(recomposed - avg) / scale, axis=-1)
     ok = (system.in_domain(hl) & system.in_domain(hm) & system.in_domain(hr)
-          & (cad_err <= cad_tol))
+          & (cad_err <= CAD_TOL))
     return PropertyReport(name=f"limiter-cad[{system.name}]",
                           n_samples=n_samples,
                           n_failures=int(np.count_nonzero(~ok)),
@@ -430,14 +403,14 @@ def check_limiter_invariants(system, n_samples: int, seed: int,
 # finite-difference flux Jacobian (independent check of the transforms)
 
 
-def conservative_flux_jacobian_fd(system, U, rel_step: float = 1e-6):
+def conservative_flux_jacobian_fd(system, U):
     """Central-difference dF/dU, one state at a time: (d, d) array."""
     U = np.asarray(U, dtype=float)
     d = U.shape[-1]
     scale = max(float(np.max(np.abs(U))), 1.0)
     J = np.zeros((d, d))
     for k in range(d):
-        h = rel_step * max(abs(float(U[k])), 1e-3 * scale)
+        h = FD_REL_STEP * max(abs(float(U[k])), 1e-3 * scale)
         Up = U.copy()
         Um = U.copy()
         Up[k] += h

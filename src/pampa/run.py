@@ -203,7 +203,7 @@ class DiagnosticsRecorder:
 
 
 def run_to_files(cfg: RunConfig, outdir, svg: bool = False,
-                 snapshot_every: int = 0, on_stage=None) -> dict:
+                 snapshot_every: int = 0) -> dict:
     """Full benchmark run; writes cells/nodes/diagnostics (+ optional SVG,
     and cell snapshots every `snapshot_every` steps when it is positive)."""
     cfg = cfg.validate()
@@ -221,14 +221,9 @@ def run_to_files(cfg: RunConfig, outdir, svg: bool = False,
             snap_dir.mkdir(exist_ok=True)
             write_cells_csv(snap_dir / f"cells_{step:06d}.csv", scheme, fld)
 
-    def stages(t, step, stage, fld, record):
-        diag.on_stage(t, step, stage, fld, record)
-        if on_stage:
-            on_stage(t, step, stage, fld, record)
-
     try:
         field, n_steps, t_end = advance(scheme, field, cfg.t_final, cfg.cfl,
-                                        cfg.integrator, on_stage=stages,
+                                        cfg.integrator, on_stage=diag.on_stage,
                                         on_step=on_step)
     finally:
         diag.close()

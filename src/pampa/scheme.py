@@ -101,15 +101,6 @@ class PampaScheme:
         n = self.grid.n_cells
         return n if self.bc == mesh.PERIODIC else n + 1
 
-    def check_field(self, field: DofField) -> None:
-        n = self.grid.n_cells
-        if field.avgs.shape != (n, self.system.nvars):
-            raise ConfigError(f"avgs must have shape {(n, self.system.nvars)}")
-        if field.points.shape != (self.n_points, self.system.nvars):
-            raise ConfigError(
-                f"points must have shape {(self.n_points, self.system.nvars)}"
-            )
-
     # -- residuals ----------------------------------------------------------
 
     def residual(self, field: DofField, dt: float, record: dict | None = None):
@@ -165,26 +156,14 @@ class PampaScheme:
         else:
             u_m = limiters.midpoint_value(cel_a, u_l, u_r)
 
-        p_mid = None
         if lim.idp:
-            if self.scalar:
-                hat_l, hat_m, hat_r, theta = limiters.scaling_limit_scalar(
-                    cel_a[..., 0], u_l[..., 0], u_m[..., 0], u_r[..., 0],
-                    sys.u_min, sys.u_max,
-                )
-                hat_l = hat_l[..., None]
-                hat_m = hat_m[..., None]
-                hat_r = hat_r[..., None]
-            else:
-                hat_l, hat_m, hat_r, theta, p_mid = limiters.scaling_limit_system(
-                    sys, cel_a, u_l, u_m, u_r, p_avg=p_avg[2 : n + 4],
-                )
+            hat_l, hat_m, hat_r, theta, p_mid = limiters.scaling_limit(
+                sys, cel_a, u_l, u_m, u_r, _rows(p_avg, 2, n + 4))
         else:
             hat_l, hat_m, hat_r = u_l, u_m, u_r
             theta = np.ones(n + 2)
-            if not self.scalar:
-                # guarded: the unlimited midpoint may leave G
-                p_mid = sys.pressure(hat_m)
+            # guarded: the unlimited midpoint may leave G
+            p_mid = None if self.scalar else sys.pressure(hat_m)
 
         # interface fluxes at nodes 0..n from one-sided limited states
         UL = hat_r[0 : n + 1]

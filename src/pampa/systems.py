@@ -1,36 +1,20 @@
 """Equation systems: linear advection, Burgers, compressible Euler, ideal MHD.
 
 Each system provides the algebraic flux, pointwise and pairwise wave-speed
-estimates, the invariant-domain predicate, primitive<->conservative
-converters and the names of its components. States are arrays whose last
-axis holds the d components, so every operation works on a single state or
-a whole field at once.
+estimates, the predicate and margin of its invariant domain G (the interval
+[u_min, u_max] of a scalar law; positive density and pressure for Euler and
+MHD), primitive<->conservative converters and the names of its components.
+States are arrays whose last axis holds the d components, so every
+operation works on a single state or a whole field at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class ScalarBounds:
-    """Invariant interval G = [u_min, u_max] of a scalar law."""
-
-    u_min: float
-    u_max: float
-
-
-@dataclass(frozen=True)
-class PositivityFloors:
-    """Positivity floors for density and pressure (0 = plain positivity)."""
-
-    eps_rho: float = 0.0
-    eps_p: float = 0.0
 
 
 def _finite(U):
@@ -53,9 +37,6 @@ class ScalarLaw:
         self.u_max = float(u_max)
         self.name = name
 
-    def domain_spec(self) -> ScalarBounds:
-        return ScalarBounds(self.u_min, self.u_max)
-
     # p (the pressure that gas systems accept precomputed) is ignored
 
     def flux(self, U, p=None):
@@ -74,18 +55,16 @@ class ScalarLaw:
     def pair_speed(self, UL, UR, pL=None, pR=None):
         return np.maximum(self.max_wave_speed(UL), self.max_wave_speed(UR))
 
-    def in_domain(self, U, spec: ScalarBounds | None = None):
-        spec = spec or self.domain_spec()
+    def in_domain(self, U):
         U = np.asarray(U, dtype=float)
         u = U[..., 0]
         with np.errstate(invalid="ignore"):
-            ok = (u >= spec.u_min) & (u <= spec.u_max)
+            ok = (u >= self.u_min) & (u <= self.u_max)
         return ok & _finite(U)
 
-    def domain_margin(self, U, spec: ScalarBounds | None = None):
-        spec = spec or self.domain_spec()
+    def domain_margin(self, U):
         u = np.asarray(U, dtype=float)[..., 0]
-        return np.minimum(u - spec.u_min, spec.u_max - u)
+        return np.minimum(u - self.u_min, self.u_max - u)
 
     def primitive(self, U):
         return np.asarray(U, dtype=float)
@@ -116,23 +95,18 @@ class _Gas:
     # reflection: only the normal momentum (velocity) flips
     _reflection: np.ndarray
 
-    def domain_spec(self) -> PositivityFloors:
-        return PositivityFloors()
-
-    def in_domain(self, U, spec: PositivityFloors | None = None):
-        spec = spec or PositivityFloors()
+    def in_domain(self, U):
         U = np.asarray(U, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             p = self.pressure(U, check=False)
-            ok = (U[..., 0] > spec.eps_rho) & (p > spec.eps_p)
+            ok = (U[..., 0] > 0.0) & (p > 0.0)
         return ok & _finite(U) & np.isfinite(p)
 
-    def domain_margin(self, U, spec: PositivityFloors | None = None):
-        spec = spec or PositivityFloors()
+    def domain_margin(self, U):
         U = np.asarray(U, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             p = self.pressure(U, check=False)
-        return np.minimum(U[..., 0] - spec.eps_rho, p - spec.eps_p)
+        return np.minimum(U[..., 0], p)
 
     def max_wave_speed(self, U, p=None):
         U = np.asarray(U, dtype=float)

@@ -14,8 +14,6 @@ from collections import deque
 from .errors import ConfigError
 from .scheme import DofField
 
-INTEGRATOR_KINDS = ("forward_euler", "ssp_rk3", "ssp_ms3")
-
 
 def _euler_stage(scheme, field, dt, resid=None, record=None):
     if resid is None:
@@ -113,11 +111,12 @@ class SspMultistep3:
         return out
 
 
+INTEGRATORS = {"forward_euler": ForwardEuler, "ssp_rk3": SspRk3,
+               "ssp_ms3": SspMultistep3}
+
+
 def make_integrator(kind: str):
-    if kind == "forward_euler":
-        return ForwardEuler()
-    if kind == "ssp_rk3":
-        return SspRk3()
-    if kind == "ssp_ms3":
-        return SspMultistep3()
-    raise ConfigError(f"unknown integrator {kind!r}")
+    cls = INTEGRATORS.get(kind)
+    if cls is None:
+        raise ConfigError(f"unknown integrator {kind!r}")
+    return cls()

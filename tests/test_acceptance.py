@@ -24,12 +24,11 @@ def _report(num, name):
     print(f"ACCEPTANCE {num:>2} {name}: PASS", flush=True)
 
 
-def _full_run(name, sweep_spec="default", **overrides):
+def _full_run(name, **overrides):
     cfg = load_config(name).with_overrides(**overrides)
     scheme = run_mod.build_scheme(cfg)
     system = build_system(cfg)
-    spec = None if sweep_spec == "default" else sweep_spec
-    sweep = oracle.DomainSweep(system, spec)
+    sweep = oracle.DomainSweep(system)
     field = run_mod.initial_field(cfg, scheme)
     sweep.check_field(field)
     tot0 = [math.fsum(scheme.grid.cell_sizes * field.avgs[:, k])
@@ -97,9 +96,7 @@ def test_c04_no_constant_cfl_counterexample():
                                     "blast_waves", "leblanc", "mhd_leblanc",
                                     "mhd_shock_tube"])
 def test_c05_positivity_stress(preset):
-    from pampa.systems import PositivityFloors
-
-    run = _full_run(preset, sweep_spec=PositivityFloors(0.0, 0.0))
+    run = _full_run(preset)
     rep = run["sweep"].report
     assert rep.is_empty, rep.summary()
     assert rep.worst_margin > 0.0

@@ -274,3 +274,55 @@ def test_cli_presets_listing(capsys):
 
 def test_cli_rejects_bad_config():
     assert cli.main(["run", "definitely_not_a_preset"]) == 2
+
+
+def _ini_setting(section: str, key: str, raw: str) -> str:
+    """The minimal config with `[section] key = raw`, replacing any value."""
+    sections = dict(_MINIMAL_INI)
+    kept = [ln for ln in sections[section].splitlines()
+            if not ln.startswith(f"{key} =")]
+    sections[section] = "".join(f"{ln}\n" for ln in kept + [f"{key} = {raw}"])
+    return "".join(f"[{name}]\n{body}" for name, body in sections.items())
+
+
+@pytest.mark.parametrize("word,value", [
+    ("1", True), ("yes", True), ("true", True), ("On", True),
+    ("0", False), ("no", False), ("FALSE", False), ("off", False),
+])
+def test_config_boolean_words(word, value):
+    cfg = parse_config_text(_ini_setting("limiter", "idp", word), "ok")
+    assert cfg.idp is value
+
+
+@pytest.mark.parametrize("section,key,raw", [
+    ("limiter", "idp", "ture"), ("grid", "n", "4x"), ("time", "cfl", "fast"),
+])
+def test_config_rejects_unparsable_values(section, key, raw):
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")) as err:
+        parse_config_text(_ini_setting(section, key, raw), "bad")
+    assert repr(raw) in str(err.value)
+
+
+def test_config_rejects_malformed_ini():
+    # a repeated key is a configparser error, not a ValueError
+    with pytest.raises(ConfigError, match="unreadable config"):
+        parse_config_text(_ini_with("grid", "n = 80\n"), "bad")
+
+
+def test_cli_run_reports_unparsable_config(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(_ini_setting("time", "cfl", "fast"))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "[time] cfl" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "sod", "--seed", "1"],
+    ["convergence", "advection_smooth", "--N", "20", "--seed", "1"],
+    ["reference", "sod", "--n", "60", "--seed", "1"],
+    ["verify", "thm43", "--out", "x"],
+])
+def test_cli_rejects_flags_a_subcommand_does_not_read(argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pampa import limiters, oracle, run as run_mod
 from pampa.config import load_config
 from pampa.errors import InvariantViolation
-from pampa.systems import Euler, IdealMHD, advection
+from pampa.systems import Euler, IdealMHD, advection, burgers
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -93,6 +93,30 @@ def test_scaling_system_rejects_bad_average():
     bad = np.array([[1.0, 0.0, -1.0]])
     with pytest.raises(InvariantViolation):
         limiters.scaling_limit_system(sys, bad, bad, bad, bad)
+
+
+@pytest.mark.parametrize("system", [advection(0.0, 1.0), burgers(-1.0, 2.0),
+                                    Euler(1.4), IdealMHD(5.0 / 3.0, 0.75)],
+                         ids=["advection", "burgers", "euler", "mhd"])
+def test_scaling_limit_dispatch(system):
+    # one entry point for every system, equal to the per-kind limiter
+    rng = np.random.Generator(np.random.Philox(5))
+    avg, left, right = (oracle.sample_states_moderate(system, rng, 64)
+                        for _ in range(3))
+    mid = limiters.midpoint_value(avg, left, right)
+    got = limiters.scaling_limit(system, avg, left, mid, right)
+    if system.nvars == 1:
+        want = limiters.scaling_limit_scalar(
+            avg[:, 0], left[:, 0], mid[:, 0], right[:, 0],
+            system.u_min, system.u_max)
+        want = [w[:, None] for w in want[:3]] + [want[3], None]
+        assert got[4] is None
+    else:
+        want = limiters.scaling_limit_system(system, avg, left, mid, right)
+    for g, w in zip(got[:4], want[:4]):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    if want[4] is not None:
+        assert np.array_equal(got[4], want[4])
 
 
 def test_limiter_bulk_invariants():

@@ -4,7 +4,7 @@ import pytest
 from pampa import oracle, run as run_mod
 from pampa.config import build_system, load_config
 from pampa.errors import ConfigError
-from pampa.systems import Euler, burgers
+from pampa.systems import Euler, IdealMHD, ScalarLaw, advection, burgers
 
 
 def test_thm43_eps_01():
@@ -98,3 +98,82 @@ def test_fd_jacobian_matches_analytic_euler_flux():
     J = oracle.conservative_flux_jacobian_fd(sys, U)
     # row 0 of dF/dU is exactly (0, 1, 0)
     assert np.allclose(J[0], [0.0, 1.0, 0.0], atol=1e-9)
+
+
+# The three per-system state samplers as they were written before they
+# shared one gas sampler: the reference for the draws of the merged code.
+
+def _ref_log_uniform(rng, lo, hi, size):
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+
+
+def _ref_sample_states(system, rng, n):
+    if isinstance(system, ScalarLaw):
+        u = rng.uniform(system.u_min, system.u_max, n)
+        return u[:, None]
+    if isinstance(system, Euler):
+        rho = _ref_log_uniform(rng, 1e-6, 1e3, n)
+        p = _ref_log_uniform(rng, 1e-8, 1e6, n)
+        v = rng.uniform(-100.0, 100.0, n)
+        return system.from_primitive(np.stack([rho, v, p], axis=-1))
+    rho = _ref_log_uniform(rng, 1e-6, 1e3, n)
+    p = _ref_log_uniform(rng, 1e-8, 1e6, n)
+    v = rng.uniform(-100.0, 100.0, (n, 3))
+    b = rng.uniform(-100.0, 100.0, (n, 2))
+    prim = np.concatenate([rho[:, None], v, b, p[:, None]], axis=-1)
+    return system.from_primitive(prim)
+
+
+def _ref_sample_states_representable(system, rng, n):
+    if isinstance(system, ScalarLaw):
+        return _ref_sample_states(system, rng, n)
+    rho = _ref_log_uniform(rng, 1e-6, 1e3, n)
+    if isinstance(system, Euler):
+        p = _ref_log_uniform(rng, 1e-8, 1e6, n)
+        c = np.sqrt(system.gamma * p / rho)
+        v = rng.uniform(-50.0, 50.0, n) * c
+        return system.from_primitive(np.stack([rho, v, p], axis=-1))
+    p_lo = max(1e-8, system.bx ** 2 / 2000.0)
+    p = _ref_log_uniform(rng, p_lo, 1e6, n)
+    c = np.sqrt(system.gamma * p / rho)
+    v = rng.uniform(-50.0, 50.0, (n, 3)) * c[:, None]
+    b = rng.uniform(-25.0, 25.0, (n, 2)) * np.sqrt(p)[:, None]
+    prim = np.concatenate([rho[:, None], v, b, p[:, None]], axis=-1)
+    return system.from_primitive(prim)
+
+
+def _ref_sample_states_moderate(system, rng, n):
+    if isinstance(system, ScalarLaw):
+        return _ref_sample_states(system, rng, n)
+    rho = _ref_log_uniform(rng, 0.1, 10.0, n)
+    p = _ref_log_uniform(rng, 0.1, 10.0, n)
+    if isinstance(system, Euler):
+        v = rng.uniform(-3.0, 3.0, n)
+        return system.from_primitive(np.stack([rho, v, p], axis=-1))
+    v = rng.uniform(-3.0, 3.0, (n, 3))
+    b = rng.uniform(-2.0, 2.0, (n, 2))
+    prim = np.concatenate([rho[:, None], v, b, p[:, None]], axis=-1)
+    return system.from_primitive(prim)
+
+
+_SAMPLER_SYSTEMS = [Euler(1.4), IdealMHD(5.0 / 3.0, 0.0), IdealMHD(5.0 / 3.0, 0.75),
+                    IdealMHD(5.0 / 3.0, 3.0), burgers(-1.0, 2.0), advection(0.0, 1.0)]
+
+
+@pytest.mark.parametrize("system", _SAMPLER_SYSTEMS,
+                         ids=["euler", "mhd-bx0", "mhd-bx0.75", "mhd-bx3",
+                              "burgers", "advection"])
+@pytest.mark.parametrize("new,ref", [
+    (oracle._sample_states, _ref_sample_states),
+    (oracle.sample_states_representable, _ref_sample_states_representable),
+    (oracle.sample_states_moderate, _ref_sample_states_moderate),
+], ids=["wide", "representable", "moderate"])
+def test_samplers_match_per_system_reference(system, new, ref):
+    rng_new = np.random.Generator(np.random.Philox(11))
+    rng_ref = np.random.Generator(np.random.Philox(11))
+    got = new(system, rng_new, 257)
+    want = ref(system, rng_ref, 257)
+    assert got.shape == want.shape == (257, system.nvars)
+    assert np.array_equal(got, want)
+    # the generators consumed the same draws
+    assert rng_new.uniform() == rng_ref.uniform()
