@@ -13,6 +13,9 @@ the cell average over (left endpoint, midpoint, right endpoint):
   interval built from neighbouring cell averages and curvature estimates.
 
 The IDP and OE pieces work per cell and are vectorised over leading axes.
+The IDP limiter changes only the cells whose midpoint leaves G, in a run
+almost always a few or none, so it finds those rows first and runs its
+blends on them alone; every other cell costs the row search and a copy.
 The MP limiter is a whole-field kernel: it limits both one-sided values of
 every node at once, so each curvature and each four-argument minmod is
 computed once per side orientation instead of once per node side that
@@ -61,25 +64,30 @@ def midpoint_value(avg, left, right):
 def scaling_limit_scalar(avg, left, mid, right, lo, hi):
     """Blend (left, mid, right) toward avg until mid lies in [lo, hi].
 
-    Returns (left_hat, mid_hat, right_hat, theta). Inactive cells come back
-    unchanged with theta = 1.
+    avg, left, mid and right share one shape (0-d for a single cell); lo
+    and hi are numbers. Returns (left_hat, mid_hat, right_hat, theta) in
+    that shape. Only the cells whose midpoint leaves [lo, hi] are blended;
+    every other cell comes back with its own values and theta = 1.
     """
-    avg, left, mid, right = map(lambda x: np.asarray(x, dtype=float),
-                                (avg, left, mid, right))
-    if np.any(avg < lo) or np.any(avg > hi):
+    avg, left, mid, right = (np.asarray(x, dtype=float)
+                             for x in (avg, left, mid, right))
+    if (avg < lo).any() or (avg > hi).any():
         raise InvariantViolation("cell average outside the invariant interval")
-    below = mid < lo
-    above = mid > hi
-    den_b = np.where(below, avg - mid, 1.0)
-    den_a = np.where(above, mid - avg, 1.0)
-    theta = np.where(below, (avg - lo) / den_b,
-                     np.where(above, (hi - avg) / den_a, 1.0))
-    active = below | above
+    shape = mid.shape
+    hat_l, hat_m, hat_r = left.flatten(), mid.flatten(), right.flatten()
+    theta = np.ones(hat_m.shape)
+    rows = ((hat_m < lo) | (hat_m > hi)).nonzero()[0]
+    a, m = avg.ravel()[rows], hat_m[rows]
+    below = m < lo
+    t = np.where(below, (a - lo) / (a - m), (hi - a) / (m - a))
+    theta[rows] = t
     # land the midpoint exactly on the violated bound
-    mid_hat = np.where(below, lo, np.where(above, hi, mid))
-    left_hat = np.where(active, (1.0 - theta) * avg + theta * left, left)
-    right_hat = np.where(active, (1.0 - theta) * avg + theta * right, right)
-    return left_hat, mid_hat, right_hat, theta
+    hat_m[rows] = np.where(below, lo, hi)
+    base = (1.0 - t) * a
+    hat_l[rows] = base + t * hat_l[rows]
+    hat_r[rows] = base + t * hat_r[rows]
+    return (hat_l.reshape(shape), hat_m.reshape(shape), hat_r.reshape(shape),
+            theta.reshape(shape))
 
 
 def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
@@ -90,59 +98,88 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
     collapsed) if rounding leaves the recomputed midpoint pressure under
     the floor.
 
-    p_avg: the pressures of avg, from a caller that has already checked avg
-    for positive, finite density and pressure; without it avg is checked
-    here. Returns (left_hat, mid_hat, right_hat, theta, p_mid) with p_mid
-    the pressures of the limited midpoints.
+    avg, left, mid, right: (..., d) states of one shape. p_avg: the
+    pressures of avg, from a caller that has already checked avg for
+    positive, finite density and pressure; without it avg is checked here.
+    Returns (left_hat, mid_hat, right_hat, theta, p_mid) with p_mid the
+    pressures of the limited midpoints.
+
+    Each stage works on its own rows only: the density stage on the cells
+    whose midpoint density is under the floor, the pressure stage and its
+    re-halving on the cells whose pressure is then under the floor (with
+    none, p_mid is the pressure already computed for the density stage's
+    states), and the endpoint blends on the cells with theta < 1. Every
+    other cell gets its inputs as a blend with theta = 1 gives them,
+    `0*avg + value`, so the result is the full-array formula's bit for
+    bit, signed zeros included.
     """
     avg = np.asarray(avg, dtype=float)
-    left = np.asarray(left, dtype=float)
-    mid = np.asarray(mid, dtype=float)
-    right = np.asarray(right, dtype=float)
+    lead, d = avg.shape[:-1], avg.shape[-1]
+    avg = avg.reshape(-1, d)
+    mid = np.asarray(mid, dtype=float).reshape(-1, d)
 
-    rho_a = avg[..., 0]
+    rho_a = avg[:, 0]
     if p_avg is None:
-        if np.any(rho_a <= 0) or not np.all(np.isfinite(rho_a)):
+        if (rho_a <= 0).any() or not np.isfinite(rho_a).all():
             raise InvariantViolation("cell average with non-positive density")
         p_a = system.pressure(avg, check=False)
-        if np.any(p_a <= 0) or not np.all(np.isfinite(p_a)):
+        if (p_a <= 0).any() or not np.isfinite(p_a).all():
             raise InvariantViolation("cell average with non-positive pressure")
     else:
-        p_a = p_avg
+        p_a = np.reshape(p_avg, -1)
     e_rho = np.minimum(EPS_RHO, rho_a)
     e_p = np.minimum(EPS_P, p_a)
+    theta = np.ones(len(avg))
+    zero = 0.0 * avg                  # (1 - theta) * avg where theta = 1
 
     # every state below is a convex blend with the checked average whose
     # density is at least the floor, so its pressure needs no guard
-    rho_m = mid[..., 0]
-    low_rho = rho_m < e_rho
-    den = np.where(low_rho, rho_a - rho_m, 1.0)
-    t_rho = np.where(low_rho, (rho_a - e_rho) / den, 1.0)
-    u_star = (1.0 - t_rho)[..., None] * avg + t_rho[..., None] * mid
+    u_star = zero + mid
+    rows = (mid[:, 0] < e_rho).nonzero()[0]
+    if rows.size:
+        a, m = avg.take(rows, 0), mid.take(rows, 0)
+        t = (a[:, 0] - e_rho[rows]) / (a[:, 0] - m[:, 0])
+        theta[rows] = t
+        u_star[rows] = (1.0 - t)[:, None] * a + t[:, None] * m
 
-    p_star = system.pressure(u_star, check=False)
-    low_p = p_star < e_p
-    den = np.where(low_p, p_a - p_star, 1.0)
-    t_p = np.where(low_p, (p_a - e_p) / den, 1.0)
+    # where t_p = 1 the midpoint is u_star bit for bit and p_mid is p_star
+    mid_hat = u_star
+    p_mid = system.pressure(u_star, check=False)
+    rows = (p_mid < e_p).nonzero()[0]
+    if rows.size:
+        a, us = avg.take(rows, 0), u_star.take(rows, 0)
+        pa, e = p_a[rows], e_p[rows]
+        t = (pa - e) / (pa - p_mid[rows])
 
-    def blend(t):
-        return (1.0 - t)[..., None] * avg + t[..., None] * u_star
+        def blend(t):
+            return (1.0 - t)[:, None] * a + t[:, None] * us
 
-    mid_hat = blend(t_p)
-    p_mid = system.pressure(mid_hat, check=False)
-    for attempt in range(4):
-        bad = p_mid < e_p
-        if not np.any(bad):
-            break
-        t_p = np.where(bad, 0.5 * t_p if attempt < 3 else 0.0, t_p)
-        mid_hat = blend(t_p)
-        p_mid = system.pressure(mid_hat, check=False)
+        m = blend(t)
+        pm = system.pressure(m, check=False)
+        for attempt in range(4):
+            bad = pm < e
+            if not bad.any():
+                break
+            t = np.where(bad, 0.5 * t if attempt < 3 else 0.0, t)
+            m = blend(t)
+            pm = system.pressure(m, check=False)
+        mid_hat[rows] = m
+        p_mid[rows] = pm
+        theta[rows] *= t
 
-    theta = t_rho * t_p
-    th = theta[..., None]
-    left_hat = (1.0 - th) * avg + th * left
-    right_hat = (1.0 - th) * avg + th * right
-    return left_hat, mid_hat, right_hat, theta, p_mid
+    left = np.asarray(left, dtype=float).reshape(-1, d)
+    right = np.asarray(right, dtype=float).reshape(-1, d)
+    hat_l, hat_r = zero + left, zero + right
+    # theta <= 1, so these are the rows with theta < 1 (and a nan theta)
+    rows = (theta != 1.0).nonzero()[0]
+    if rows.size:
+        th = theta[rows][:, None]
+        base = (1.0 - th) * avg.take(rows, 0)
+        hat_l[rows] = base + th * left.take(rows, 0)
+        hat_r[rows] = base + th * right.take(rows, 0)
+    shape = lead + (d,)
+    return (hat_l.reshape(shape), mid_hat.reshape(shape), hat_r.reshape(shape),
+            theta.reshape(lead), p_mid.reshape(lead))
 
 
 def scaling_limit(system, avg, left, mid, right, p_avg=None):

@@ -80,14 +80,27 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
 
     A DomainError raised inside a step (a state that is not finite or has
     left G) is raised again with the step number, counted from 1 as in
-    the diagnostics, and the time at which that step began."""
+    the diagnostics, the stage whose residual found it, counted from 0 as
+    in `on_stage`, and the time at which that step began. Each residual
+    checks its input, so the final field, which no residual reads, gets
+    the same checks after the last step; a failure there names the last
+    step and the stage that produced the field."""
     integ = make_integrator(integrator)
-    t = 0.0
+    t = t_step = 0.0
     step = 0
     eps_t = 1e-12 * max(1.0, abs(t_final))
     dt_frozen = None
+    stages_done = 0  # in the current step
+
+    def staged(t_stage, k, stage, out, record):
+        nonlocal stages_done
+        stages_done = stage + 1
+        if on_stage:
+            on_stage(t_stage, k, stage, out, record)
+
     while t < t_final - eps_t:
         remaining = t_final - t
+        stages_done = 0
         try:
             cfl_dt = scheme.max_dt(field, cfl) * integ.dt_scale
             if integ.multistep and math.isfinite(cfl_dt):
@@ -100,13 +113,21 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
             q = remaining / plan
             m = int(q) if q - int(q) < 1e-9 else int(q) + 1
             dt = remaining / max(m, 1)
-            field = integ.step(scheme, field, dt, t=t, step=step, on_stage=on_stage)
+            field = integ.step(scheme, field, dt, t=t, step=step, on_stage=staged)
         except DomainError as err:
-            raise DomainError(f"step {step + 1} (t = {t!r}): {err}") from err
+            raise DomainError(
+                f"step {step + 1} stage {stages_done} (t = {t!r}): {err}") from err
+        t_step = t
         t += dt
         step += 1
         if on_step:
             on_step(t, step, dt, field)
+    if step:
+        try:
+            scheme.guard(field)
+        except DomainError as err:
+            raise DomainError(f"step {step} stage {stages_done - 1} "
+                              f"(t = {t_step!r}): final field: {err}") from err
     return field, step, t
 
 

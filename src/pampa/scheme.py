@@ -95,6 +95,8 @@ class PampaScheme:
         self.bc = bc
         self.limiter = limiter or LimiterConfig()
         self.scalar = isinstance(system, ScalarLaw)
+        # cell sizes of cells -3..n+2: the grid and the BC never change
+        self._dxx = mesh.extend_cell_sizes(grid, bc)
 
     @property
     def n_points(self) -> int:
@@ -103,34 +105,47 @@ class PampaScheme:
 
     # -- residuals ----------------------------------------------------------
 
-    def residual(self, field: DofField, dt: float, record: dict | None = None):
-        """Semi-discrete rates (d avgs/dt, d points/dt) for one stage.
-
-        The extended averages and nodes are checked once per stage here:
-        finite and, for systems, with positive density and pressure;
-        otherwise DomainError names the first bad cell or node. Every later
-        state of the stage is one of these or a convex blend of them, so its
-        pressure is computed once, unguarded, and handed to each consumer.
-        """
+    def _decode_checked(self, A, Wx, ga: int, gp: int):
+        """Decode the points Wx and check them and the averages A, whose
+        interior rows start at ga and gp: finite and, for systems, with
+        positive density and pressure; otherwise DomainError names the
+        first bad cell or node. Returns (Ux, p_node, p_avg), the pressures
+        None for scalar laws."""
         sys = self.system
-        lim = self.limiter
-        n = self.grid.n_cells
-        A = mesh.extend_averages(field.avgs, self.bc, sys)       # cells -3..n+2
-        Wx = mesh.extend_points(field.points, self.bc, sys)      # nodes -2..n+2
-        dxx = mesh.extend_cell_sizes(self.grid, self.bc)
+        n, m = self.grid.n_cells, self.n_points
         Ux, p_node = transform.from_transformed(sys, Wx, with_pressure=True)
-
-        ga, gp, m = mesh.AVG_GHOST, mesh.PT_GHOST, self.n_points
         _guard("point", Ux, Wx, False, gp, m)
         if self.scalar:
             _guard("average", A, A, False, ga, n)
-            p_avg = None
-        else:
-            _guard("average", A, A[:, 0], True, ga, n)
-            p_avg = sys.pressure(A, check=False)
-            _guard("average", A, p_avg, True, ga, n)
-            _guard("point", Ux, Ux[:, 0], True, gp, m)
-            _guard("point", Ux, p_node, True, gp, m)
+            return Ux, p_node, None
+        _guard("average", A, A[:, 0], True, ga, n)
+        p_avg = sys.pressure(A, check=False)
+        _guard("average", A, p_avg, True, ga, n)
+        _guard("point", Ux, Ux[:, 0], True, gp, m)
+        _guard("point", Ux, p_node, True, gp, m)
+        return Ux, p_node, p_avg
+
+    def guard(self, field: DofField) -> None:
+        """The checks `residual` makes of its input, on `field` itself: a
+        field that passes is one the next stage accepts."""
+        self._decode_checked(field.avgs, field.points, 0, 0)
+
+    def residual(self, field: DofField, dt: float, record: dict | None = None):
+        """Semi-discrete rates (d avgs/dt, d points/dt) for one stage.
+
+        The extended averages and nodes are checked once per stage here
+        (see `_decode_checked`). Every later state of the stage is one of
+        these or a convex blend of them, so its pressure is computed once,
+        unguarded, and handed to each consumer.
+        """
+        sys = self.system
+        lim = self.limiter
+        n, m = self.grid.n_cells, self.n_points
+        A = mesh.extend_averages(field.avgs, self.bc, sys)       # cells -3..n+2
+        Wx = mesh.extend_points(field.points, self.bc, sys)      # nodes -2..n+2
+        dxx = self._dxx
+        Ux, p_node, p_avg = self._decode_checked(A, Wx, mesh.AVG_GHOST,
+                                                 mesh.PT_GHOST)
 
         # limited triples (left, mid, right) for cells -1..n (index c+1)
         cel_a = A[2 : n + 4]                                     # cells -1..n
@@ -229,23 +244,29 @@ class PampaScheme:
 
     def max_dt(self, field: DofField, cfl: float) -> float:
         """CFL time step: cfl * min_j dx_j / lambda_j with lambda_j the
-        largest wave speed over the cell average and its endpoint states."""
+        largest wave speed over the cell average and its endpoint states.
+
+        Cells with lambda_j = 0 (dx/0 = inf) or a nan speed are skipped;
+        with none left the step is unbounded (inf). Periodic points hold
+        nodes 0..n-1, so node 0 is appended as node n before the decode and
+        node speeds j and j+1 bound cell j for every boundary condition.
+        """
         if not 0.0 < cfl <= IDP_CFL_LIMIT + 1e-15:
             raise ConfigError(
                 f"cfl must lie in (0, 1/6] for the IDP guarantee, got {cfl}"
             )
         sys = self.system
-        u_nodes, p_nodes = transform.from_transformed(sys, field.points,
+        points = field.points
+        if self.bc == mesh.PERIODIC:
+            points = np.concatenate([points, points[:1]])
+        u_nodes, p_nodes = transform.from_transformed(sys, points,
                                                       with_pressure=True)
         s_node = sys.max_wave_speed(u_nodes, p_nodes)
-        s_right = np.roll(s_node, -1) if self.bc == mesh.PERIODIC else s_node[1:]
-        s_left = s_node if self.bc == mesh.PERIODIC else s_node[:-1]
         lam = np.maximum(sys.max_wave_speed(field.avgs),
-                         np.maximum(s_left, s_right))
+                         np.maximum(s_node[:-1], s_node[1:]))
         with np.errstate(divide="ignore"):
-            ratios = np.where(lam > 0, self.grid.cell_sizes / np.where(lam > 0, lam, 1.0),
-                              np.inf)
-        dt = cfl * float(np.min(ratios))
+            ratios = self.grid.cell_sizes / lam
+        dt = cfl * float(np.fmin.reduce(ratios))  # fmin skips nan
         return dt if math.isfinite(dt) else math.inf
 
     # -- boundary fix-ups ----------------------------------------------------

@@ -81,7 +81,7 @@ def primitive_from_transformed(system, W):
     W = np.asarray(W, dtype=float)
     if isinstance(system, ScalarLaw):
         span = system.u_max - system.u_min
-        return span * np.clip(W, 0.0, 1.0) + system.u_min
+        return span * np.minimum(np.maximum(W, 0.0), 1.0) + system.u_min
     prim = W.copy()
     rho = softplus(W[..., 0])
     prim[..., 0] = rho

@@ -119,6 +119,214 @@ def test_scaling_limit_dispatch(system):
         assert np.array_equal(got[4], want[4])
 
 
+# The full-array limiters as they were before the row-subset form: every
+# formula evaluated on every cell. The row-subset limiters must return the
+# same bits, signed zeros included. `log` (added) counts the cells of each
+# stage and the cells re-halved per attempt.
+
+
+def _scaling_limit_scalar_full(avg, left, mid, right, lo, hi):
+    avg, left, mid, right = map(lambda x: np.asarray(x, dtype=float),
+                                (avg, left, mid, right))
+    if np.any(avg < lo) or np.any(avg > hi):
+        raise InvariantViolation("cell average outside the invariant interval")
+    below = mid < lo
+    above = mid > hi
+    den_b = np.where(below, avg - mid, 1.0)
+    den_a = np.where(above, mid - avg, 1.0)
+    theta = np.where(below, (avg - lo) / den_b,
+                     np.where(above, (hi - avg) / den_a, 1.0))
+    active = below | above
+    mid_hat = np.where(below, lo, np.where(above, hi, mid))
+    left_hat = np.where(active, (1.0 - theta) * avg + theta * left, left)
+    right_hat = np.where(active, (1.0 - theta) * avg + theta * right, right)
+    return left_hat, mid_hat, right_hat, theta
+
+
+def _scaling_limit_system_full(system, avg, left, mid, right, p_avg=None,
+                               log=None):
+    avg = np.asarray(avg, dtype=float)
+    left = np.asarray(left, dtype=float)
+    mid = np.asarray(mid, dtype=float)
+    right = np.asarray(right, dtype=float)
+
+    rho_a = avg[..., 0]
+    if p_avg is None:
+        if np.any(rho_a <= 0) or not np.all(np.isfinite(rho_a)):
+            raise InvariantViolation("cell average with non-positive density")
+        p_a = system.pressure(avg, check=False)
+        if np.any(p_a <= 0) or not np.all(np.isfinite(p_a)):
+            raise InvariantViolation("cell average with non-positive pressure")
+    else:
+        p_a = p_avg
+    e_rho = np.minimum(limiters.EPS_RHO, rho_a)
+    e_p = np.minimum(limiters.EPS_P, p_a)
+
+    rho_m = mid[..., 0]
+    low_rho = rho_m < e_rho
+    den = np.where(low_rho, rho_a - rho_m, 1.0)
+    t_rho = np.where(low_rho, (rho_a - e_rho) / den, 1.0)
+    u_star = (1.0 - t_rho)[..., None] * avg + t_rho[..., None] * mid
+
+    p_star = system.pressure(u_star, check=False)
+    low_p = p_star < e_p
+    den = np.where(low_p, p_a - p_star, 1.0)
+    t_p = np.where(low_p, (p_a - e_p) / den, 1.0)
+
+    def blend(t):
+        return (1.0 - t)[..., None] * avg + t[..., None] * u_star
+
+    mid_hat = blend(t_p)
+    p_mid = system.pressure(mid_hat, check=False)
+    halved = []
+    for attempt in range(4):
+        bad = p_mid < e_p
+        if not np.any(bad):
+            break
+        halved.append(int(np.count_nonzero(bad)))
+        t_p = np.where(bad, 0.5 * t_p if attempt < 3 else 0.0, t_p)
+        mid_hat = blend(t_p)
+        p_mid = system.pressure(mid_hat, check=False)
+    if log is not None:
+        log.update(low_rho=int(np.count_nonzero(low_rho)),
+                   low_p=int(np.count_nonzero(low_p)), halved=halved)
+
+    theta = t_rho * t_p
+    th = theta[..., None]
+    left_hat = (1.0 - th) * avg + th * left
+    right_hat = (1.0 - th) * avg + th * right
+    return left_hat, mid_hat, right_hat, theta, p_mid
+
+
+def _scalar_inputs(system, rng, n, active):
+    """Averages, endpoints and midpoints of n cells in G whose midpoints
+    leave G (below or above at random) on the rows `active` only. Inactive
+    rows include midpoints on either bound, a nan midpoint and endpoints of
+    -0.0 where the bound allows them."""
+    lo, hi = system.u_min, system.u_max
+    avg, left, right = (rng.uniform(lo, hi, n) for _ in range(3))
+    mid = avg.copy()
+    quiet = np.setdiff1d(np.arange(n), active)
+    if lo <= 0.0 <= hi:
+        left[quiet[::3]] = right[quiet[1::3]] = -0.0
+    for row, value in zip(quiet[::5], (lo, hi, np.nan)):
+        mid[row] = value
+    out = rng.uniform(1e-3, 2.0, len(active)) * (hi - lo)
+    mid[active] = np.where(rng.random(len(active)) < 0.5, lo - out, hi + out)
+    return avg, left, mid, right
+
+
+@pytest.mark.parametrize("system", [advection(0.0, 1.0), burgers(-1.0, 2.0)],
+                         ids=["advection", "burgers"])
+@pytest.mark.parametrize("n_active", [0, 1, 5, 40])
+def test_scaling_scalar_matches_full_array_formula(system, n_active, rng):
+    n = 40
+    active = np.sort(rng.choice(n, n_active, replace=False))
+    avg, left, mid, right = _scalar_inputs(system, rng, n, active)
+    lo, hi = system.u_min, system.u_max
+    got = limiters.scaling_limit_scalar(avg, left, mid, right, lo, hi)
+    want = _scaling_limit_scalar_full(avg, left, mid, right, lo, hi)
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w)
+    assert np.array_equal(np.flatnonzero(got[3] < 1.0), active)
+    # 0-d inputs, one cell at a time, as plain floats
+    for j in range(n):
+        cell = [float(x[j]) for x in (avg, left, mid, right)]
+        got = limiters.scaling_limit_scalar(*cell, lo, hi)
+        want = _scaling_limit_scalar_full(*cell, lo, hi)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+
+
+def _gas_inputs(system, rng, n, active, kind):
+    """Averages, endpoints and midpoints of n cells whose midpoints leave
+    G on the rows `active` only: by density alone (states at rest, so the
+    density-limited state keeps the average's pressure), by pressure alone
+    (the average's density, energy cut by twice its internal energy), or
+    both (`mixed`: the parabola midpoint of random endpoints, as in a run;
+    the active rows there are whatever the data gives)."""
+    if kind == "density":
+        prim = system.primitive(oracle.sample_states_moderate(system, rng, n))
+        prim[:, 1 : 4 if system.nvars > 3 else 2] = 0.0    # velocities
+        avg = system.from_primitive(prim)
+        left, right = avg.copy(), avg.copy()
+        mid = avg.copy()
+        # -0.0 momenta against +0.0 averages: a blend with theta = 1 turns
+        # them into +0.0
+        left[::2, 1] = right[1::2, 1] = mid[::3, 1] = -0.0
+        mid[active, 0] = -rng.uniform(0.0, 1.0, len(active)) * avg[active, 0]
+        return avg, left, mid, right
+    avg, left, right = (oracle.sample_states_moderate(system, rng, n)
+                        for _ in range(3))
+    if kind == "pressure":
+        mid = avg.copy()
+        internal = system.pressure(avg) / (system.gamma - 1.0)
+        mid[active, -1] -= 2.0 * internal[active]
+        return avg, left, mid, right
+    left, right = (oracle.sample_states_representable(system, rng, n)
+                   for _ in range(2))
+    return avg, left, limiters.midpoint_value(avg, left, right), right
+
+
+@pytest.mark.parametrize("system", [Euler(1.4), IdealMHD(5.0 / 3.0, 0.75)],
+                         ids=["euler", "mhd"])
+@pytest.mark.parametrize("kind,n_active", [
+    ("density", 0), ("density", 1), ("density", 5), ("density", 64),
+    ("pressure", 1), ("pressure", 5), ("pressure", 64), ("mixed", None)])
+def test_scaling_system_matches_full_array_formula(system, kind, n_active, rng):
+    n = 64
+    active = np.sort(rng.choice(n, n_active or 0, replace=False))
+    avg, left, mid, right = _gas_inputs(system, rng, n, active, kind)
+    log = {}
+    want = _scaling_limit_system_full(system, avg, left, mid, right, log=log)
+    if kind == "density":
+        assert (log["low_rho"], log["low_p"]) == (n_active, 0)
+    elif kind == "pressure":
+        assert (log["low_rho"], log["low_p"]) == (0, n_active)
+    else:
+        assert log["low_rho"] > 0 and log["low_p"] > 0
+    p_avg = system.pressure(avg)
+    for p in (None, p_avg):
+        got = limiters.scaling_limit_system(system, avg, left, mid, right, p)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+    if kind != "mixed":
+        assert np.array_equal(np.flatnonzero(want[3] < 1.0), active)
+    # single states and two leading axes
+    for j in range(0, n, 7):
+        got = limiters.scaling_limit_system(system, avg[j], left[j], mid[j],
+                                            right[j])
+        want_j = _scaling_limit_system_full(system, avg[j], left[j], mid[j],
+                                            right[j])
+        for g, w in zip(got, want_j):
+            _assert_same_bits(g, w)
+    shape = (4, 16, system.nvars)
+    got = limiters.scaling_limit_system(
+        system, *(x.reshape(shape) for x in (avg, left, mid, right)))
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w.reshape(g.shape))
+
+
+@pytest.mark.parametrize("system", [Euler(1.4), IdealMHD(5.0 / 3.0, 0.75)],
+                         ids=["euler", "mhd"])
+def test_scaling_system_rehalving_matches_full_array_formula(system, rng):
+    # averages just above the pressure floor carry kinetic energies whose
+    # rounding noise is of the size of the gap to the floor, so the limited
+    # midpoints land under the floor again and again
+    n = 4000
+    avg, left, mid, right = _gas_inputs(system, rng, n, np.arange(0, n, 2),
+                                        "pressure")
+    near = slice(0, 400)
+    p_near = rng.uniform(1.0e-13, 1.02e-13, 400)
+    avg[near, -1] += (p_near - system.pressure(avg[near])) / (system.gamma - 1.0)
+    log = {}
+    want = _scaling_limit_system_full(system, avg, left, mid, right, log=log)
+    assert len(log["halved"]) >= 2, log
+    got = limiters.scaling_limit_system(system, avg, left, mid, right)
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w)
+
+
 def test_limiter_bulk_invariants():
     for sys, seed in [(advection(0.0, 1.0), 11), (Euler(1.4), 12)]:
         rep = oracle.check_limiter_invariants(sys, 20_000, seed)

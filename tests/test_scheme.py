@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pampa import mesh, run as run_mod, transform
+from pampa import mesh, oracle, run as run_mod, transform
 from pampa.config import build_system, load_config
 from pampa.errors import ConfigError, DomainError
 from pampa.presets import IC_REGISTRY
 from pampa.scheme import DofField, LimiterConfig, PampaScheme, llf_flux
-from pampa.systems import Euler, advection, burgers
+from pampa.systems import Euler, IdealMHD, advection, burgers
 from pampa.timeint import make_integrator
 
 
@@ -187,6 +187,67 @@ def test_compute_dt():
     assert math.isinf(s0.max_dt(f0, 0.1))
 
 
+def _max_dt_roll(scheme, field, cfl):
+    """max_dt as it was written before: node speeds paired by np.roll for
+    periodic grids, zero and nan speeds masked by a double np.where."""
+    sys = scheme.system
+    u_nodes, p_nodes = transform.from_transformed(sys, field.points,
+                                                  with_pressure=True)
+    s_node = sys.max_wave_speed(u_nodes, p_nodes)
+    periodic = scheme.bc == mesh.PERIODIC
+    s_right = np.roll(s_node, -1) if periodic else s_node[1:]
+    s_left = s_node if periodic else s_node[:-1]
+    lam = np.maximum(sys.max_wave_speed(field.avgs),
+                     np.maximum(s_left, s_right))
+    with np.errstate(divide="ignore"):
+        ratios = np.where(lam > 0, scheme.grid.cell_sizes
+                          / np.where(lam > 0, lam, 1.0), np.inf)
+    dt = cfl * float(np.min(ratios))
+    return dt if math.isfinite(dt) else math.inf
+
+
+_DT_SYSTEMS = {"advection": advection(0.0, 1.0), "burgers": burgers(-1.0, 2.0),
+               "euler": Euler(1.4), "mhd": IdealMHD(5.0 / 3.0, 0.75)}
+
+
+@pytest.mark.parametrize("name,bc", [
+    (name, bc) for name in _DT_SYSTEMS for bc in mesh.BC_KINDS
+    if bc != mesh.REFLECTIVE or name in ("euler", "mhd")])
+def test_max_dt_matches_roll_formula(name, bc, rng):
+    system = _DT_SYSTEMS[name]
+    for n in (3, 17, 200):
+        nodes = np.cumsum(rng.uniform(0.2, 1.0, n + 1))
+        scheme = PampaScheme(system, mesh.grid_from_nodes(nodes), bc)
+        avgs = oracle.sample_states_representable(system, rng, n)
+        points = rng.normal(scale=2.0, size=(scheme.n_points, system.nvars))
+        field = DofField(avgs, points)
+        want = _max_dt_roll(scheme, field, 0.1)
+        assert 0.0 < want < math.inf
+        assert scheme.max_dt(field, 0.1) == want
+        # a node whose speed is nan is skipped as before
+        points[n // 2] = np.nan
+        assert scheme.max_dt(field, 0.1) == _max_dt_roll(scheme, field, 0.1)
+
+
+@pytest.mark.parametrize("bc", [mesh.PERIODIC, mesh.OUTFLOW])
+def test_max_dt_zero_and_nan_speeds(bc):
+    # a resting Burgers state has no wave speed: the step is unbounded
+    scheme = PampaScheme(burgers(-1.0, 1.0), mesh.uniform_grid(0.0, 1.0, 8), bc)
+    zero = transform.to_transformed(scheme.system, np.zeros((scheme.n_points, 1)))
+    field = DofField(np.zeros((8, 1)), zero)
+    assert scheme.max_dt(field, 0.1) == _max_dt_roll(scheme, field, 0.1) == math.inf
+    # one moving cell bounds the step; a nan node next to it is skipped
+    field.avgs[3] = 0.5
+    field.points[5] = np.nan
+    want = _max_dt_roll(scheme, field, 0.1)
+    assert want == pytest.approx(0.1 * 0.125 / 0.5, rel=1e-15)
+    assert scheme.max_dt(field, 0.1) == want
+    # nan speeds everywhere: nothing bounds the step
+    field.avgs[:] = np.nan
+    field.points[:] = np.nan
+    assert scheme.max_dt(field, 0.1) == _max_dt_roll(scheme, field, 0.1) == math.inf
+
+
 def test_final_step_clamp():
     scheme = _scalar_scheme(n=16)
     f = _field_from_function(scheme, lambda x: np.full_like(x, 1.0))
@@ -270,14 +331,62 @@ def test_reflective_run_keeps_mirror_symmetry():
 
 @pytest.mark.parametrize("preset,n", [("jiang_shu", 100), ("sod", 200)])
 def test_nonfinite_point_fails_loudly(preset, n):
-    # a nan planted in one point value must stop the run at the first step,
-    # naming the node, for scalar laws as for systems
+    # a nan planted in one point value must stop the run at the first
+    # stage of the first step, naming the node, for scalar laws as for
+    # systems
     cfg = load_config(preset).with_overrides(n=n)
     scheme = run_mod.build_scheme(cfg)
     field = run_mod.initial_field(cfg, scheme)
     field.points[10] = np.nan
-    with pytest.raises(DomainError, match=r"^step 1 \(t = 0\.0\): point 10 "):
+    with pytest.raises(DomainError, match=r"^step 1 stage 0 \(t = 0\.0\): point 10 "):
         run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator)
+
+
+def _planted_run(integrator, plant_at=None):
+    """sod at n=50 to a tenth of its end time. The rates of residual call
+    `plant_at` (counted from 0) get a nan at node 10. Returns the (step,
+    stage) pairs passed to on_stage, the result of `advance` and the
+    number of residual calls."""
+    cfg = load_config("sod").with_overrides(n=50, integrator=integrator)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    inner = scheme.residual
+    calls = []
+
+    def residual(*args, **kwargs):
+        da, dp = inner(*args, **kwargs)
+        if len(calls) == plant_at:
+            dp = dp.copy()
+            dp[10] = np.nan
+        calls.append(None)
+        return da, dp
+
+    scheme.residual = residual
+    stages = []
+    out = run_mod.advance(scheme, field, 0.1 * cfg.t_final, cfg.cfl, integrator,
+                          on_stage=lambda t, k, s, f, rec: stages.append((k, s)))
+    return stages, out, len(calls)
+
+
+@pytest.mark.parametrize("integrator", ["ssp_rk3", "ssp_ms3"])
+def test_nan_in_last_stage_fails_loudly(integrator):
+    # the last stage's output is the returned field, which no residual
+    # reads: advance must check it, naming the last step and the stage
+    # that produced it
+    stages, (_, steps, _), calls = _planted_run(integrator)
+    last_step, last_stage = stages[-1]
+    assert last_step + 1 == steps > 3
+    assert last_stage == (2 if integrator == "ssp_rk3" else 0)
+    with pytest.raises(DomainError, match=rf"^step {steps} stage {last_stage} "
+                       r"\(t = [^)]+\): final field: point 10 needs finite"):
+        _planted_run(integrator, plant_at=calls - 1)
+
+
+def test_nan_in_a_stage_names_the_next_stage():
+    # rates of stage 0 of step 2 poisoned: the residual of stage 1 finds it
+    with pytest.raises(DomainError, match=r"^step 2 stage 1 \(t = [^)]+\): "
+                       r"point 10 needs finite"):
+        _planted_run("ssp_rk3", plant_at=3)
 
 
 def test_bad_average_fails_loudly():
@@ -292,8 +401,9 @@ def test_bad_average_fails_loudly():
 @pytest.mark.parametrize("preset", ["mhd_shock_tube", "double_rarefaction"])
 def test_pressure_calls_per_residual(preset, monkeypatch):
     # one pressure per distinct state array of a stage: the extended
-    # averages, the density-limited and limited midpoints and the two
-    # one-sided interface states (node pressures come from the decode)
+    # averages, the density-limited midpoints, the two one-sided interface
+    # states (node pressures come from the decode) and the pressure-limited
+    # midpoints, which this state, with no limited cell, does not have
     cfg = load_config(preset).with_overrides(n=200)
     scheme = run_mod.build_scheme(cfg)
     field = run_mod.initial_field(cfg, scheme)
@@ -308,8 +418,10 @@ def test_pressure_calls_per_residual(preset, monkeypatch):
         return pressure(*args, **kwargs)
 
     monkeypatch.setattr(scheme.system, "pressure", counted)
-    scheme.residual(field, dt, {})
-    assert 0 < len(calls) <= 6, calls
+    record = {}
+    scheme.residual(field, dt, record)
+    assert record["idp_active"] == 0
+    assert len(calls) == 4, calls
 
 
 STAGE_RECORD_KEYS = {"theta", "mid_hat", "idp_active", "theta_oe", "oe_active",
