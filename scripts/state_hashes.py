@@ -21,6 +21,11 @@ transform membership and round trip, limiter invariants and, for the
 gases, Jacobian similarity), and one hash of the three state samplers'
 draws at a fixed seed, including each generator's next draw.
 
+For a fixed list of bad settings and of fields with one planted bad entry
+it prints the first error as `phase: class: message`, the phase being
+`validate` (`with_overrides`), `build` (`build_scheme` and
+`initial_field`) or `advance`; `no error` if there is none.
+
 A refactor that claims byte-identical outputs is checked by diffing this
 output between two checkouts.
 """
@@ -28,13 +33,43 @@ output between two checkouts.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 CSV_RUNS = ("double_rarefaction", "blast_waves", "jiang_shu")
 CSV_FILES = ("cells.csv", "nodes.csv", "diagnostics.csv")
 SVG_RUN = "double_rarefaction"
+
+# (preset, overrides) that no run accepts
+BAD_SETTINGS = (
+    ("sod", {"system": "plasma"}),
+    ("euler_smooth", {"system": "advection"}),
+    ("advection_smooth", {"u_min": 2.0, "u_max": 1.0}),
+    ("sod", {"bc": "wall"}),
+    ("advection_smooth", {"bc": "reflective"}),
+    ("sod", {"n": 2}),
+    ("sod", {"a": 5.0}),
+    ("sod", {"integrator": "rk4"}),
+    ("sod", {"oscillation": "weird"}),
+    ("sod", {"cfl": 0.2}),
+    ("sod", {"ic": "no_such_ic"}),
+    ("sod", {"t_final": -1.0}),
+    ("sedov", {"n": 60}),
+)
+# (preset, overrides, array, row, column, value): one planted entry
+BAD_FIELDS = (
+    ("advection_smooth", {"n": 40}, "avgs", 7, 0, 2.5),
+    ("advection_smooth", {"n": 40, "idp": False}, "avgs", 7, 0, 2.5),
+    ("advection_smooth", {"n": 40}, "points", 10, 0, math.nan),
+    ("burgers_steepening", {"n": 40}, "avgs", 3, 0, -2.0),
+    ("sod", {"n": 50}, "avgs", 7, 0, -1.0),
+    ("sod", {"n": 50}, "avgs", 7, 2, -1.0),
+    ("sod", {"n": 50}, "points", 10, 0, math.nan),
+    ("mhd_shock_tube", {"n": 50, "t_final": 0.01}, "avgs", 7, 6, -1.0),
+)
 
 
 def _digest(*arrays) -> str:
@@ -79,6 +114,48 @@ def _oracle_hashes(out):
     out["oracle/samplers"] = _digest(*draws)
 
 
+def _first_error(phases) -> str:
+    for phase, fn in phases:
+        try:
+            fn()
+        except Exception as exc:  # any class, so that a change shows
+            return f"{phase}: {type(exc).__name__}: {exc}"
+    return "no error"
+
+
+def _error_lines(out):
+    from pampa import run as run_mod
+    from pampa.config import load_config
+
+    def build_and_advance(cfg, plant=None):
+        built = {}
+
+        def build():
+            built["scheme"] = run_mod.build_scheme(cfg)
+            built["field"] = run_mod.initial_field(cfg, built["scheme"])
+
+        def advance():
+            field = built["field"]
+            if plant is not None:
+                array, row, col, value = plant
+                getattr(field, array)[row, col] = value
+            run_mod.advance(built["scheme"], field, cfg.t_final, cfg.cfl,
+                            cfg.integrator)
+
+        return [("build", build), ("advance", advance)]
+
+    for preset, kw in BAD_SETTINGS:
+        base = load_config(preset)
+        bad = replace(base, **kw)
+        out[f"error/{preset} {kw}"] = _first_error(
+            [("validate", lambda: base.with_overrides(**kw)),
+             *build_and_advance(bad)])
+    for preset, kw, *plant in BAD_FIELDS:
+        cfg = load_config(preset).with_overrides(**kw)
+        out[f"error/{preset} {kw} {plant}"] = _first_error(
+            build_and_advance(cfg, plant))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("src", help="directory holding the pampa package")
@@ -115,6 +192,7 @@ def main():
                 out[f"{name}/{fname}"] = hashlib.sha256(data).hexdigest()
 
     _oracle_hashes(out)
+    _error_lines(out)
     print(json.dumps(out, indent=1, sort_keys=True))
 
 

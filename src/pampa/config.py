@@ -7,14 +7,12 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+from . import mesh
 from .errors import ConfigError
-from .mesh import BC_KINDS
 from .presets import EXACT_REGISTRY, IC_REGISTRY
-from .scheme import IDP_CFL_LIMIT, OSCILLATION_KINDS, LimiterConfig
+from .scheme import LimiterConfig, check_cfl
 from .systems import Euler, IdealMHD, advection, burgers
-from .timeint import INTEGRATORS
-
-SYSTEM_KINDS = ("advection", "burgers", "euler", "mhd")
+from .timeint import make_integrator
 
 
 @dataclass(frozen=True)
@@ -38,27 +36,18 @@ class RunConfig:
     exact: str | None = None
 
     def validate(self) -> "RunConfig":
-        if self.system not in SYSTEM_KINDS:
-            raise ConfigError(f"unknown system {self.system!r}")
-        if self.system in ("advection", "burgers"):
-            if self.u_min is None or self.u_max is None:
-                raise ConfigError("scalar systems need u_min and u_max")
-        if self.bc not in BC_KINDS:
-            raise ConfigError(f"unknown boundary condition {self.bc!r}")
-        if self.integrator not in INTEGRATORS:
-            raise ConfigError(f"unknown integrator {self.integrator!r}")
-        if self.oscillation not in OSCILLATION_KINDS:
-            raise ConfigError(f"unknown oscillation control {self.oscillation!r}")
-        if not 0.0 < self.cfl <= IDP_CFL_LIMIT + 1e-15:
-            raise ConfigError(
-                f"cfl must lie in (0, 1/6] for the IDP guarantee, got {self.cfl}"
-            )
+        """Check each setting with the code that uses it, so that what
+        passes builds and steps. Raises what that code raises: ConfigError,
+        or DomainError for u_min >= u_max."""
+        mesh.check_bc(self.bc, build_system(self))
+        mesh.uniform_grid(self.a, self.b, self.n)
+        make_integrator(self.integrator)
+        LimiterConfig(idp=self.idp, oscillation=self.oscillation)
+        check_cfl(self.cfl)
         if self.ic not in IC_REGISTRY:
             raise ConfigError(f"unknown initial condition {self.ic!r}")
         if self.exact is not None and self.exact not in EXACT_REGISTRY:
             raise ConfigError(f"unknown exact solution {self.exact!r}")
-        if not self.a < self.b:
-            raise ConfigError("domain must satisfy a < b")
         if self.t_final <= 0:
             raise ConfigError("t_final must be positive")
         return self
@@ -68,20 +57,25 @@ class RunConfig:
         return replace(self, **kw).validate()
 
 
+def _scalar_bounds(cfg: RunConfig) -> tuple[float, float]:
+    if cfg.u_min is None or cfg.u_max is None:
+        raise ConfigError("scalar systems need u_min and u_max")
+    return cfg.u_min, cfg.u_max
+
+
+_SYSTEMS = {
+    "advection": lambda cfg: advection(*_scalar_bounds(cfg)),
+    "burgers": lambda cfg: burgers(*_scalar_bounds(cfg)),
+    "euler": lambda cfg: Euler(gamma=cfg.gamma),
+    "mhd": lambda cfg: IdealMHD(gamma=cfg.gamma, bx=cfg.bx),
+}
+
+
 def build_system(cfg: RunConfig):
-    if cfg.system == "advection":
-        return advection(cfg.u_min, cfg.u_max)
-    if cfg.system == "burgers":
-        return burgers(cfg.u_min, cfg.u_max)
-    if cfg.system == "euler":
-        return Euler(gamma=cfg.gamma)
-    if cfg.system == "mhd":
-        return IdealMHD(gamma=cfg.gamma, bx=cfg.bx)
-    raise ConfigError(f"unknown system {cfg.system!r}")
-
-
-def limiter_config(cfg: RunConfig) -> LimiterConfig:
-    return LimiterConfig(idp=cfg.idp, oscillation=cfg.oscillation)
+    factory = _SYSTEMS.get(cfg.system)
+    if factory is None:
+        raise ConfigError(f"unknown system {cfg.system!r}")
+    return factory(cfg)
 
 
 _SECTION_KEYS = {

@@ -133,11 +133,15 @@ def _log_uniform(rng, lo, hi, size):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
 
 
-def _gas_states(system, rng, n, rho_range, p_range, v_max, b_max, scaled):
-    """n Euler or MHD states with log-uniform density and pressure and
-    uniform velocity in [-v_max, v_max] and transverse field in
-    [-b_max, b_max], drawn in that order. scaled=True measures the velocity
-    in sound speeds and the field in sqrt(p)."""
+def _draw_states(system, rng, n, rho_range, p_range, v_max, b_max, scaled):
+    """n states of G as an (n, d) array. A scalar law's are uniform on its
+    interval, whatever the other arguments. Euler and MHD states have
+    log-uniform density and pressure and uniform velocity in
+    [-v_max, v_max] and transverse field in [-b_max, b_max], drawn in that
+    order; scaled=True measures the velocity in sound speeds and the field
+    in sqrt(p)."""
+    if isinstance(system, ScalarLaw):
+        return rng.uniform(system.u_min, system.u_max, n)[:, None]
     nv = 1 if isinstance(system, Euler) else 3
     rho = _log_uniform(rng, *rho_range, n)
     p = _log_uniform(rng, *p_range, n)
@@ -153,12 +157,8 @@ def _gas_states(system, rng, n, rho_range, p_range, v_max, b_max, scaled):
 def _sample_states(system, rng, n):
     """States from all of G: the whole interval of a scalar law; for the
     gases density over 9 and pressure over 14 decades, |v|, |B| <= 100."""
-    if isinstance(system, ScalarLaw):
-        return rng.uniform(system.u_min, system.u_max, n)[:, None]
-    if isinstance(system, (Euler, IdealMHD)):
-        return _gas_states(system, rng, n, (1e-6, 1e3), (1e-8, 1e6),
-                           100.0, 100.0, scaled=False)
-    raise ConfigError(f"no sampler for {type(system).__name__}")
+    return _draw_states(system, rng, n, (1e-6, 1e3), (1e-8, 1e6),
+                        100.0, 100.0, scaled=False)
 
 
 def _splitting_states(system, UL, UR, lam_scale=1.0):
@@ -319,22 +319,18 @@ def sample_states_representable(system, rng, n):
     velocity scaled by the sound speed (Mach up to 50) and magnetic field
     by sqrt(p). With absolute |v| <= 100 and p down to 1e-8 the kinetic
     term's rounding noise alone would exceed any 1e-11 relative claim."""
-    if isinstance(system, ScalarLaw):
-        return _sample_states(system, rng, n)
     # the constant Bx of MHD adds Bx^2/2 to E unconditionally, so p below
     # that times machine epsilon is unrepresentable as well
     p_lo = max(1e-8, getattr(system, "bx", 0.0) ** 2 / 2000.0)
-    return _gas_states(system, rng, n, (1e-6, 1e3), (p_lo, 1e6),
-                       50.0, 25.0, scaled=True)
+    return _draw_states(system, rng, n, (1e-6, 1e3), (p_lo, 1e6),
+                        50.0, 25.0, scaled=True)
 
 
 def sample_states_moderate(system, rng, n):
     """O(1) states for finite-difference comparisons (relative FD steps on
     near-vacuum states with large energies leave the domain)."""
-    if isinstance(system, ScalarLaw):
-        return _sample_states(system, rng, n)
-    return _gas_states(system, rng, n, (0.1, 10.0), (0.1, 10.0), 3.0, 2.0,
-                       scaled=False)
+    return _draw_states(system, rng, n, (0.1, 10.0), (0.1, 10.0), 3.0, 2.0,
+                        scaled=False)
 
 
 def check_jacobian_similarity(system, n_samples: int, seed: int) -> PropertyReport:

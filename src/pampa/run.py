@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, mesh, transform
-from .config import RunConfig, build_system, limiter_config
+from .config import RunConfig, build_system
 from .errors import ConfigError, DomainError
 from .presets import AVERAGE_BUILDERS, EXACT_REGISTRY, IC_REGISTRY
-from .scheme import DofField, PampaScheme, llf_flux
+from .scheme import DofField, LimiterConfig, PampaScheme, llf_flux
 from .systems import ScalarLaw
 from .timeint import make_integrator
 
@@ -42,7 +42,8 @@ def gauss_cell_averages(f, grid: mesh.Grid1D) -> np.ndarray:
 def build_scheme(cfg: RunConfig) -> PampaScheme:
     system = build_system(cfg)
     grid = mesh.uniform_grid(cfg.a, cfg.b, cfg.n)
-    return PampaScheme(system, grid, cfg.bc, limiter_config(cfg))
+    return PampaScheme(system, grid, cfg.bc,
+                       LimiterConfig(idp=cfg.idp, oscillation=cfg.oscillation))
 
 
 def _initial_state(cfg: RunConfig, system, x) -> np.ndarray:
@@ -73,10 +74,10 @@ def initial_field(cfg: RunConfig, scheme: PampaScheme) -> DofField:
 def advance(scheme: PampaScheme, field: DofField, t_final: float,
             cfl: float = 0.1, integrator: str = "ssp_rk3",
             on_stage=None, on_step=None):
-    """Advance to t_final. The step size honours the CFL bound (scaled by
-    the integrator's SSP factor) and divides the remaining time evenly, so
-    constant-speed multistep runs see a truly constant dt; the final step
-    clamps to the remaining time.
+    """Advance to t_final. The step size honours the CFL bound (as the
+    integrator's `step_size` scales it) and divides the remaining time
+    evenly, so constant-speed multistep runs see a truly constant dt; the
+    final step clamps to the remaining time.
 
     A DomainError raised inside a step (a state that is not finite or has
     left G) is raised again with the step number, counted from 1 as in
@@ -89,7 +90,6 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
     t = t_step = 0.0
     step = 0
     eps_t = 1e-12 * max(1.0, abs(t_final))
-    dt_frozen = None
     stages_done = 0  # in the current step
 
     def staged(t_stage, k, stage, out, record):
@@ -102,14 +102,7 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
         remaining = t_final - t
         stages_done = 0
         try:
-            cfl_dt = scheme.max_dt(field, cfl) * integ.dt_scale
-            if integ.multistep and math.isfinite(cfl_dt):
-                if dt_frozen is None or cfl_dt < dt_frozen * (1.0 - 1e-12):
-                    dt_frozen = cfl_dt
-                plan = dt_frozen
-            else:
-                plan = cfl_dt
-            plan = min(plan, remaining)
+            plan = min(integ.step_size(scheme.max_dt(field, cfl)), remaining)
             q = remaining / plan
             m = int(q) if q - int(q) < 1e-9 else int(q) + 1
             dt = remaining / max(m, 1)

@@ -45,8 +45,13 @@ class LimiterConfig:
             raise ConfigError(f"unknown oscillation control {self.oscillation!r}")
 
 
-# The IDP guarantee for the cell averages needs lambda*dt/dx <= 1/6.
-IDP_CFL_LIMIT = 1.0 / 6.0
+def check_cfl(cfl: float) -> None:
+    """Raise ConfigError unless 0 < cfl <= 1/6: the IDP guarantee for the
+    cell averages needs lambda*dt/dx <= 1/6."""
+    if not 0.0 < cfl <= 1.0 / 6.0 + 1e-15:
+        raise ConfigError(
+            f"cfl must lie in (0, 1/6] for the IDP guarantee, got {cfl}"
+        )
 
 
 def llf_flux(system, UL, UR, pL=None, pR=None):
@@ -62,20 +67,26 @@ def llf_flux(system, UL, UR, pL=None, pR=None):
     )
 
 
-def _guard(kind: str, states, values, positive: bool, offset: int, count: int):
+# Guard rules (what is needed, lo, hi): the values must lie in [lo, hi], so
+# "finite" is [-max, max] and "positive" starts at the least positive double.
+_BIG = float(np.finfo(float).max)
+_FINITE = ("finite values", -_BIG, _BIG)
+_POSITIVE = ("positive, finite density and pressure", 5e-324, _BIG)
+
+
+def _guard(kind: str, states, values, rule, offset: int, count: int):
     """Raise DomainError unless every entry of `values` (a quantity of the
-    extended `states`) is finite, and positive if asked.
+    extended `states`) lies in the closed interval of `rule`.
 
     Ghost entries are images of interior ones, so the first bad interior
     entry (interior starts at `offset`) names the cell or node.
     """
-    lo, hi = values.min(), values.max()  # a nan fails both tests below
-    if (lo > 0.0 if positive else lo > -np.inf) and hi < np.inf:
+    need, lo, hi = rule
+    if values.min() >= lo and values.max() <= hi:  # a nan fails both
         return
     inner = values[offset : offset + count]
-    ok = np.isfinite(inner) & (inner > 0.0 if positive else True)
+    ok = (inner >= lo) & (inner <= hi)
     j = int(np.argmin(ok.reshape(count, -1).all(axis=-1)))
-    need = "positive, finite density and pressure" if positive else "finite values"
     raise DomainError(f"{kind} {j} needs {need}, got {states[offset + j]}")
 
 
@@ -95,6 +106,9 @@ class PampaScheme:
         self.bc = bc
         self.limiter = limiter or LimiterConfig()
         self.scalar = isinstance(system, ScalarLaw)
+        # the scaling limiter needs a scalar law's averages inside G
+        self._scalar_g = ((f"values in [{system.u_min}, {system.u_max}]",
+                           system.u_min, system.u_max) if self.scalar else None)
         # cell sizes of cells -3..n+2: the grid and the BC never change
         self._dxx = mesh.extend_cell_sizes(grid, bc)
 
@@ -108,21 +122,23 @@ class PampaScheme:
     def _decode_checked(self, A, Wx, ga: int, gp: int):
         """Decode the points Wx and check them and the averages A, whose
         interior rows start at ga and gp: finite and, for systems, with
-        positive density and pressure; otherwise DomainError names the
-        first bad cell or node. Returns (Ux, p_node, p_avg), the pressures
-        None for scalar laws."""
+        positive density and pressure; a scalar law's averages also lie in
+        [u_min, u_max] when the IDP limiter is on. Otherwise DomainError
+        names the first bad cell or node. Returns (Ux, p_node, p_avg), the
+        pressures None for scalar laws."""
         sys = self.system
         n, m = self.grid.n_cells, self.n_points
         Ux, p_node = transform.from_transformed(sys, Wx, with_pressure=True)
-        _guard("point", Ux, Wx, False, gp, m)
+        _guard("point", Ux, Wx, _FINITE, gp, m)
         if self.scalar:
-            _guard("average", A, A, False, ga, n)
+            _guard("average", A, A,
+                   self._scalar_g if self.limiter.idp else _FINITE, ga, n)
             return Ux, p_node, None
-        _guard("average", A, A[:, 0], True, ga, n)
+        _guard("average", A, A[:, 0], _POSITIVE, ga, n)
         p_avg = sys.pressure(A, check=False)
-        _guard("average", A, p_avg, True, ga, n)
-        _guard("point", Ux, Ux[:, 0], True, gp, m)
-        _guard("point", Ux, p_node, True, gp, m)
+        _guard("average", A, p_avg, _POSITIVE, ga, n)
+        _guard("point", Ux, Ux[:, 0], _POSITIVE, gp, m)
+        _guard("point", Ux, p_node, _POSITIVE, gp, m)
         return Ux, p_node, p_avg
 
     def guard(self, field: DofField) -> None:
@@ -251,10 +267,7 @@ class PampaScheme:
         nodes 0..n-1, so node 0 is appended as node n before the decode and
         node speeds j and j+1 bound cell j for every boundary condition.
         """
-        if not 0.0 < cfl <= IDP_CFL_LIMIT + 1e-15:
-            raise ConfigError(
-                f"cfl must lie in (0, 1/6] for the IDP guarantee, got {cfl}"
-            )
+        check_cfl(cfl)
         sys = self.system
         points = field.points
         if self.bc == mesh.PERIODIC:

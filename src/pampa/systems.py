@@ -93,13 +93,43 @@ def burgers(u_min: float, u_max: float) -> ScalarLaw:
 
 class _Gas:
     """What Euler and ideal MHD share: the positivity domain (density and
-    pressure), its predicate and margin, the wave speeds built on each
-    system's signal speed `fast_speed`, the primitive decode and the wall
-    reflections."""
+    pressure), its predicate and margin, the guarded pressure, the flux and
+    the wave speeds with an optional precomputed pressure p of U (without
+    it they compute and guard their own), the primitive decode and the wall
+    reflections. Each system supplies the formulas `_pressure`, `_flux` and
+    the signal speed `_fast_speed`."""
 
     # sign of each conservative (and transformed) component under a wall
     # reflection: only the normal momentum (velocity) flips
     _reflection: np.ndarray
+
+    def pressure(self, U, check: bool = True):
+        """Pressure of the states U.
+
+        check=True raises DomainError unless every density is positive and
+        finite. check=False is the unguarded form, for states a caller has
+        already checked and for predicates that want nan or inf back from
+        states outside G.
+        """
+        U = np.asarray(U, dtype=float)
+        rho = U[..., 0]
+        if check and (np.any(rho <= 0) or not np.all(np.isfinite(rho))):
+            raise DomainError("pressure recovery needs rho > 0")
+        return self._pressure(U, rho)
+
+    def flux(self, U, p=None):
+        U = np.asarray(U, dtype=float)
+        if p is None:
+            p = self.pressure(U)
+            if not np.all(np.isfinite(p)):
+                raise DomainError("non-finite pressure in flux evaluation")
+        return self._flux(U, p)
+
+    def fast_speed(self, U, p=None):
+        """The system's signal speed; p is clipped at 0."""
+        U = np.asarray(U, dtype=float)
+        return self._fast_speed(
+            U, np.maximum(self.pressure(U) if p is None else p, 0.0))
 
     def in_domain(self, U):
         U = np.asarray(U, dtype=float)
@@ -139,11 +169,7 @@ class _Gas:
 
 
 class Euler(_Gas):
-    """1D compressible Euler equations, U = (rho, rho*v, E).
-
-    The flux and wave-speed methods take an optional precomputed pressure p
-    of U; without it they compute (and guard) their own.
-    """
+    """1D compressible Euler equations, U = (rho, rho*v, E)."""
 
     nvars = 3
     conservative_names = ("density", "momentum", "energy")
@@ -154,32 +180,14 @@ class Euler(_Gas):
         self.gamma = float(gamma)
         self.name = "euler"
 
-    def pressure(self, U, check: bool = True):
-        """Pressure of the states U.
-
-        check=True raises DomainError unless every density is positive and
-        finite. check=False is the unguarded form, for states a caller has
-        already checked and for predicates that want nan or inf back from
-        states outside G.
-        """
-        U = np.asarray(U, dtype=float)
-        rho = U[..., 0]
-        if check and (np.any(rho <= 0) or not np.all(np.isfinite(rho))):
-            raise DomainError("pressure recovery needs rho > 0")
+    def _pressure(self, U, rho):
         return (self.gamma - 1.0) * (U[..., 2] - 0.5 * U[..., 1] ** 2 / rho)
 
-    def fast_speed(self, U, p=None):
+    def _fast_speed(self, U, p):
         """Sound speed c: the fast speed without a magnetic field."""
-        U = np.asarray(U, dtype=float)
-        p = np.maximum(self.pressure(U) if p is None else p, 0.0)
         return np.sqrt(self.gamma * p / U[..., 0])
 
-    def flux(self, U, p=None):
-        U = np.asarray(U, dtype=float)
-        if p is None:
-            p = self.pressure(U)
-            if not np.all(np.isfinite(p)):
-                raise DomainError("non-finite pressure in flux evaluation")
+    def _flux(self, U, p):
         rho, mom, E = U[..., 0], U[..., 1], U[..., 2]
         v = mom / rho
         return np.stack([mom, mom * v + p, v * (E + p)], axis=-1)
@@ -198,10 +206,7 @@ class Euler(_Gas):
 
 
 class IdealMHD(_Gas):
-    """1D ideal MHD, U = (rho, rho*vx, rho*vy, rho*vz, By, Bz, E); Bx constant.
-
-    Pressure arguments work as for Euler.
-    """
+    """1D ideal MHD, U = (rho, rho*vx, rho*vy, rho*vz, By, Bz, E); Bx constant."""
 
     nvars = 7
     conservative_names = ("density", "mom_x", "mom_y", "mom_z", "b_y", "b_z",
@@ -224,30 +229,19 @@ class IdealMHD(_Gas):
     def _b_squared(self, U):
         return self.bx ** 2 + U[..., 4] ** 2 + U[..., 5] ** 2
 
-    def pressure(self, U, check: bool = True):
-        """Thermal pressure of the states U; check as for Euler.pressure."""
-        U = np.asarray(U, dtype=float)
-        rho = U[..., 0]
-        if check and (np.any(rho <= 0) or not np.all(np.isfinite(rho))):
-            raise DomainError("pressure recovery needs rho > 0")
+    def _pressure(self, U, rho):
+        """Thermal pressure."""
         kin = 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2 + U[..., 3] ** 2) / rho
         return (self.gamma - 1.0) * (U[..., 6] - kin - 0.5 * self._b_squared(U))
 
-    def fast_speed(self, U, p=None):
+    def _fast_speed(self, U, p):
         """Fast magnetoacoustic speed c_f for propagation along x."""
-        U = np.asarray(U, dtype=float)
         rho = U[..., 0]
-        p = np.maximum(self.pressure(U) if p is None else p, 0.0)
         a = (self.gamma * p + self._b_squared(U)) / rho
         disc = np.maximum(a * a - 4.0 * self.gamma * p * self.bx ** 2 / rho ** 2, 0.0)
         return np.sqrt(0.5 * (a + np.sqrt(disc)))
 
-    def flux(self, U, p=None):
-        U = np.asarray(U, dtype=float)
-        if p is None:
-            p = self.pressure(U)
-            if not np.all(np.isfinite(p)):
-                raise DomainError("non-finite pressure in flux evaluation")
+    def _flux(self, U, p):
         rho, v, By, Bz, E = self._split(U)
         vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
         bx = self.bx

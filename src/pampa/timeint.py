@@ -2,13 +2,13 @@
 
 Every stage is a forward-Euler step (the limiters re-run inside each
 residual evaluation), so convexity carries the invariant-domain property of
-a single Euler step to the composed methods. The multistep method has an
-SSP coefficient of 1/3, so its steps must use a third of the forward-Euler
-CFL time step; `dt_scale` exposes that to the driver.
+a single Euler step to the composed methods. Each integrator's
+`step_size` turns the forward-Euler CFL step into the step it may take.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from .errors import ConfigError
@@ -48,8 +48,8 @@ def _rk3_step(scheme, field, dt, t, step, on_stage, first_resid=None,
 
 
 class ForwardEuler:
-    dt_scale = 1.0
-    multistep = False
+    def step_size(self, cfl_dt: float) -> float:
+        return cfl_dt
 
     def step(self, scheme, field, dt, t=0.0, step=0, on_stage=None):
         out, rec = _euler_stage(scheme, field, dt)
@@ -59,8 +59,8 @@ class ForwardEuler:
 
 
 class SspRk3:
-    dt_scale = 1.0
-    multistep = False
+    def step_size(self, cfl_dt: float) -> float:
+        return cfl_dt
 
     def step(self, scheme, field, dt, t=0.0, step=0, on_stage=None):
         return _rk3_step(scheme, field, dt, t, step, on_stage)
@@ -77,12 +77,21 @@ class SspMultistep3:
     RK3, which restarts the history.
     """
 
-    dt_scale = 1.0 / 3.0
-    multistep = True
-
     def __init__(self):
         self._hist: deque = deque(maxlen=3)
         self._hist_dt: float | None = None
+        self._dt_frozen: float | None = None
+
+    def step_size(self, cfl_dt: float) -> float:
+        """A third of cfl_dt (the method's SSP coefficient is 1/3), frozen
+        at the smallest value so far, so that the step stays constant while
+        the speeds allow and the history stays valid. inf passes through."""
+        dt = cfl_dt * (1.0 / 3.0)
+        if not math.isfinite(dt):
+            return dt
+        if self._dt_frozen is None or dt < self._dt_frozen * (1.0 - 1e-12):
+            self._dt_frozen = dt
+        return self._dt_frozen
 
     def step(self, scheme, field, dt, t=0.0, step=0, on_stage=None):
         mismatch = self._hist_dt is not None and abs(dt - self._hist_dt) > 1e-9 * dt

@@ -1,13 +1,14 @@
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from pampa import cli, config, run as run_mod
 from pampa.config import load_config, parse_config_text, preset_names
-from pampa.errors import ConfigError
+from pampa.errors import ConfigError, DomainError
+from pampa.timeint import make_integrator
 
 PAPER_PRESETS = {
     # label: (a, b, n, bc, t_final, gamma, oscillation, integrator)
@@ -113,6 +114,39 @@ def test_config_overrides_and_validation():
         load_config("no_such_preset")
     with pytest.raises(ConfigError):
         cfg.with_overrides(oscillation="weird")
+
+
+def _build_and_size_a_step(cfg):
+    scheme = run_mod.build_scheme(cfg)
+    make_integrator(cfg.integrator)
+    scheme.max_dt(run_mod.initial_field(cfg, scheme), cfg.cfl)
+
+
+@pytest.mark.parametrize("preset,overrides,error,message", [
+    ("sod", {"system": "plasma"}, ConfigError, "unknown system 'plasma'"),
+    ("euler_smooth", {"system": "advection"}, ConfigError,
+     "scalar systems need u_min and u_max"),
+    ("advection_smooth", {"u_min": 2.0, "u_max": 1.0}, DomainError,
+     "need u_min < u_max, got [2.0, 1.0]"),
+    ("sod", {"bc": "wall"}, ConfigError, "unknown boundary condition 'wall'"),
+    ("advection_smooth", {"bc": "reflective"}, ConfigError,
+     "reflective boundaries need a velocity component; advection has none"),
+    ("sod", {"n": 2}, ConfigError, "need n >= 3 cells, got 2"),
+    ("sod", {"a": 5.0}, ConfigError, "domain must satisfy a < b, got [5.0, 5.0]"),
+    ("sod", {"integrator": "rk4"}, ConfigError, "unknown integrator 'rk4'"),
+    ("sod", {"oscillation": "weird"}, ConfigError,
+     "unknown oscillation control 'weird'"),
+    ("sod", {"cfl": 0.2}, ConfigError,
+     "cfl must lie in (0, 1/6] for the IDP guarantee, got 0.2"),
+])
+def test_validate_rejects_what_building_rejects(preset, overrides, error,
+                                                message):
+    base = load_config(preset)
+    with pytest.raises(error) as at_validate:
+        base.with_overrides(**overrides)
+    with pytest.raises(error) as at_build:
+        _build_and_size_a_step(replace(base, **overrides))
+    assert str(at_validate.value) == str(at_build.value) == message
 
 
 def test_config_file_round_trip(tmp_path):

@@ -398,6 +398,21 @@ def test_bad_average_fails_loudly():
         scheme.residual(field, 1e-3)
 
 
+def test_scalar_average_outside_g_fails_loudly():
+    # the scaling limiter needs a scalar law's averages in [u_min, u_max]:
+    # one outside is named with its step, stage and cell. Without the
+    # limiter the averages may leave G by design and only need be finite.
+    cfg = load_config("advection_smooth").with_overrides(n=40)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    field.avgs[7] = 2.5
+    with pytest.raises(DomainError, match=r"^step 1 stage 0 \(t = 0\.0\): "
+                       r"average 7 needs values in \[1\.0, 2\.0\], got \[2\.5\]$"):
+        run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator)
+    plain = run_mod.build_scheme(cfg.with_overrides(idp=False))
+    plain.residual(field, scheme.max_dt(field, cfg.cfl))
+
+
 @pytest.mark.parametrize("preset", ["mhd_shock_tube", "double_rarefaction"])
 def test_pressure_calls_per_residual(preset, monkeypatch):
     # one pressure per distinct state array of a stage: the extended

@@ -79,6 +79,24 @@ def test_ms3_restarts_on_dt_change():
     assert len(integ._hist) == 1
 
 
+@pytest.mark.parametrize("kind", ["forward_euler", "ssp_rk3"])
+def test_one_step_methods_take_the_cfl_step(kind):
+    integ = make_integrator(kind)
+    for cfl_dt in (0.3, 1e-300, 0.1 / 7.0, math.inf, 0.5):
+        assert integ.step_size(cfl_dt) == cfl_dt
+
+
+def test_ms3_step_size_is_a_frozen_third():
+    # a third of the CFL step, never growing: the smallest so far, where a
+    # drop under 1e-12 relative does not count; inf passes through
+    integ = make_integrator("ssp_ms3")
+    third = 1.0 / 3.0
+    sizes = [integ.step_size(c) for c in
+             (0.3, 0.4, 0.27, math.inf, 0.5, 0.27 * (1.0 - 1e-13), 0.1)]
+    assert sizes == [0.3 * third, 0.3 * third, 0.27 * third, math.inf,
+                     0.27 * third, 0.27 * third, 0.1 * third]
+
+
 def test_stage_observer_counts():
     calls = []
 
