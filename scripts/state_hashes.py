@@ -57,6 +57,13 @@ BAD_SETTINGS = (
     ("sod", {"cfl": 0.2}),
     ("sod", {"ic": "no_such_ic"}),
     ("sod", {"t_final": -1.0}),
+    ("sod", {"t_final": math.inf}),
+    ("sod", {"t_final": math.nan}),
+    ("sod", {"gamma": 0.5}),
+    ("sod", {"gamma": 1.0}),
+    ("sod", {"gamma": math.nan}),
+    ("mhd_shock_tube", {"bx": math.inf}),
+    ("advection_smooth", {"u_min": -math.inf}),
     ("sedov", {"n": 60}),
 )
 # (preset, overrides, array, row, column, value): one planted entry

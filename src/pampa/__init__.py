@@ -6,7 +6,7 @@ midpoint values, IDP numerical fluxes for the averages, and optional
 oscillation control (OE damping or MP limiting).
 """
 
-from .errors import ConfigError, DomainError, InvariantViolation, PampaError
+from .errors import ConfigError, DomainError, PampaError
 from .mesh import Grid1D, OUTFLOW, PERIODIC, REFLECTIVE, uniform_grid
 from .scheme import DofField, LimiterConfig, PampaScheme
 from .systems import Euler, IdealMHD, ScalarLaw, advection, burgers
@@ -20,7 +20,6 @@ __all__ = [
     "Euler",
     "Grid1D",
     "IdealMHD",
-    "InvariantViolation",
     "LimiterConfig",
     "OUTFLOW",
     "PERIODIC",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -48,8 +49,10 @@ class RunConfig:
             raise ConfigError(f"unknown initial condition {self.ic!r}")
         if self.exact is not None and self.exact not in EXACT_REGISTRY:
             raise ConfigError(f"unknown exact solution {self.exact!r}")
-        if self.t_final <= 0:
+        if not self.t_final > 0:
             raise ConfigError("t_final must be positive")
+        if not self.t_final < math.inf:
+            raise ConfigError("t_final must be finite")
         return self
 
     def with_overrides(self, **kw) -> "RunConfig":

@@ -8,7 +8,3 @@ class ConfigError(PampaError):
 
 class DomainError(PampaError):
     """A state left the invariant domain where validity is required."""
-
-
-class InvariantViolation(PampaError):
-    """An internal invariant failed (upstream bug, e.g. cell average outside G)."""

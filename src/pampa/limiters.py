@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvariantViolation
-from .systems import ScalarLaw
+from .systems import POSITIVE, ScalarLaw, guard, interval
 
 # positivity floors of the scaling limiter (Zhang & Shu, JCP 229, 2010)
 EPS_RHO = EPS_P = 1e-13
@@ -71,8 +70,7 @@ def scaling_limit_scalar(avg, left, mid, right, lo, hi):
     """
     avg, left, mid, right = (np.asarray(x, dtype=float)
                              for x in (avg, left, mid, right))
-    if (avg < lo).any() or (avg > hi).any():
-        raise InvariantViolation("cell average outside the invariant interval")
+    guard("average", avg, avg, interval(lo, hi))
     shape = mid.shape
     hat_l, hat_m, hat_r = left.flatten(), mid.flatten(), right.flatten()
     theta = np.ones(hat_m.shape)
@@ -120,11 +118,9 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
 
     rho_a = avg[:, 0]
     if p_avg is None:
-        if (rho_a <= 0).any() or not np.isfinite(rho_a).all():
-            raise InvariantViolation("cell average with non-positive density")
+        guard("average", avg, rho_a, POSITIVE)
         p_a = system.pressure(avg, check=False)
-        if (p_a <= 0).any() or not np.isfinite(p_a).all():
-            raise InvariantViolation("cell average with non-positive pressure")
+        guard("average", avg, p_a, POSITIVE)
     else:
         p_a = np.reshape(p_avg, -1)
     e_rho = np.minimum(EPS_RHO, rho_a)

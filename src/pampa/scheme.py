@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limiters, mesh, transform
-from .errors import ConfigError, DomainError
-from .systems import ScalarLaw
+from .errors import ConfigError
+from .systems import FINITE, ScalarLaw, guard
 
 
 @dataclass
@@ -67,29 +67,6 @@ def llf_flux(system, UL, UR, pL=None, pR=None):
     )
 
 
-# Guard rules (what is needed, lo, hi): the values must lie in [lo, hi], so
-# "finite" is [-max, max] and "positive" starts at the least positive double.
-_BIG = float(np.finfo(float).max)
-_FINITE = ("finite values", -_BIG, _BIG)
-_POSITIVE = ("positive, finite density and pressure", 5e-324, _BIG)
-
-
-def _guard(kind: str, states, values, rule, offset: int, count: int):
-    """Raise DomainError unless every entry of `values` (a quantity of the
-    extended `states`) lies in the closed interval of `rule`.
-
-    Ghost entries are images of interior ones, so the first bad interior
-    entry (interior starts at `offset`) names the cell or node.
-    """
-    need, lo, hi = rule
-    if values.min() >= lo and values.max() <= hi:  # a nan fails both
-        return
-    inner = values[offset : offset + count]
-    ok = (inner >= lo) & (inner <= hi)
-    j = int(np.argmin(ok.reshape(count, -1).all(axis=-1)))
-    raise DomainError(f"{kind} {j} needs {need}, got {states[offset + j]}")
-
-
 def _rows(p, lo: int, hi: int):
     """p[lo:hi], or None for the scalar laws, which carry no pressure."""
     return None if p is None else p[lo:hi]
@@ -106,9 +83,6 @@ class PampaScheme:
         self.bc = bc
         self.limiter = limiter or LimiterConfig()
         self.scalar = isinstance(system, ScalarLaw)
-        # the scaling limiter needs a scalar law's averages inside G
-        self._scalar_g = ((f"values in [{system.u_min}, {system.u_max}]",
-                           system.u_min, system.u_max) if self.scalar else None)
         # cell sizes of cells -3..n+2: the grid and the BC never change
         self._dxx = mesh.extend_cell_sizes(grid, bc)
 
@@ -128,17 +102,18 @@ class PampaScheme:
         pressures None for scalar laws."""
         sys = self.system
         n, m = self.grid.n_cells, self.n_points
+        g = sys.domain_rule
         Ux, p_node = transform.from_transformed(sys, Wx, with_pressure=True)
-        _guard("point", Ux, Wx, _FINITE, gp, m)
+        guard("point", Ux, Wx, FINITE, gp, m)
         if self.scalar:
-            _guard("average", A, A,
-                   self._scalar_g if self.limiter.idp else _FINITE, ga, n)
+            # the scaling limiter needs a scalar law's averages inside G
+            guard("average", A, A, g if self.limiter.idp else FINITE, ga, n)
             return Ux, p_node, None
-        _guard("average", A, A[:, 0], _POSITIVE, ga, n)
+        guard("average", A, A[:, 0], g, ga, n)
         p_avg = sys.pressure(A, check=False)
-        _guard("average", A, p_avg, _POSITIVE, ga, n)
-        _guard("point", Ux, Ux[:, 0], _POSITIVE, gp, m)
-        _guard("point", Ux, p_node, _POSITIVE, gp, m)
+        guard("average", A, p_avg, g, ga, n)
+        guard("point", Ux, Ux[:, 0], g, gp, m)
+        guard("point", Ux, p_node, g, gp, m)
         return Ux, p_node, p_avg
 
     def guard(self, field: DofField) -> None:
@@ -193,7 +168,8 @@ class PampaScheme:
         else:
             hat_l, hat_m, hat_r = u_l, u_m, u_r
             theta = np.ones(n + 2)
-            # guarded: the unlimited midpoint may leave G
+            # guarded: the unlimited midpoint may leave G. The guard names
+            # a row of hat_m, whose row j is the midpoint of cell j - 1.
             p_mid = None if self.scalar else sys.pressure(hat_m)
 
         # interface fluxes at nodes 0..n from one-sided limited states

@@ -1,20 +1,49 @@
 """Equation systems: linear advection, Burgers, compressible Euler, ideal MHD.
 
 Each system provides the algebraic flux, pointwise and pairwise wave-speed
-estimates, the predicate and margin of its invariant domain G (the interval
-[u_min, u_max] of a scalar law; positive density and pressure for Euler and
-MHD), primitive<->conservative converters and the names of its components.
-States are arrays whose last axis holds the d components, so every
-operation works on a single state or a whole field at once.
+estimates, the predicate, margin and `guard` rule of its invariant domain G
+(the interval [u_min, u_max] of a scalar law; positive density and pressure
+for Euler and MHD), primitive<->conservative converters and the names of
+its components. States are arrays whose last axis holds the d components,
+so every operation works on a single state or a whole field at once.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
+
+# Guard rules (what is needed, lo, hi): the values must lie in [lo, hi], so
+# "finite" is [-max, max] and "positive" starts at the least positive double.
+_BIG = float(np.finfo(float).max)
+FINITE = ("finite values", -_BIG, _BIG)
+POSITIVE = ("positive, finite density and pressure", 5e-324, _BIG)
+
+
+def interval(lo, hi):
+    """The guard rule of the closed interval [lo, hi]."""
+    return (f"values in [{lo}, {hi}]", lo, hi)
+
+
+def guard(kind: str, states, values, rule, offset: int = 0, count=None):
+    """The one located check of G: raise DomainError unless every entry of
+    `values` (a quantity of `states`, row for row; 0-d is one row) lies in
+    the closed interval of `rule`. Rows before `offset` and from
+    offset+count on are ghost images of the others, so the first bad row
+    in between, counted from offset, is named as `{kind} {j}`."""
+    need, lo, hi = rule
+    if not values.size or (values.min() >= lo and values.max() <= hi):
+        return  # a nan fails both
+    if np.ndim(values) == 0:
+        values, states = np.reshape(values, 1), np.asarray(states)[None]
+    inner = values[offset:][:count]
+    ok = ((inner >= lo) & (inner <= hi)).reshape(len(inner), -1).all(axis=-1)
+    j = int(np.argmin(ok))
+    raise DomainError(f"{kind} {j} needs {need}, got {states[offset + j]}")
 
 
 def _finite(U):
@@ -31,10 +60,13 @@ class ScalarLaw:
                  u_max: float, name: str = "scalar"):
         if not u_min < u_max:
             raise DomainError(f"need u_min < u_max, got [{u_min}, {u_max}]")
+        if not (math.isfinite(u_min) and math.isfinite(u_max)):
+            raise ConfigError(f"need finite u_min and u_max, got [{u_min}, {u_max}]")
         self.flux_fn = flux_fn
         self.dflux_fn = dflux_fn
         self.u_min = float(u_min)
         self.u_max = float(u_max)
+        self.domain_rule = interval(self.u_min, self.u_max)
         self.name = name
 
     # p (the pressure that gas systems accept precomputed) is ignored
@@ -99,30 +131,35 @@ class _Gas:
     reflections. Each system supplies the formulas `_pressure`, `_flux` and
     the signal speed `_fast_speed`."""
 
+    domain_rule = POSITIVE
     # sign of each conservative (and transformed) component under a wall
     # reflection: only the normal momentum (velocity) flips
     _reflection: np.ndarray
 
+    def __init__(self, gamma: float):
+        self.gamma = float(gamma)
+        if not 1.0 < self.gamma < math.inf:
+            raise ConfigError(f"gamma must be a finite number above 1, got {gamma}")
+
     def pressure(self, U, check: bool = True):
         """Pressure of the states U.
 
-        check=True raises DomainError unless every density is positive and
-        finite. check=False is the unguarded form, for states a caller has
-        already checked and for predicates that want nan or inf back from
-        states outside G.
+        check=True guards the densities (`state j` is the row at fault).
+        check=False is the unguarded form, for states a caller has already
+        checked and for predicates that want nan or inf back from states
+        outside G.
         """
         U = np.asarray(U, dtype=float)
         rho = U[..., 0]
-        if check and (np.any(rho <= 0) or not np.all(np.isfinite(rho))):
-            raise DomainError("pressure recovery needs rho > 0")
+        if check:
+            guard("state", U, rho, POSITIVE)
         return self._pressure(U, rho)
 
     def flux(self, U, p=None):
         U = np.asarray(U, dtype=float)
         if p is None:
             p = self.pressure(U)
-            if not np.all(np.isfinite(p)):
-                raise DomainError("non-finite pressure in flux evaluation")
+            guard("state", U, p, FINITE)
         return self._flux(U, p)
 
     def fast_speed(self, U, p=None):
@@ -174,11 +211,11 @@ class Euler(_Gas):
     nvars = 3
     conservative_names = ("density", "momentum", "energy")
     primitive_names = ("density", "velocity", "pressure")
+    name = "euler"
     _reflection = np.array([1.0, -1.0, 1.0])
 
     def __init__(self, gamma: float = 1.4):
-        self.gamma = float(gamma)
-        self.name = "euler"
+        super().__init__(gamma)
 
     def _pressure(self, U, rho):
         return (self.gamma - 1.0) * (U[..., 2] - 0.5 * U[..., 1] ** 2 / rho)
@@ -213,12 +250,14 @@ class IdealMHD(_Gas):
                           "energy")
     primitive_names = ("density", "velocity_x", "velocity_y", "velocity_z",
                        "b_y", "b_z", "pressure")
+    name = "mhd"
     _reflection = np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
     def __init__(self, gamma: float = 5.0 / 3.0, bx: float = 0.0):
-        self.gamma = float(gamma)
+        super().__init__(gamma)
         self.bx = float(bx)
-        self.name = "mhd"
+        if not math.isfinite(self.bx):
+            raise ConfigError(f"bx must be finite, got {bx}")
 
     def _split(self, U):
         rho = U[..., 0]

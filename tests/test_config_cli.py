@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields, replace
 
@@ -114,6 +115,14 @@ def test_config_overrides_and_validation():
         load_config("no_such_preset")
     with pytest.raises(ConfigError):
         cfg.with_overrides(oscillation="weird")
+    with pytest.raises(ConfigError, match="unknown initial condition 'nope'"):
+        cfg.with_overrides(ic="nope")
+    with pytest.raises(ConfigError, match="unknown exact solution 'nope'"):
+        cfg.with_overrides(exact="nope")
+    for t_final, need in ((0.0, "positive"), (-1.0, "positive"),
+                          (math.nan, "positive"), (math.inf, "finite")):
+        with pytest.raises(ConfigError, match=f"^t_final must be {need}$"):
+            cfg.with_overrides(t_final=t_final)
 
 
 def _build_and_size_a_step(cfg):
@@ -138,6 +147,17 @@ def _build_and_size_a_step(cfg):
      "unknown oscillation control 'weird'"),
     ("sod", {"cfl": 0.2}, ConfigError,
      "cfl must lie in (0, 1/6] for the IDP guarantee, got 0.2"),
+    ("sod", {"gamma": 0.5}, ConfigError,
+     "gamma must be a finite number above 1, got 0.5"),
+    ("sod", {"gamma": 1.0}, ConfigError,
+     "gamma must be a finite number above 1, got 1.0"),
+    ("mhd_shock_tube", {"gamma": math.nan}, ConfigError,
+     "gamma must be a finite number above 1, got nan"),
+    ("mhd_shock_tube", {"bx": math.inf}, ConfigError, "bx must be finite, got inf"),
+    ("advection_smooth", {"u_min": -math.inf}, ConfigError,
+     "need finite u_min and u_max, got [-inf, 2.0]"),
+    ("jiang_shu", {"u_max": math.inf}, ConfigError,
+     "need finite u_min and u_max, got [0.0, inf]"),
 ])
 def test_validate_rejects_what_building_rejects(preset, overrides, error,
                                                 message):
@@ -222,6 +242,21 @@ def test_cli_run_and_determinism(tmp_path):
     assert meta["config"]["n"] == 40
 
 
+def test_scalar_diagnostics(tmp_path):
+    # a scalar law's diagnostics rows: its own state columns, one row per
+    # step, and every value of the field inside G
+    cfg = load_config("jiang_shu").with_overrides(n=40, t_final=0.05)
+    run_mod.run_to_files(cfg, tmp_path)
+    lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[3:7] == ["min_u", "max_u", "w_min", "w_max"]
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    n_steps = json.loads((tmp_path / "meta.json").read_text())["n_steps"]
+    assert n_steps > 0 and np.array_equal(rows[:, 0], np.arange(1, n_steps + 1))
+    min_u, max_u = rows[:, 3], rows[:, 4]
+    assert np.all((cfg.u_min <= min_u) & (min_u <= max_u) & (max_u <= cfg.u_max))
+
+
 def test_cli_run_svg_and_snapshots(tmp_path):
     out = tmp_path / "svg_run"
     rc = cli.main(["run", "sod", "--n", "40", "--t-final", "0.2",
@@ -297,6 +332,8 @@ def test_cli_verify_suites():
                      "--samples", "5000", "--seed", "42"]) == 0
     assert cli.main(["verify", "limiters", "--system", "advection",
                      "--samples", "5000"]) == 0
+    assert cli.main(["verify", "transform", "--system", "euler",
+                     "--samples", "2000"]) == 0
     assert cli.main(["verify", "sweep", "--preset", "burgers_steepening"]) in (0,)
 
 
@@ -335,6 +372,14 @@ def test_config_rejects_unparsable_values(section, key, raw):
     with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")) as err:
         parse_config_text(_ini_setting(section, key, raw), "bad")
     assert repr(raw) in str(err.value)
+
+
+def test_config_rejects_missing_keys():
+    text = "".join(f"[{name}]\n{body}" for name, body in _MINIMAL_INI.items()
+                   if name != "time")
+    with pytest.raises(ConfigError,
+                       match=re.escape("missing required keys: ['t_final']")):
+        parse_config_text(text, "bad")
 
 
 def test_config_rejects_malformed_ini():

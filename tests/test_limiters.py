@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pampa import limiters, oracle, run as run_mod
 from pampa.config import load_config
-from pampa.errors import InvariantViolation
+from pampa.errors import DomainError
 from pampa.systems import Euler, IdealMHD, advection, burgers
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -44,7 +44,7 @@ def test_scaling_scalar_inactive():
 
 
 def test_scaling_scalar_rejects_bad_average():
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(DomainError):
         limiters.scaling_limit_scalar(1.5, 1.0, 1.0, 1.0, 0.0, 1.0)
 
 
@@ -91,7 +91,7 @@ def test_scaling_system_inactive_when_compliant():
 def test_scaling_system_rejects_bad_average():
     sys = Euler(1.4)
     bad = np.array([[1.0, 0.0, -1.0]])
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(DomainError):
         limiters.scaling_limit_system(sys, bad, bad, bad, bad)
 
 
@@ -129,7 +129,7 @@ def _scaling_limit_scalar_full(avg, left, mid, right, lo, hi):
     avg, left, mid, right = map(lambda x: np.asarray(x, dtype=float),
                                 (avg, left, mid, right))
     if np.any(avg < lo) or np.any(avg > hi):
-        raise InvariantViolation("cell average outside the invariant interval")
+        raise DomainError("cell average outside the invariant interval")
     below = mid < lo
     above = mid > hi
     den_b = np.where(below, avg - mid, 1.0)
@@ -153,10 +153,10 @@ def _scaling_limit_system_full(system, avg, left, mid, right, p_avg=None,
     rho_a = avg[..., 0]
     if p_avg is None:
         if np.any(rho_a <= 0) or not np.all(np.isfinite(rho_a)):
-            raise InvariantViolation("cell average with non-positive density")
+            raise DomainError("cell average with non-positive density")
         p_a = system.pressure(avg, check=False)
         if np.any(p_a <= 0) or not np.all(np.isfinite(p_a)):
-            raise InvariantViolation("cell average with non-positive pressure")
+            raise DomainError("cell average with non-positive pressure")
     else:
         p_a = p_avg
     e_rho = np.minimum(limiters.EPS_RHO, rho_a)

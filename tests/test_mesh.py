@@ -47,6 +47,10 @@ def test_uniform_grid_rejects_bad_args():
         mesh.uniform_grid(0.0, 1.0, 2)
     with pytest.raises(ConfigError):
         mesh.uniform_grid(1.0, 0.0, 10)
+    with pytest.raises(ConfigError, match="need at least 3 cells"):
+        mesh.grid_from_nodes([0.0, 1.0, 2.0])
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        mesh.grid_from_nodes([0.0, 1.0, 1.0, 2.0])
 
 
 def test_periodic_ghost_wraps():

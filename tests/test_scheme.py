@@ -396,6 +396,14 @@ def test_bad_average_fails_loudly():
     field.avgs[7, 2] = 0.1 * field.avgs[7, 2] - 1.0  # negative pressure
     with pytest.raises(DomainError, match=r"average 7 needs positive"):
         scheme.residual(field, 1e-3)
+    # a negative density meets max_dt's guarded pressure first
+    field = run_mod.initial_field(cfg, scheme)
+    field.avgs[7, 0] = -1.0
+    with pytest.raises(DomainError) as err:
+        run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator)
+    assert str(err.value) == (
+        "step 1 stage 0 (t = 0.0): state 7 needs positive, finite density "
+        "and pressure, got [-1.   0.   2.5]")
 
 
 def test_scalar_average_outside_g_fails_loudly():

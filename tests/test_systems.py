@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pampa import oracle
+from pampa import limiters, oracle, transform
 from pampa.errors import DomainError
-from pampa.systems import Euler, IdealMHD, advection, burgers
+from pampa.systems import FINITE, Euler, IdealMHD, advection, burgers, guard
 
 SQRT_14 = 1.1832159566199232  # sqrt(1.4)
 SQRT_53 = 1.2909944487358056  # sqrt(5/3)
@@ -111,3 +111,45 @@ def test_lf_splitting_fails_with_halved_speed():
 
 def test_splitting_monotone_in_lambda():
     assert oracle.splitting_monotone_in_lambda(Euler(1.4), 1000, 21)
+
+
+EULER, MHD = Euler(1.4), IdealMHD(5.0 / 3.0, 0.75)
+
+
+def _planted(system, col, value):
+    """Five states at rest with unit density and pressure; entry (3, col)
+    set to value."""
+    prim = np.zeros((5, system.nvars))
+    prim[:, 0] = prim[:, -1] = 1.0
+    U = system.from_primitive(prim)
+    U[3, col] = value
+    return U
+
+
+@pytest.mark.parametrize("kind,check", [
+    ("state", lambda: EULER.pressure(_planted(EULER, 0, -1.0))),
+    ("state", lambda: MHD.pressure(_planted(MHD, 0, np.nan))),
+    ("state", lambda: EULER.flux(_planted(EULER, 2, np.inf))),
+    ("state", lambda: MHD.flux(_planted(MHD, 6, np.inf))),
+    ("state", lambda: transform.to_transformed(EULER, _planted(EULER, 2, -1.0))),
+    ("argument", lambda: transform.inv_softplus([1.0, 2.0, np.inf, 0.0, 5.0])),
+    ("average", lambda: limiters.scaling_limit_scalar(
+        [0.5, 0.5, 1.0, 1.5, 0.5], *[np.full(5, 0.5)] * 3, 0.0, 1.0)),
+    ("average", lambda: limiters.scaling_limit_system(
+        EULER, *[_planted(EULER, 2, -1.0)] * 4)),
+], ids=["euler-pressure", "mhd-pressure", "euler-flux", "mhd-flux",
+        "to_transformed", "inv_softplus", "scaling_limit_scalar",
+        "scaling_limit_system"])
+def test_every_admissibility_check_names_its_row(kind, check):
+    # one planted bad row (3) is named in the one DomainError format
+    with pytest.raises(DomainError, match=rf"^{kind} 3 needs "):
+        check()
+
+
+def test_guard_takes_single_and_empty_inputs():
+    # the limiters and the transforms take single cells and states
+    guard("state", np.zeros((0, 3)), np.zeros(0), FINITE)
+    with pytest.raises(DomainError, match=r"^average 0 needs finite values, got nan$"):
+        guard("average", np.array(np.nan), np.array(np.nan), FINITE)
+    with pytest.raises(DomainError, match=r"^state 0 needs .*, got \[-1\.  0\.  1\.\]$"):
+        EULER.pressure(np.array([-1.0, 0.0, 1.0]))
