@@ -65,6 +65,7 @@ BAD_SETTINGS = (
     ("mhd_shock_tube", {"bx": math.inf}),
     ("advection_smooth", {"u_min": -math.inf}),
     ("sedov", {"n": 60}),
+    ("double_rarefaction", {"n": 50, "idp": False, "oscillation": "none"}),
 )
 # (preset, overrides, array, row, column, value): one planted entry
 BAD_FIELDS = (
@@ -75,6 +76,10 @@ BAD_FIELDS = (
     ("sod", {"n": 50}, "avgs", 7, 0, -1.0),
     ("sod", {"n": 50}, "avgs", 7, 2, -1.0),
     ("sod", {"n": 50}, "points", 10, 0, math.nan),
+    # finite entries whose decode or wave speed overflows
+    ("sod", {"n": 50}, "points", 10, 2, 800.0),
+    ("sod", {"n": 50}, "points", 10, 1, 1e200),
+    ("sod", {"n": 50}, "avgs", 7, 0, 1e-310),
     ("mhd_shock_tube", {"n": 50, "t_final": 0.01}, "avgs", 7, 6, -1.0),
 )
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .systems import POSITIVE, ScalarLaw, guard, interval
+from .systems import ScalarLaw
 
 # positivity floors of the scaling limiter (Zhang & Shu, JCP 229, 2010)
 EPS_RHO = EPS_P = 1e-13
@@ -51,9 +51,7 @@ def median3(a, b, c):
 
 def midpoint_value(avg, left, right):
     """Midpoint of the cell parabola: (3/2)*avg - (1/4)*(left + right)."""
-    return 1.5 * np.asarray(avg, dtype=float) - 0.25 * (
-        np.asarray(left, dtype=float) + np.asarray(right, dtype=float)
-    )
+    return 1.5 * avg - 0.25 * (left + right)
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +62,14 @@ def scaling_limit_scalar(avg, left, mid, right, lo, hi):
     """Blend (left, mid, right) toward avg until mid lies in [lo, hi].
 
     avg, left, mid and right share one shape (0-d for a single cell); lo
-    and hi are numbers. Returns (left_hat, mid_hat, right_hat, theta) in
-    that shape. Only the cells whose midpoint leaves [lo, hi] are blended;
-    every other cell comes back with its own values and theta = 1.
+    and hi are numbers, and avg lies in [lo, hi] (the scheme checks its
+    averages once per stage). Returns (left_hat, mid_hat, right_hat,
+    theta) in that shape. Only the cells whose midpoint leaves [lo, hi]
+    are blended; every other cell comes back with its own values and
+    theta = 1.
     """
     avg, left, mid, right = (np.asarray(x, dtype=float)
                              for x in (avg, left, mid, right))
-    guard("average", avg, avg, interval(lo, hi))
     shape = mid.shape
     hat_l, hat_m, hat_r = left.flatten(), mid.flatten(), right.flatten()
     theta = np.ones(hat_m.shape)
@@ -96,11 +95,11 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
     collapsed) if rounding leaves the recomputed midpoint pressure under
     the floor.
 
-    avg, left, mid, right: (..., d) states of one shape. p_avg: the
-    pressures of avg, from a caller that has already checked avg for
-    positive, finite density and pressure; without it avg is checked here.
-    Returns (left_hat, mid_hat, right_hat, theta, p_mid) with p_mid the
-    pressures of the limited midpoints.
+    avg, left, mid, right: (..., d) states of one shape; avg has positive,
+    finite density and pressure (the scheme checks its averages once per
+    stage). p_avg: the pressures of avg if the caller has them. Returns
+    (left_hat, mid_hat, right_hat, theta, p_mid) with p_mid the pressures
+    of the limited midpoints.
 
     Each stage works on its own rows only: the density stage on the cells
     whose midpoint density is under the floor, the pressure stage and its
@@ -111,19 +110,13 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
     `0*avg + value`, so the result is the full-array formula's bit for
     bit, signed zeros included.
     """
-    avg = np.asarray(avg, dtype=float)
     lead, d = avg.shape[:-1], avg.shape[-1]
     avg = avg.reshape(-1, d)
-    mid = np.asarray(mid, dtype=float).reshape(-1, d)
+    mid = mid.reshape(-1, d)
 
-    rho_a = avg[:, 0]
-    if p_avg is None:
-        guard("average", avg, rho_a, POSITIVE)
-        p_a = system.pressure(avg, check=False)
-        guard("average", avg, p_a, POSITIVE)
-    else:
-        p_a = np.reshape(p_avg, -1)
-    e_rho = np.minimum(EPS_RHO, rho_a)
+    p_a = (system.pressure(avg, check=False) if p_avg is None
+           else np.reshape(p_avg, -1))
+    e_rho = np.minimum(EPS_RHO, avg[:, 0])
     e_p = np.minimum(EPS_P, p_a)
     theta = np.ones(len(avg))
     zero = 0.0 * avg                  # (1 - theta) * avg where theta = 1
@@ -163,8 +156,8 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
         p_mid[rows] = pm
         theta[rows] *= t
 
-    left = np.asarray(left, dtype=float).reshape(-1, d)
-    right = np.asarray(right, dtype=float).reshape(-1, d)
+    left = left.reshape(-1, d)
+    right = right.reshape(-1, d)
     hat_l, hat_r = zero + left, zero + right
     # theta <= 1, so these are the rows with theta < 1 (and a nan theta)
     rows = (theta != 1.0).nonzero()[0]
@@ -199,9 +192,6 @@ def scaling_limit(system, avg, left, mid, right, p_avg=None):
 def parabola_coeffs(avg, left, right):
     """Coefficients of p(xi) = c0 + c1*xi + c2*xi^2 on xi in [-1/2, 1/2]
     matching the endpoint values and the cell mean."""
-    avg = np.asarray(avg, dtype=float)
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
     c2 = 3.0 * (left + right - 2.0 * avg)
     c1 = right - left
     c0 = 1.5 * avg - 0.25 * (left + right)
@@ -231,11 +221,9 @@ def oe_theta(system, avgs, lefts, rights, sizes, dt, p_avg=None):
     is rewritten in the own cell's coordinate xi in [-1/2, 1/2], and the
     square of a parabola integrates in closed form.
     """
-    avgs = np.asarray(avgs, dtype=float)
     # (d, K) copies: per-cell factors then broadcast along the contiguous
     # cell axis, and the component sums add whole rows
-    A, L, R = (np.ascontiguousarray(np.asarray(x, dtype=float).T)
-               for x in (avgs, lefts, rights))
+    A, L, R = (np.ascontiguousarray(x.T) for x in (avgs, lefts, rights))
     c0, c1, c2 = parabola_coeffs(A, L, R)
     own = slice(1, -1)
     lnb = slice(0, -2)
@@ -287,10 +275,9 @@ def oe_theta(system, avgs, lefts, rights, sizes, dt, p_avg=None):
 def oe_apply(theta, avg, left, right):
     """Blend endpoints toward the average and recompute the midpoint so the
     average decomposition still holds."""
-    t = np.asarray(theta, dtype=float)[..., None]
-    avg = np.asarray(avg, dtype=float)
-    l_new = (1.0 - t) * avg + t * np.asarray(left, dtype=float)
-    r_new = (1.0 - t) * avg + t * np.asarray(right, dtype=float)
+    t = theta[..., None]
+    l_new = (1.0 - t) * avg + t * left
+    r_new = (1.0 - t) * avg + t * right
     return l_new, midpoint_value(avg, l_new, r_new), r_new
 
 

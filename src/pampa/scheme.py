@@ -17,7 +17,7 @@ import numpy as np
 
 from . import limiters, mesh, transform
 from .errors import ConfigError
-from .systems import FINITE, ScalarLaw, guard
+from .systems import FINITE, POSITIVE, ScalarLaw, guard
 
 
 @dataclass
@@ -62,9 +62,8 @@ def llf_flux(system, UL, UR, pL=None, pR=None):
     0.5*(F+F) and the zero jump term introduce no rounding.
     """
     lam = system.pair_speed(UL, UR, pL, pR)
-    return 0.5 * (system.flux(UL, pL) + system.flux(UR, pR)) - 0.5 * lam[..., None] * (
-        np.asarray(UR, dtype=float) - np.asarray(UL, dtype=float)
-    )
+    return 0.5 * (system.flux(UL, pL) + system.flux(UR, pR)) \
+        - 0.5 * lam[..., None] * (UR - UL)
 
 
 def _rows(p, lo: int, hi: int):
@@ -98,13 +97,15 @@ class PampaScheme:
         interior rows start at ga and gp: finite and, for systems, with
         positive density and pressure; a scalar law's averages also lie in
         [u_min, u_max] when the IDP limiter is on. Otherwise DomainError
-        names the first bad cell or node. Returns (Ux, p_node, p_avg), the
-        pressures None for scalar laws."""
+        names the first bad cell or node. A system's points are checked as
+        U, which a finite W may overflow; a scalar law's as W, whose inf
+        clips to a finite u. Returns (Ux, p_node, p_avg), the pressures
+        None for scalar laws."""
         sys = self.system
         n, m = self.grid.n_cells, self.n_points
         g = sys.domain_rule
         Ux, p_node = transform.from_transformed(sys, Wx, with_pressure=True)
-        guard("point", Ux, Wx, FINITE, gp, m)
+        guard("point", Ux, Wx if self.scalar else Ux, FINITE, gp, m)
         if self.scalar:
             # the scaling limiter needs a scalar law's averages inside G
             guard("average", A, A, g if self.limiter.idp else FINITE, ga, n)
@@ -168,9 +169,11 @@ class PampaScheme:
         else:
             hat_l, hat_m, hat_r = u_l, u_m, u_r
             theta = np.ones(n + 2)
-            # guarded: the unlimited midpoint may leave G. The guard names
+            # guarded: the unlimited midpoint may leave G. The guards name
             # a row of hat_m, whose row j is the midpoint of cell j - 1.
             p_mid = None if self.scalar else sys.pressure(hat_m)
+            if not self.scalar:
+                guard("state", hat_m, p_mid, POSITIVE)
 
         # interface fluxes at nodes 0..n from one-sided limited states
         UL = hat_r[0 : n + 1]
@@ -239,7 +242,9 @@ class PampaScheme:
         largest wave speed over the cell average and its endpoint states.
 
         Cells with lambda_j = 0 (dx/0 = inf) or a nan speed are skipped;
-        with none left the step is unbounded (inf). Periodic points hold
+        with none left the step is unbounded (inf). An infinite speed
+        (dx/inf = 0) is a failure: DomainError names a state outside G
+        (`guard`) or, if there is none, the cell. Periodic points hold
         nodes 0..n-1, so node 0 is appended as node n before the decode and
         node speeds j and j+1 bound cell j for every boundary condition.
         """
@@ -256,6 +261,9 @@ class PampaScheme:
         with np.errstate(divide="ignore"):
             ratios = self.grid.cell_sizes / lam
         dt = cfl * float(np.fmin.reduce(ratios))  # fmin skips nan
+        if dt == 0.0:
+            self.guard(field)
+            guard("wave speed of cell", lam, lam, FINITE)
         return dt if math.isfinite(dt) else math.inf
 
     # -- boundary fix-ups ----------------------------------------------------

@@ -4,8 +4,9 @@ Each system provides the algebraic flux, pointwise and pairwise wave-speed
 estimates, the predicate, margin and `guard` rule of its invariant domain G
 (the interval [u_min, u_max] of a scalar law; positive density and pressure
 for Euler and MHD), primitive<->conservative converters and the names of
-its components. States are arrays whose last axis holds the d components,
-so every operation works on a single state or a whole field at once.
+its components. States are float ndarrays whose last axis holds the d
+components, so every operation works on a single state or a whole field at
+once.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ from .errors import ConfigError, DomainError
 _BIG = float(np.finfo(float).max)
 FINITE = ("finite values", -_BIG, _BIG)
 POSITIVE = ("positive, finite density and pressure", 5e-324, _BIG)
-
-
-def interval(lo, hi):
-    """The guard rule of the closed interval [lo, hi]."""
-    return (f"values in [{lo}, {hi}]", lo, hi)
 
 
 def guard(kind: str, states, values, rule, offset: int = 0, count=None):
@@ -66,21 +62,19 @@ class ScalarLaw:
         self.dflux_fn = dflux_fn
         self.u_min = float(u_min)
         self.u_max = float(u_max)
-        self.domain_rule = interval(self.u_min, self.u_max)
+        self.domain_rule = (f"values in [{self.u_min}, {self.u_max}]",
+                            self.u_min, self.u_max)
         self.name = name
 
     # p (the pressure that gas systems accept precomputed) is ignored
 
     def flux(self, U, p=None):
-        U = np.asarray(U, dtype=float)
         return self.flux_fn(U[..., 0])[..., None]
 
     def max_wave_speed(self, U, p=None):
-        U = np.asarray(U, dtype=float)
         return np.abs(self.dflux_fn(U[..., 0]))
 
     def wave_speed_range(self, U, p=None):
-        U = np.asarray(U, dtype=float)
         s = self.dflux_fn(U[..., 0])
         return s, s
 
@@ -88,21 +82,20 @@ class ScalarLaw:
         return np.maximum(self.max_wave_speed(UL), self.max_wave_speed(UR))
 
     def in_domain(self, U):
-        U = np.asarray(U, dtype=float)
         u = U[..., 0]
         with np.errstate(invalid="ignore"):
             ok = (u >= self.u_min) & (u <= self.u_max)
         return ok & _finite(U)
 
     def domain_margin(self, U):
-        u = np.asarray(U, dtype=float)[..., 0]
+        u = U[..., 0]
         return np.minimum(u - self.u_min, self.u_max - u)
 
     def primitive(self, U):
-        return np.asarray(U, dtype=float)
+        return U
 
     def from_primitive(self, prim):
-        return np.asarray(prim, dtype=float)
+        return prim
 
 
 def _unit_speed(u):
@@ -149,14 +142,12 @@ class _Gas:
         checked and for predicates that want nan or inf back from states
         outside G.
         """
-        U = np.asarray(U, dtype=float)
         rho = U[..., 0]
         if check:
             guard("state", U, rho, POSITIVE)
         return self._pressure(U, rho)
 
     def flux(self, U, p=None):
-        U = np.asarray(U, dtype=float)
         if p is None:
             p = self.pressure(U)
             guard("state", U, p, FINITE)
@@ -164,29 +155,24 @@ class _Gas:
 
     def fast_speed(self, U, p=None):
         """The system's signal speed; p is clipped at 0."""
-        U = np.asarray(U, dtype=float)
         return self._fast_speed(
             U, np.maximum(self.pressure(U) if p is None else p, 0.0))
 
     def in_domain(self, U):
-        U = np.asarray(U, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             p = self.pressure(U, check=False)
             ok = (U[..., 0] > 0.0) & (p > 0.0)
         return ok & _finite(U) & np.isfinite(p)
 
     def domain_margin(self, U):
-        U = np.asarray(U, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             p = self.pressure(U, check=False)
         return np.minimum(U[..., 0], p)
 
     def max_wave_speed(self, U, p=None):
-        U = np.asarray(U, dtype=float)
         return np.abs(U[..., 1] / U[..., 0]) + self.fast_speed(U, p)
 
     def wave_speed_range(self, U, p=None):
-        U = np.asarray(U, dtype=float)
         v = U[..., 1] / U[..., 0]
         c = self.fast_speed(U, p)
         return v - c, v + c
@@ -194,7 +180,6 @@ class _Gas:
     def primitive(self, U, p=None):
         """Primitive variables of U. Given p, U must have positive density;
         without it, states outside G decode to nan or inf silently."""
-        U = np.asarray(U, dtype=float)
         if p is None:
             with np.errstate(divide="ignore", invalid="ignore"):
                 return self._primitive(U, self.pressure(U, check=False))
@@ -202,7 +187,7 @@ class _Gas:
 
     def reflect(self, U):
         """Mirror states at a wall; conservative and transformed alike."""
-        return np.asarray(U, dtype=float) * self._reflection
+        return U * self._reflection
 
 
 class Euler(_Gas):
@@ -236,7 +221,6 @@ class Euler(_Gas):
         return np.stack([U[..., 0], U[..., 1] / U[..., 0], p], axis=-1)
 
     def from_primitive(self, prim):
-        prim = np.asarray(prim, dtype=float)
         rho, v, p = prim[..., 0], prim[..., 1], prim[..., 2]
         E = p / (self.gamma - 1.0) + 0.5 * rho * v * v
         return np.stack([rho, rho * v, E], axis=-1)
@@ -300,8 +284,6 @@ class IdealMHD(_Gas):
         )
 
     def pair_speed(self, UL, UR, pL=None, pR=None):
-        UL = np.asarray(UL, dtype=float)
-        UR = np.asarray(UR, dtype=float)
         sl = np.sqrt(UL[..., 0])
         sr = np.sqrt(UR[..., 0])
         vxl = UL[..., 1] / UL[..., 0]
@@ -330,7 +312,6 @@ class IdealMHD(_Gas):
         )
 
     def from_primitive(self, prim):
-        prim = np.asarray(prim, dtype=float)
         rho, vx, vy, vz = prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3]
         By, Bz, p = prim[..., 4], prim[..., 5], prim[..., 6]
         b2 = self.bx ** 2 + By ** 2 + Bz ** 2

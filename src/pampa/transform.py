@@ -54,14 +54,14 @@ def _softplus_deriv_inv(x):
 def to_transformed(system, U, p=None):
     """W = Psi(U); requires U strictly inside the invariant domain for systems.
 
-    p: the pressure of U when the caller has it already (systems only).
+    p: the pressure of U when the caller has it already and has checked it
+    (systems only); without it the pressure is computed here and checked.
     """
-    U = np.asarray(U, dtype=float)
     if isinstance(system, ScalarLaw):
         return (U - system.u_min) / (system.u_max - system.u_min)
     if p is None:
         p = system.pressure(U)
-    guard("state", U, p, POSITIVE)
+        guard("state", U, p, POSITIVE)
     rho = U[..., 0]
     W = system.primitive(U, p)
     W[..., 0] = inv_softplus(rho)
@@ -77,7 +77,6 @@ def primitive_from_transformed(system, W):
     conservative vector instead would bury it under the kinetic-energy
     rounding noise whenever p << E.
     """
-    W = np.asarray(W, dtype=float)
     if isinstance(system, ScalarLaw):
         span = system.u_max - system.u_min
         return span * np.minimum(np.maximum(W, 0.0), 1.0) + system.u_min
@@ -106,7 +105,6 @@ def jacobian_transformed(system, U):
     """Jacobian matrices of the W-variable quasilinear form at the states U
     (in G), built column by column from apply_jacobian on the identity, so
     they are the hot path's own action."""
-    U = np.asarray(U, dtype=float)
     eye = np.eye(U.shape[-1])
     # row k of the result is J e_k, i.e. column k of J
     return np.swapaxes(apply_jacobian(system, U[..., None, :], eye), -1, -2)
@@ -117,8 +115,6 @@ def apply_jacobian(system, U, vec, p=None):
 
     p: the pressure of U when the caller has it already (systems only).
     """
-    U = np.asarray(U, dtype=float)
-    vec = np.asarray(vec, dtype=float)
     if isinstance(system, ScalarLaw):
         return system.dflux_fn(U[..., 0])[..., None] * vec
     if p is None:

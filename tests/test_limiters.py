@@ -43,11 +43,6 @@ def test_scaling_scalar_inactive():
     assert (theta, hl, hm, hr) == (1.0, 0.5, 0.5, 0.5)
 
 
-def test_scaling_scalar_rejects_bad_average():
-    with pytest.raises(DomainError):
-        limiters.scaling_limit_scalar(1.5, 1.0, 1.0, 1.0, 0.0, 1.0)
-
-
 @given(st.floats(0.01, 0.99), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_scalar_theta_monotone_in_violation(avg, left, right):
     # theta is nonincreasing as the midpoint moves further past the bound
@@ -86,13 +81,6 @@ def test_scaling_system_inactive_when_compliant():
     hl, hm, hr, theta, _ = limiters.scaling_limit_system(sys, avg, left, mid, right)
     assert theta[0] == 1.0
     assert np.array_equal(hl, left) and np.array_equal(hr, right)
-
-
-def test_scaling_system_rejects_bad_average():
-    sys = Euler(1.4)
-    bad = np.array([[1.0, 0.0, -1.0]])
-    with pytest.raises(DomainError):
-        limiters.scaling_limit_system(sys, bad, bad, bad, bad)
 
 
 @pytest.mark.parametrize("system", [advection(0.0, 1.0), burgers(-1.0, 2.0),

@@ -406,6 +406,40 @@ def test_bad_average_fails_loudly():
         "and pressure, got [-1.   0.   2.5]")
 
 
+@pytest.mark.parametrize("array,row,col,value,got", [
+    ("points", 10, 2, 800.0, "point 10 needs finite values, got [ 1.  0. inf]"),
+    ("points", 10, 1, 1e200,
+     "point 10 needs finite values, got [1.e+000 1.e+200     inf]"),
+    ("avgs", 7, 0, 1e-310, "wave speed of cell 7 needs finite values, got inf"),
+], ids=["pressure-overflow", "energy-overflow", "speed-overflow"])
+def test_finite_entry_that_overflows_fails_at_stage_0(array, row, col, value, got):
+    # a finite entry whose decoded state or wave speed overflows: an
+    # infinite pressure (s = 800), an infinite energy (v = 1e200) or an
+    # average in G whose sound speed is infinite. Each stops at the first
+    # stage with a located DomainError, not a zero step size.
+    cfg = load_config("sod").with_overrides(n=50)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    getattr(field, array)[row, col] = value
+    with pytest.raises(DomainError) as err, np.errstate(over="ignore"):
+        run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator)
+    assert str(err.value) == f"step 1 stage 0 (t = 0.0): {got}"
+
+
+def test_unlimited_midpoint_outside_g_fails_loudly():
+    # without the IDP limiter a gas midpoint may leave G; the residual
+    # names the row of the midpoints (row j is the midpoint of cell j - 1)
+    cfg = load_config("double_rarefaction").with_overrides(
+        n=50, idp=False, oscillation="none")
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    with pytest.raises(DomainError) as err:
+        run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator)
+    assert str(err.value) == (
+        "step 1 stage 0 (t = 0.0): state 25 needs positive, finite density "
+        "and pressure, got [ 7.    -8.75   4.875]")
+
+
 def test_scalar_average_outside_g_fails_loudly():
     # the scaling limiter needs a scalar law's averages in [u_min, u_max]:
     # one outside is named with its step, stage and cell. Without the

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pampa import limiters, oracle, transform
+from pampa import oracle, transform
 from pampa.errors import DomainError
 from pampa.systems import FINITE, Euler, IdealMHD, advection, burgers, guard
 
@@ -133,13 +133,8 @@ def _planted(system, col, value):
     ("state", lambda: MHD.flux(_planted(MHD, 6, np.inf))),
     ("state", lambda: transform.to_transformed(EULER, _planted(EULER, 2, -1.0))),
     ("argument", lambda: transform.inv_softplus([1.0, 2.0, np.inf, 0.0, 5.0])),
-    ("average", lambda: limiters.scaling_limit_scalar(
-        [0.5, 0.5, 1.0, 1.5, 0.5], *[np.full(5, 0.5)] * 3, 0.0, 1.0)),
-    ("average", lambda: limiters.scaling_limit_system(
-        EULER, *[_planted(EULER, 2, -1.0)] * 4)),
 ], ids=["euler-pressure", "mhd-pressure", "euler-flux", "mhd-flux",
-        "to_transformed", "inv_softplus", "scaling_limit_scalar",
-        "scaling_limit_system"])
+        "to_transformed", "inv_softplus"])
 def test_every_admissibility_check_names_its_row(kind, check):
     # one planted bad row (3) is named in the one DomainError format
     with pytest.raises(DomainError, match=rf"^{kind} 3 needs "):
@@ -147,7 +142,7 @@ def test_every_admissibility_check_names_its_row(kind, check):
 
 
 def test_guard_takes_single_and_empty_inputs():
-    # the limiters and the transforms take single cells and states
+    # the systems take single states, inv_softplus single numbers
     guard("state", np.zeros((0, 3)), np.zeros(0), FINITE)
     with pytest.raises(DomainError, match=r"^average 0 needs finite values, got nan$"):
         guard("average", np.array(np.nan), np.array(np.nan), FINITE)
