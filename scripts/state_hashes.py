@@ -80,6 +80,7 @@ BAD_FIELDS = (
     ("sod", {"n": 50}, "points", 10, 2, 800.0),
     ("sod", {"n": 50}, "points", 10, 1, 1e200),
     ("sod", {"n": 50}, "avgs", 7, 0, 1e-310),
+    ("mhd_shock_tube", {"n": 50}, "avgs", 7, 0, 1e-310),
     ("mhd_shock_tube", {"n": 50, "t_final": 0.01}, "avgs", 7, 6, -1.0),
 )
 

@@ -261,7 +261,7 @@ class IdealMHD(_Gas):
         """Fast magnetoacoustic speed c_f for propagation along x."""
         rho = U[..., 0]
         a = (self.gamma * p + self._b_squared(U)) / rho
-        disc = np.maximum(a * a - 4.0 * self.gamma * p * self.bx ** 2 / rho ** 2, 0.0)
+        disc = np.fmax(a * a - 4.0 * self.gamma * p * self.bx ** 2 / rho ** 2, 0.0)
         return np.sqrt(0.5 * (a + np.sqrt(disc)))
 
     def _flux(self, U, p):

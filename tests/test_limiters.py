@@ -458,6 +458,88 @@ def test_oe_theta_closed_form_matches_gauss(system, rng):
         np.testing.assert_allclose(th, ref, rtol=1e-12, atol=0.0)
 
 
+FOUR_SYSTEMS = [advection(-1.0, 2.0), burgers(-1.0, 2.0), Euler(1.4),
+                IdealMHD(gamma=5.0 / 3.0, bx=0.7)]
+
+
+def _base_state(system):
+    """One state of G with every component nonzero."""
+    if system.nvars == 1:
+        return np.array([1.3])
+    prim = np.linspace(0.3, 0.9, system.nvars)
+    prim[0], prim[-1] = 1.2, 0.8
+    return system.from_primitive(prim)
+
+
+def _grid_sizes(rng, K, uniform):
+    # non-uniform: neighbour size ratios up to 4
+    return np.full(K, 0.01) if uniform else 0.01 * rng.uniform(0.5, 2.0, K)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("system", FOUR_SYSTEMS, ids=lambda s: s.name)
+def test_oe_theta_rounding_noise_is_constant(system, uniform, rng):
+    # a constant field perturbed by up to 4 ulps per component is constant
+    # to the OE floor: theta is 1 exactly, not a ratio of noise integrals
+    K = 2000
+    base = np.tile(_base_state(system), (K, 1))
+
+    def noisy():
+        return base + rng.integers(-4, 5, base.shape) * np.spacing(base)
+
+    avgs, lefts, rights = noisy(), noisy(), noisy()
+    assert np.any(lefts != avgs) and np.any(rights != avgs)
+    sizes = _grid_sizes(rng, K, uniform)
+    dt = 0.5 * sizes.min() / system.max_wave_speed(avgs).max()
+    th = limiters.oe_theta(system, avgs, lefts, rights, sizes, dt)
+    assert np.all(th == 1.0)
+
+
+def test_oe_theta_blast_waves_constant_left_state():
+    # the constant left state of blast_waves is undamped at the first stage
+    # (cells 0-5 got 0.9486 from the ratio of two noise integrals)
+    cfg = load_config("blast_waves").with_overrides(n=80)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    record = {}
+    scheme.residual(field, scheme.max_dt(field, cfg.cfl), record)
+    th = record["theta_oe"]                       # cells -1..n
+    assert np.all(th[1:7] == 1.0)
+    assert np.min(th) < 0.9                       # the blast fronts are damped
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("system", FOUR_SYSTEMS, ids=lambda s: s.name)
+def test_oe_theta_small_smooth_signal_is_not_floored(system, uniform, rng):
+    # a smooth profile of relative amplitude 1e-8 lies far above the floor:
+    # every cell the reference damps stays damped, by the reference amount.
+    # Cancellation in the jumps limits any formula (the Gauss rule too) to
+    # ~1e-7 in theta here, against 1 - theta of 2e-5 to 1e-2, so the
+    # match is to rtol 1e-6.
+    K = 24
+    sizes = _grid_sizes(rng, K, uniform)
+    nodes = np.concatenate([[0.0], np.cumsum(sizes)]) / np.sum(sizes)
+    sizes = np.diff(nodes)
+    base = _base_state(system)
+    phase = np.linspace(0.0, 1.0, system.nvars)
+
+    def state(x):
+        return base * (1.0 + 1e-8 * np.sin(2.0 * np.pi * (x[..., None] + phase)))
+
+    g, w = np.polynomial.legendre.leggauss(5)
+    avgs = np.einsum("q,kqd->kd", 0.5 * w,
+                     state(0.5 * (nodes[:-1, None] + nodes[1:, None])
+                           + 0.5 * sizes[:, None] * g))
+    lefts, rights = state(nodes[:-1]), state(nodes[1:])
+    dt = sizes.min() / system.max_wave_speed(avgs).max()
+    th = limiters.oe_theta(system, avgs, lefts, rights, sizes, dt)
+    ref = _oe_theta_gauss(system, avgs, lefts, rights, sizes, dt)
+    damped = ref < 1.0
+    assert damped.sum() >= K // 2
+    assert np.all(th[damped] < 1.0)
+    np.testing.assert_allclose(th[damped], ref[damped], rtol=1e-6, atol=0.0)
+
+
 def test_oe_apply():
     avg = np.array([[0.0]])
     left = np.array([[2.0]])

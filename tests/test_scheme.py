@@ -406,22 +406,29 @@ def test_bad_average_fails_loudly():
         "and pressure, got [-1.   0.   2.5]")
 
 
-@pytest.mark.parametrize("array,row,col,value,got", [
-    ("points", 10, 2, 800.0, "point 10 needs finite values, got [ 1.  0. inf]"),
-    ("points", 10, 1, 1e200,
+@pytest.mark.parametrize("preset,array,row,col,value,got", [
+    ("sod", "points", 10, 2, 800.0,
+     "point 10 needs finite values, got [ 1.  0. inf]"),
+    ("sod", "points", 10, 1, 1e200,
      "point 10 needs finite values, got [1.e+000 1.e+200     inf]"),
-    ("avgs", 7, 0, 1e-310, "wave speed of cell 7 needs finite values, got inf"),
-], ids=["pressure-overflow", "energy-overflow", "speed-overflow"])
-def test_finite_entry_that_overflows_fails_at_stage_0(array, row, col, value, got):
+    ("sod", "avgs", 7, 0, 1e-310,
+     "wave speed of cell 7 needs finite values, got inf"),
+    ("mhd_shock_tube", "avgs", 7, 0, 1e-310,
+     "wave speed of cell 7 needs finite values, got inf"),
+], ids=["pressure-overflow", "energy-overflow", "speed-overflow",
+        "mhd-speed-overflow"])
+def test_finite_entry_that_overflows_fails_at_stage_0(preset, array, row, col,
+                                                      value, got):
     # a finite entry whose decoded state or wave speed overflows: an
     # infinite pressure (s = 800), an infinite energy (v = 1e200) or an
-    # average in G whose sound speed is infinite. Each stops at the first
-    # stage with a located DomainError, not a zero step size.
-    cfg = load_config("sod").with_overrides(n=50)
+    # average in G whose sound or fast speed is infinite (for MHD the
+    # discriminant is then inf - inf). Each stops at the first stage with a
+    # located DomainError, not a zero step size or a nan speed.
+    cfg = load_config(preset).with_overrides(n=50)
     scheme = run_mod.build_scheme(cfg)
     field = run_mod.initial_field(cfg, scheme)
     getattr(field, array)[row, col] = value
-    with pytest.raises(DomainError) as err, np.errstate(over="ignore"):
+    with pytest.raises(DomainError) as err, np.errstate(all="ignore"):
         run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator)
     assert str(err.value) == f"step 1 stage 0 (t = 0.0): {got}"
 
