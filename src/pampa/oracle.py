@@ -94,18 +94,6 @@ class DomainSweep:
             self._check(record["mid_hat"], "midpoint", step, stage)
 
 
-def sweep_domain(snapshots, system) -> ViolationReport:
-    """Offline sweep over recorded stage snapshots.
-
-    Each snapshot is (step, stage, field, record) as delivered to a stage
-    observer; `record` may be None.
-    """
-    sweep = DomainSweep(system)
-    for step, stage, fld, record in snapshots:
-        sweep.on_stage(None, step, stage, fld, record)
-    return sweep.report
-
-
 # ---------------------------------------------------------------------------
 # generalized Lax-Friedrichs splitting sampling
 

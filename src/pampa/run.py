@@ -102,11 +102,14 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
         remaining = t_final - t
         stages_done = 0
         try:
-            plan = min(integ.step_size(scheme.max_dt(field, cfl)), remaining)
+            entry = scheme.stage_entry(field)  # max_dt's and the first residual's
+            plan = min(integ.step_size(scheme.max_dt(field, cfl, entry=entry)),
+                       remaining)
             q = remaining / plan
             m = int(q) if q - int(q) < 1e-9 else int(q) + 1
             dt = remaining / max(m, 1)
-            field = integ.step(scheme, field, dt, t=t, step=step, on_stage=staged)
+            field = integ.step(scheme, field, dt, t=t, step=step,
+                               on_stage=staged, entry=entry)
         except DomainError as err:
             raise DomainError(
                 f"step {step + 1} stage {stages_done} (t = {t!r}): {err}") from err

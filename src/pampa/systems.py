@@ -122,12 +122,13 @@ class _Gas:
     the wave speeds with an optional precomputed pressure p of U (without
     it they compute and guard their own), the primitive decode and the wall
     reflections. Each system supplies the formulas `_pressure`, `_flux` and
-    the signal speed `_fast_speed`."""
+    the signal speed `_fast_speed`, and its momentum columns `_velocity`."""
 
     domain_rule = POSITIVE
     # sign of each conservative (and transformed) component under a wall
     # reflection: only the normal momentum (velocity) flips
     _reflection: np.ndarray
+    _velocity: slice
 
     def __init__(self, gamma: float):
         self.gamma = float(gamma)
@@ -185,6 +186,13 @@ class _Gas:
                 return self._primitive(U, self.pressure(U, check=False))
         return self._primitive(U, p)
 
+    def _primitive(self, U, p):
+        """U with its velocity columns divided by rho and p in the last."""
+        prim = U.copy()
+        prim[..., self._velocity] /= U[..., :1]
+        prim[..., -1] = p
+        return prim
+
     def reflect(self, U):
         """Mirror states at a wall; conservative and transformed alike."""
         return U * self._reflection
@@ -198,6 +206,7 @@ class Euler(_Gas):
     primitive_names = ("density", "velocity", "pressure")
     name = "euler"
     _reflection = np.array([1.0, -1.0, 1.0])
+    _velocity = slice(1, 2)
 
     def __init__(self, gamma: float = 1.4):
         super().__init__(gamma)
@@ -217,9 +226,6 @@ class Euler(_Gas):
     def pair_speed(self, UL, UR, pL=None, pR=None):
         return np.maximum(self.max_wave_speed(UL, pL), self.max_wave_speed(UR, pR))
 
-    def _primitive(self, U, p):
-        return np.stack([U[..., 0], U[..., 1] / U[..., 0], p], axis=-1)
-
     def from_primitive(self, prim):
         rho, v, p = prim[..., 0], prim[..., 1], prim[..., 2]
         E = p / (self.gamma - 1.0) + 0.5 * rho * v * v
@@ -236,6 +242,7 @@ class IdealMHD(_Gas):
                        "b_y", "b_z", "pressure")
     name = "mhd"
     _reflection = np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    _velocity = slice(1, 4)
 
     def __init__(self, gamma: float = 5.0 / 3.0, bx: float = 0.0):
         super().__init__(gamma)
@@ -270,18 +277,15 @@ class IdealMHD(_Gas):
         bx = self.bx
         ptot = p + 0.5 * self._b_squared(U)
         bdotv = bx * vx + By * vy + Bz * vz
-        return np.stack(
-            [
-                rho * vx,
-                rho * vx * vx + ptot - bx * bx,
-                rho * vx * vy - bx * By,
-                rho * vx * vz - bx * Bz,
-                By * vx - bx * vy,
-                Bz * vx - bx * vz,
-                (E + ptot) * vx - bx * bdotv,
-            ],
-            axis=-1,
-        )
+        F = np.empty(U.shape)
+        F[..., 0] = mx = rho * vx    # rho * vx * vx is (rho * vx) * vx
+        F[..., 1] = mx * vx + ptot - bx * bx
+        F[..., 2] = mx * vy - bx * By
+        F[..., 3] = mx * vz - bx * Bz
+        F[..., 4] = By * vx - bx * vy
+        F[..., 5] = Bz * vx - bx * vz
+        F[..., 6] = (E + ptot) * vx - bx * bdotv
+        return F
 
     def pair_speed(self, UL, UR, pL=None, pR=None):
         sl = np.sqrt(UL[..., 0])
@@ -302,14 +306,6 @@ class IdealMHD(_Gas):
             (UL[..., 4] - UR[..., 4]) ** 2 + (UL[..., 5] - UR[..., 5]) ** 2
         )
         return base + db / (sl + sr)
-
-    def _primitive(self, U, p):
-        """(rho, vx, vy, vz, By, Bz, p)."""
-        rho, v, By, Bz, _ = self._split(U)
-        return np.stack(
-            [rho, v[..., 0], v[..., 1], v[..., 2], By, Bz, p],
-            axis=-1,
-        )
 
     def from_primitive(self, prim):
         rho, vx, vy, vz = prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3]

@@ -15,19 +15,26 @@ from .errors import ConfigError
 from .scheme import DofField
 
 
-def _euler_stage(scheme, field, dt, resid=None, record=None):
+def _residual(scheme, field, dt, record, entry):
+    """scheme.residual, handed a step's stage entry by keyword if there is one."""
+    if entry is None:
+        return scheme.residual(field, dt, record)
+    return scheme.residual(field, dt, record, entry=entry)
+
+
+def _euler_stage(scheme, field, dt, resid=None, record=None, entry=None):
     if resid is None:
         record = {} if record is None else record
-        resid = scheme.residual(field, dt, record)
+        resid = _residual(scheme, field, dt, record, entry)
     da, dp = resid
     out = DofField(field.avgs + dt * da, field.points + dt * dp)
     return scheme.finish_stage(out), record
 
 
 def _rk3_step(scheme, field, dt, t, step, on_stage, first_resid=None,
-              first_record=None):
+              first_record=None, entry=None):
     """Shu-Osher three-stage SSP RK3 (weights 1; 3/4,1/4; 1/3,2/3)."""
-    s1, rec1 = _euler_stage(scheme, field, dt, first_resid, first_record)
+    s1, rec1 = _euler_stage(scheme, field, dt, first_resid, first_record, entry)
     if on_stage:
         on_stage(t + dt, step, 0, s1, rec1)
 
@@ -51,8 +58,8 @@ class ForwardEuler:
     def step_size(self, cfl_dt: float) -> float:
         return cfl_dt
 
-    def step(self, scheme, field, dt, t=0.0, step=0, on_stage=None):
-        out, rec = _euler_stage(scheme, field, dt)
+    def step(self, scheme, field, dt, t=0.0, step=0, on_stage=None, entry=None):
+        out, rec = _euler_stage(scheme, field, dt, entry=entry)
         if on_stage:
             on_stage(t + dt, step, 0, out, rec)
         return out
@@ -62,8 +69,8 @@ class SspRk3:
     def step_size(self, cfl_dt: float) -> float:
         return cfl_dt
 
-    def step(self, scheme, field, dt, t=0.0, step=0, on_stage=None):
-        return _rk3_step(scheme, field, dt, t, step, on_stage)
+    def step(self, scheme, field, dt, t=0.0, step=0, on_stage=None, entry=None):
+        return _rk3_step(scheme, field, dt, t, step, on_stage, entry=entry)
 
 
 class SspMultistep3:
@@ -93,12 +100,12 @@ class SspMultistep3:
             self._dt_frozen = dt
         return self._dt_frozen
 
-    def step(self, scheme, field, dt, t=0.0, step=0, on_stage=None):
+    def step(self, scheme, field, dt, t=0.0, step=0, on_stage=None, entry=None):
         mismatch = self._hist_dt is not None and abs(dt - self._hist_dt) > 1e-9 * dt
         if mismatch:
             self._hist.clear()
         record: dict = {}
-        resid = scheme.residual(field, dt, record)
+        resid = _residual(scheme, field, dt, record, entry)
         if len(self._hist) < 3:
             self._hist.append((field, resid))
             self._hist_dt = dt

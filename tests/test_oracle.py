@@ -88,8 +88,11 @@ def test_offline_sweep_snapshots():
     snaps = []
     run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator,
                     on_stage=lambda t, s, g, f, r: snaps.append((s, g, f.copy(), r)))
-    rep = oracle.sweep_domain(snaps, build_system(cfg))
-    assert rep.is_empty and rep.n_checked > 0
+    # replay the recorded (step, stage, field, record) snapshots offline
+    sweep = oracle.DomainSweep(build_system(cfg))
+    for step, stage, fld, record in snaps:
+        sweep.on_stage(None, step, stage, fld, record)
+    assert sweep.report.is_empty and sweep.report.n_checked > 0
 
 
 def test_fd_jacobian_matches_analytic_euler_flux():

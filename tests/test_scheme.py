@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,9 +225,15 @@ def test_max_dt_matches_roll_formula(name, bc, rng):
         want = _max_dt_roll(scheme, field, 0.1)
         assert 0.0 < want < math.inf
         assert scheme.max_dt(field, 0.1) == want
+        # the stage entry advance hands to max_dt gives the same step
+        entry = scheme.stage_entry(field)
+        assert scheme.max_dt(field, 0.1, entry=entry) == want
         # a node whose speed is nan is skipped as before
         points[n // 2] = np.nan
-        assert scheme.max_dt(field, 0.1) == _max_dt_roll(scheme, field, 0.1)
+        want = _max_dt_roll(scheme, field, 0.1)
+        assert scheme.max_dt(field, 0.1) == want
+        entry = scheme.stage_entry(field)
+        assert scheme.max_dt(field, 0.1, entry=entry) == want
 
 
 @pytest.mark.parametrize("bc", [mesh.PERIODIC, mesh.OUTFLOW])
@@ -242,10 +249,55 @@ def test_max_dt_zero_and_nan_speeds(bc):
     want = _max_dt_roll(scheme, field, 0.1)
     assert want == pytest.approx(0.1 * 0.125 / 0.5, rel=1e-15)
     assert scheme.max_dt(field, 0.1) == want
+    assert scheme.max_dt(field, 0.1, entry=scheme.stage_entry(field)) == want
     # nan speeds everywhere: nothing bounds the step
     field.avgs[:] = np.nan
     field.points[:] = np.nan
     assert scheme.max_dt(field, 0.1) == _max_dt_roll(scheme, field, 0.1) == math.inf
+
+
+def _calls_per_step(preset, n, t_frac, monkeypatch):
+    """Decode, wave-speed and residual calls in each step of an advance
+    after the first, counted where perfbench's tracer counts them: the
+    decode as a module attribute, the others on the instances, so that a
+    speed a system method takes through another counts too."""
+    cfg = load_config(preset).with_overrides(n=n)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    calls = {"decode": 0, "speed": 0, "residual": 0}
+
+    def count(owner, attr, key):
+        inner = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(transform, "from_transformed", "decode")
+    for attr in ("max_wave_speed", "pair_speed", "wave_speed_range"):
+        count(scheme.system, attr, "speed")
+    count(scheme, "residual", "residual")
+    seen = []
+    run_mod.advance(scheme, field, t_frac * cfg.t_final, cfg.cfl,
+                    cfg.integrator, on_step=lambda *a: seen.append(dict(calls)))
+    return [{k: b[k] - a[k] for k in calls} for a, b in zip(seen, seen[1:])]
+
+
+def test_max_dt_and_first_residual_share_one_stage_entry(monkeypatch):
+    # advance builds one stage entry per step: max_dt slices its speeds and
+    # the step's first residual checks and reads it. On ssp_ms3, one
+    # residual per step after the three RK3 start-up steps: one decode and
+    # six wave speeds (nodes and averages of the entry, midpoints, and the
+    # interface pair_speed with its two max_wave_speed calls)
+    steps = _calls_per_step("advection_smooth", 40, 0.1, monkeypatch)[2:]
+    assert len(steps) >= 3
+    assert all(s == {"decode": 1, "speed": 6, "residual": 1} for s in steps)
+    # OE on MHD: every residual takes its averages' speeds and OE range in
+    # one wave_speed_range call, four wave-speed calls per residual
+    steps = _calls_per_step("mhd_shock_tube", 100, 0.02, monkeypatch)
+    assert len(steps) >= 3
+    assert all(s == {"decode": 3, "speed": 12, "residual": 3} for s in steps)
 
 
 def test_final_step_clamp():
@@ -396,13 +448,15 @@ def test_bad_average_fails_loudly():
     field.avgs[7, 2] = 0.1 * field.avgs[7, 2] - 1.0  # negative pressure
     with pytest.raises(DomainError, match=r"average 7 needs positive"):
         scheme.residual(field, 1e-3)
-    # a negative density meets max_dt's guarded pressure first
+    # a negative density: max_dt skips its nan speed, and the residual's
+    # check of the stage entry names the average, without a RuntimeWarning
     field = run_mod.initial_field(cfg, scheme)
     field.avgs[7, 0] = -1.0
-    with pytest.raises(DomainError) as err:
+    with pytest.raises(DomainError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator)
     assert str(err.value) == (
-        "step 1 stage 0 (t = 0.0): state 7 needs positive, finite density "
+        "step 1 stage 0 (t = 0.0): average 7 needs positive, finite density "
         "and pressure, got [-1.   0.   2.5]")
 
 
