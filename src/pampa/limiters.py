@@ -203,12 +203,13 @@ def parabola_coeffs(avg, left, right):
     return c0, c1, c2
 
 
-def oe_theta(system, avgs, lefts, rights, sizes, dt, speed_range=None):
+def oe_theta(avgs, lefts, rights, sizes, dt, lo, hi, speed):
     """Damping factors theta_OE for cells 1..K-2 given data for cells 0..K-1.
 
     avgs/lefts/rights: (K, d) cell averages and one-sided endpoint values;
-    sizes: (K,) cell sizes; speed_range: the signed wave speeds (v - c,
-    v + c) of avgs if known. Returns (K-2,) factors in (0, 1].
+    sizes: (K,) cell sizes; lo, hi: the signed wave speeds v - c, v + c of
+    avgs, and speed their largest modulus |v| + c. Returns (K-2,) factors
+    in (0, 1].
 
     The jump integrals over the own cell are exact. Each parabola is taken
     in Legendre form on xi in [-1/2, 1/2], p = A + a1 P1(2xi) + a2 P2(2xi)
@@ -256,7 +257,6 @@ def oe_theta(system, avgs, lefts, rights, sizes, dt, speed_range=None):
     eta_l, d_l = jumps(lnb, 1.0)
     eta_r, d_r = jumps(rnb, -1.0)
 
-    lo, hi = system.wave_speed_range(avgs) if speed_range is None else speed_range
     s_l = np.minimum(np.minimum(lo[lnb], lo[own]), np.minimum(lo[rnb], 0.0))
     s_r = np.maximum(np.maximum(hi[lnb], hi[own]), np.maximum(hi[rnb], 0.0))
     num = s_r * eta_l - s_l * eta_r
@@ -264,8 +264,6 @@ def oe_theta(system, avgs, lefts, rights, sizes, dt, speed_range=None):
     live = den > OE_FLOOR * (s_r - s_l) * square_sum(Ao)
     sigma = np.where(live, num / np.where(live, den, 1.0), 0.0)
 
-    # max(|v - c|, |v + c|) is |v| + c bit for bit
-    speed = np.maximum(np.abs(lo), np.abs(hi))
     beta = np.maximum(np.maximum(speed[lnb], speed[own]), speed[rnb])
     return np.exp(-beta * dt * sigma / dxo)
 

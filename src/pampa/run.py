@@ -82,10 +82,11 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
     A DomainError raised inside a step (a state that is not finite or has
     left G) is raised again with the step number, counted from 1 as in
     the diagnostics, the stage whose residual found it, counted from 0 as
-    in `on_stage`, and the time at which that step began. Each residual
-    checks its input, so the final field, which no residual reads, gets
-    the same checks after the last step; a failure there names the last
-    step and the stage that produced the field."""
+    in `on_stage`, and the time at which that step began. Each stage's
+    input is checked where its entry is built (`scheme.guard`), so the
+    final field, which no stage reads, gets the same checks after the last
+    step; a failure there names the last step and the stage that produced
+    the field."""
     integ = make_integrator(integrator)
     t = t_step = 0.0
     step = 0

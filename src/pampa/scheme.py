@@ -10,7 +10,6 @@ scaling IDP limiter, then flux/residual assembly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,7 +33,7 @@ class DofField:
 
 
 class StageEntry(NamedTuple):
-    """A stage's unchecked input (a tuple builds 4x faster than a frozen
+    """A stage's checked input (a tuple builds 4x faster than a frozen
     dataclass): averages A of cells -3..n+2, points Wx of nodes -2..n+2 and
     their decode Ux, the pressures of Ux and A (None for scalar laws), the
     speeds of Ux and A and, for OE, A's range v -+ c."""
@@ -109,18 +108,44 @@ class PampaScheme:
 
     # -- stage entry ----------------------------------------------------------
 
-    def stage_entry(self, field: DofField) -> StageEntry:
-        """`field` ghost-extended and decoded, with its wave speeds, unchecked
-        (`residual` checks it, `max_dt` skips a nan speed) and, for a gas,
-        without floating-point warnings. `advance` builds one per step."""
+    def guard(self, field: DofField) -> tuple:
+        """The one check of a stage's input: `field` ghost-extended and
+        decoded, as (A, Wx, Ux, p_node, p_avg) of `StageEntry`, unless
+        DomainError names its first bad cell or node. Points and averages
+        must be finite and, for systems, have positive density and pressure;
+        with the IDP limiter, a scalar law's averages must lie in [u_min,
+        u_max]. A system's points are checked as U, which a finite W may
+        overflow (decoded without floating-point warnings); a scalar law's
+        as W, whose inf clips to a finite u."""
         sys = self.system
+        n, m = self.grid.n_cells, self.n_points
+        ga, gp, g = mesh.AVG_GHOST, mesh.PT_GHOST, sys.domain_rule
         A = mesh.extend_averages(field.avgs, self.bc, sys)       # cells -3..n+2
         Wx = mesh.extend_points(field.points, self.bc, sys)      # nodes -2..n+2
-        Ux, p_node = transform.from_transformed(sys, Wx, with_pressure=True)
         if self.scalar:
-            return self._with_speeds(A, Wx, Ux, None, None)
+            Ux = transform.from_transformed(sys, Wx)
+            guard("point", Ux, Wx, FINITE, gp, m)
+            # the scaling limiter needs a scalar law's averages inside G
+            guard("average", A, A, g if self.limiter.idp else FINITE, ga, n)
+            return A, Wx, Ux, None, None
         with np.errstate(all="ignore"):
-            return self._with_speeds(A, Wx, Ux, p_node, sys.pressure(A, check=False))
+            Ux, p_node = transform.from_transformed(sys, Wx, with_pressure=True)
+            p_avg = sys.pressure(A, check=False)
+        guard("point", Ux, Ux, FINITE, gp, m)
+        guard("average", A, A[:, 0], g, ga, n)
+        guard("average", A, p_avg, g, ga, n)
+        guard("point", Ux, Ux[:, 0], g, gp, m)
+        guard("point", Ux, p_node, g, gp, m)
+        return A, Wx, Ux, p_node, p_avg
+
+    def stage_entry(self, field: DofField) -> StageEntry:
+        """`guard(field)` with its wave speeds; `advance` builds one per step.
+        For a gas the decode, the pressures and the speeds run under one
+        np.errstate: a speed that overflows is inf, which `max_dt` names."""
+        if self.scalar:
+            return self._with_speeds(*self.guard(field))
+        with np.errstate(all="ignore"):
+            return self._with_speeds(*self.guard(field))
 
     def _with_speeds(self, A, Wx, Ux, p_node, p_avg) -> StageEntry:
         sys, rng = self.system, None
@@ -133,46 +158,21 @@ class PampaScheme:
         return StageEntry(A, Wx, Ux, p_node, p_avg,
                           sys.max_wave_speed(Ux, p_node), speed_avg, rng)
 
-    def _check(self, e: StageEntry) -> None:
-        """The one check of a stage's inputs, its entry e (DomainError names
-        the first bad cell or node): points and averages finite and, for
-        systems, with positive density and pressure; with the IDP limiter, a
-        scalar law's averages in [u_min, u_max]. A system's points are checked
-        as U, which a finite W may overflow; a scalar law's as W, whose inf
-        clips to a finite u."""
-        n, m = self.grid.n_cells, self.n_points
-        ga, gp = mesh.AVG_GHOST, mesh.PT_GHOST
-        g = self.system.domain_rule
-        guard("point", e.Ux, e.Wx if self.scalar else e.Ux, FINITE, gp, m)
-        if self.scalar:
-            # the scaling limiter needs a scalar law's averages inside G
-            guard("average", e.A, e.A, g if self.limiter.idp else FINITE, ga, n)
-            return
-        guard("average", e.A, e.A[:, 0], g, ga, n)
-        guard("average", e.A, e.p_avg, g, ga, n)
-        guard("point", e.Ux, e.Ux[:, 0], g, gp, m)
-        guard("point", e.Ux, e.p_node, g, gp, m)
-
-    def guard(self, field: DofField) -> None:
-        """The checks `residual` makes of its input, on `field` itself: a
-        field that passes is one the next stage accepts."""
-        self._check(self.stage_entry(field))
-
     # -- residuals ----------------------------------------------------------
 
     def residual(self, field: DofField, dt: float, record: dict | None = None,
                  *, entry: StageEntry | None = None):
         """Semi-discrete rates (d avgs/dt, d points/dt) for one stage.
 
-        The entry (built here unless given) is checked once, by `_check`. Every
-        later state of the stage is one of its states or a convex blend of them,
-        so its pressure is computed once, unguarded, and handed to each consumer.
+        The entry (built here unless given) was checked where it was built,
+        by `guard`. Every later state of the stage is one of its states or a
+        convex blend of them, so its pressure is computed once, unguarded,
+        and handed to each consumer.
         """
         sys = self.system
         lim = self.limiter
         n, m = self.grid.n_cells, self.n_points
         e = self.stage_entry(field) if entry is None else entry
-        self._check(e)
         A, Wx, Ux, p_node, p_avg, dxx = e.A, e.Wx, e.Ux, e.p_node, e.p_avg, self._dxx
 
         # limited triples (left, mid, right) for cells -1..n (index c+1)
@@ -183,9 +183,10 @@ class PampaScheme:
         mp_changed = 0
 
         if lim.oscillation == "oe":
-            theta_oe = limiters.oe_theta(
-                sys, A[1 : n + 5], Ux[0 : n + 4], Ux[1 : n + 5], dxx[1 : n + 5], dt,
-                (e.range_avg[0][1 : n + 5], e.range_avg[1][1 : n + 5]))
+            c = slice(1, n + 5)                                  # cells -2..n+1
+            lo, hi = e.range_avg
+            theta_oe = limiters.oe_theta(A[c], Ux[0 : n + 4], Ux[c], dxx[c], dt,
+                                         lo[c], hi[c], e.speed_avg[c])
             u_l, u_m, u_r = limiters.oe_apply(theta_oe, cel_a, u_l, u_r)
         elif lim.oscillation == "mp":
             w_avg = transform.to_transformed(sys, A, p_avg)
@@ -275,12 +276,11 @@ class PampaScheme:
                entry: StageEntry | None = None) -> float:
         """CFL time step: cfl * min_j dx_j / lambda_j with lambda_j the
         largest wave speed over the cell average and its endpoint states
-        from the entry of `field` (built here unless given).
+        from the checked entry of `field` (built here unless given).
 
-        Cells with lambda_j = 0 (dx/0 = inf) or a nan speed are skipped;
-        with none left the step is unbounded (inf). An infinite speed
-        (dx/inf = 0) is a failure: DomainError names a state outside G
-        (`_check`) or, if there is none, the cell. The entry holds node n
+        Cells with lambda_j = 0 (dx/0 = inf) are skipped; with none left the
+        step is unbounded (inf). An infinite speed (dx/inf = 0) of a state in
+        G is a failure: DomainError names the cell. The entry holds node n
         (periodic: node 0), so node speeds j and j+1 bound cell j.
         """
         check_cfl(cfl)
@@ -291,11 +291,10 @@ class PampaScheme:
                          np.maximum(s_node[:-1], s_node[1:]))
         with np.errstate(divide="ignore"):
             ratios = self.grid.cell_sizes / lam
-        dt = cfl * float(np.fmin.reduce(ratios))  # fmin skips nan
-        if dt == 0.0:
-            self._check(e)
+        dt = cfl * float(ratios.min())
+        if not dt > 0.0:  # an infinite (or nan) speed
             guard("wave speed of cell", lam, lam, FINITE)
-        return dt if math.isfinite(dt) else math.inf
+        return dt
 
     # -- boundary fix-ups ----------------------------------------------------
 

@@ -15,17 +15,10 @@ from .errors import ConfigError
 from .scheme import DofField
 
 
-def _residual(scheme, field, dt, record, entry):
-    """scheme.residual, handed a step's stage entry by keyword if there is one."""
-    if entry is None:
-        return scheme.residual(field, dt, record)
-    return scheme.residual(field, dt, record, entry=entry)
-
-
 def _euler_stage(scheme, field, dt, resid=None, record=None, entry=None):
     if resid is None:
         record = {} if record is None else record
-        resid = _residual(scheme, field, dt, record, entry)
+        resid = scheme.residual(field, dt, record, entry=entry)
     da, dp = resid
     out = DofField(field.avgs + dt * da, field.points + dt * dp)
     return scheme.finish_stage(out), record
@@ -105,7 +98,7 @@ class SspMultistep3:
         if mismatch:
             self._hist.clear()
         record: dict = {}
-        resid = _residual(scheme, field, dt, record, entry)
+        resid = scheme.residual(field, dt, record, entry=entry)
         if len(self._hist) < 3:
             self._hist.append((field, resid))
             self._hist_dt = dt

@@ -325,11 +325,19 @@ def test_limiter_bulk_invariants():
 # OE procedure
 
 
+def _oe_theta(system, avgs, lefts, rights, sizes, dt):
+    """limiters.oe_theta with the speed range and the speeds of `avgs` taken
+    from the system."""
+    lo, hi = system.wave_speed_range(avgs)
+    return limiters.oe_theta(avgs, lefts, rights, sizes, dt, lo, hi,
+                             system.max_wave_speed(avgs))
+
+
 def test_oe_theta_constant_field():
     sys = advection(0.0, 2.0)
     avgs = np.full((6, 1), 1.3)
     ends = np.full((6, 1), 1.3)
-    th = limiters.oe_theta(sys, avgs, ends, ends, np.full(6, 0.1), dt=0.01)
+    th = _oe_theta(sys, avgs, ends, ends, np.full(6, 0.1), dt=0.01)
     assert np.all(th == 1.0)
 
 
@@ -340,7 +348,7 @@ def test_oe_theta_jump_strictly_damps():
     # endpoint values consistent with flat cells away from the jump
     lefts = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])[:, None]
     rights = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])[:, None]
-    th = limiters.oe_theta(sys, avgs, lefts, rights, np.full(6, 0.1), dt=0.01)
+    th = _oe_theta(sys, avgs, lefts, rights, np.full(6, 0.1), dt=0.01)
     assert np.any(th < 1.0)
     assert np.all(th > 0.0)
 
@@ -452,7 +460,7 @@ def test_oe_theta_closed_form_matches_gauss(system, rng):
         smooth = rng.random(K) < 0.3
         lefts[smooth] = rights[smooth] = avgs[smooth]
         dt = 0.05 * sizes.min() / system.max_wave_speed(avgs).max()
-        th = limiters.oe_theta(system, avgs, lefts, rights, sizes, dt)
+        th = _oe_theta(system, avgs, lefts, rights, sizes, dt)
         ref = _oe_theta_gauss(system, avgs, lefts, rights, sizes, dt)
         assert np.any(ref < 0.5) and np.any(ref > 0.99)
         np.testing.assert_allclose(th, ref, rtol=1e-12, atol=0.0)
@@ -491,7 +499,7 @@ def test_oe_theta_rounding_noise_is_constant(system, uniform, rng):
     assert np.any(lefts != avgs) and np.any(rights != avgs)
     sizes = _grid_sizes(rng, K, uniform)
     dt = 0.5 * sizes.min() / system.max_wave_speed(avgs).max()
-    th = limiters.oe_theta(system, avgs, lefts, rights, sizes, dt)
+    th = _oe_theta(system, avgs, lefts, rights, sizes, dt)
     assert np.all(th == 1.0)
 
 
@@ -532,7 +540,7 @@ def test_oe_theta_small_smooth_signal_is_not_floored(system, uniform, rng):
                            + 0.5 * sizes[:, None] * g))
     lefts, rights = state(nodes[:-1]), state(nodes[1:])
     dt = sizes.min() / system.max_wave_speed(avgs).max()
-    th = limiters.oe_theta(system, avgs, lefts, rights, sizes, dt)
+    th = _oe_theta(system, avgs, lefts, rights, sizes, dt)
     ref = _oe_theta_gauss(system, avgs, lefts, rights, sizes, dt)
     damped = ref < 1.0
     assert damped.sum() >= K // 2

@@ -228,12 +228,13 @@ def test_max_dt_matches_roll_formula(name, bc, rng):
         # the stage entry advance hands to max_dt gives the same step
         entry = scheme.stage_entry(field)
         assert scheme.max_dt(field, 0.1, entry=entry) == want
-        # a node whose speed is nan is skipped as before
+        # a nan node is outside G: the entry's check names it
         points[n // 2] = np.nan
-        want = _max_dt_roll(scheme, field, 0.1)
-        assert scheme.max_dt(field, 0.1) == want
-        entry = scheme.stage_entry(field)
-        assert scheme.max_dt(field, 0.1, entry=entry) == want
+        for call in (lambda: scheme.max_dt(field, 0.1),
+                     lambda: scheme.stage_entry(field)):
+            with pytest.raises(DomainError,
+                               match=rf"^point {n // 2} needs finite values"):
+                call()
 
 
 @pytest.mark.parametrize("bc", [mesh.PERIODIC, mesh.OUTFLOW])
@@ -243,22 +244,27 @@ def test_max_dt_zero_and_nan_speeds(bc):
     zero = transform.to_transformed(scheme.system, np.zeros((scheme.n_points, 1)))
     field = DofField(np.zeros((8, 1)), zero)
     assert scheme.max_dt(field, 0.1) == _max_dt_roll(scheme, field, 0.1) == math.inf
-    # one moving cell bounds the step; a nan node next to it is skipped
+    # one moving cell bounds the step
     field.avgs[3] = 0.5
-    field.points[5] = np.nan
     want = _max_dt_roll(scheme, field, 0.1)
     assert want == pytest.approx(0.1 * 0.125 / 0.5, rel=1e-15)
     assert scheme.max_dt(field, 0.1) == want
     assert scheme.max_dt(field, 0.1, entry=scheme.stage_entry(field)) == want
-    # nan speeds everywhere: nothing bounds the step
+    # a nan node next to it is outside G: the entry's check names it
+    field.points[5] = np.nan
+    with pytest.raises(DomainError, match=r"^point 5 needs finite values, got \[nan\]$"):
+        scheme.max_dt(field, 0.1)
+    # nan everywhere: the first node is named
     field.avgs[:] = np.nan
     field.points[:] = np.nan
-    assert scheme.max_dt(field, 0.1) == _max_dt_roll(scheme, field, 0.1) == math.inf
+    with pytest.raises(DomainError, match=r"^point 0 needs finite values, got \[nan\]$"):
+        scheme.max_dt(field, 0.1)
 
 
 def _calls_per_step(preset, n, t_frac, monkeypatch):
     """Decode, wave-speed and residual calls in each step of an advance
-    after the first, counted where perfbench's tracer counts them: the
+    after the first and, last, those after the last step (the check of the
+    returned field), counted where perfbench's tracer counts them: the
     decode as a module attribute, the others on the instances, so that a
     speed a system method takes through another counts too."""
     cfg = load_config(preset).with_overrides(n=n)
@@ -281,23 +287,31 @@ def _calls_per_step(preset, n, t_frac, monkeypatch):
     seen = []
     run_mod.advance(scheme, field, t_frac * cfg.t_final, cfg.cfl,
                     cfg.integrator, on_step=lambda *a: seen.append(dict(calls)))
+    seen.append(dict(calls))
     return [{k: b[k] - a[k] for k in calls} for a, b in zip(seen, seen[1:])]
 
 
 def test_max_dt_and_first_residual_share_one_stage_entry(monkeypatch):
-    # advance builds one stage entry per step: max_dt slices its speeds and
-    # the step's first residual checks and reads it. On ssp_ms3, one
+    # advance builds one checked stage entry per step: max_dt slices its
+    # speeds and the step's first residual reads it. On ssp_ms3, one
     # residual per step after the three RK3 start-up steps: one decode and
     # six wave speeds (nodes and averages of the entry, midpoints, and the
     # interface pair_speed with its two max_wave_speed calls)
-    steps = _calls_per_step("advection_smooth", 40, 0.1, monkeypatch)[2:]
+    steps = _calls_per_step("advection_smooth", 40, 0.1, monkeypatch)[2:-1]
     assert len(steps) >= 3
     assert all(s == {"decode": 1, "speed": 6, "residual": 1} for s in steps)
     # OE on MHD: every residual takes its averages' speeds and OE range in
     # one wave_speed_range call, four wave-speed calls per residual
-    steps = _calls_per_step("mhd_shock_tube", 100, 0.02, monkeypatch)
+    steps = _calls_per_step("mhd_shock_tube", 100, 0.02, monkeypatch)[:-1]
     assert len(steps) >= 3
     assert all(s == {"decode": 3, "speed": 12, "residual": 3} for s in steps)
+
+
+def test_final_field_check_takes_no_wave_speeds(monkeypatch):
+    # advance checks the field its last step returns with `guard`, which
+    # decodes it once and takes no wave speed
+    final = _calls_per_step("mhd_shock_tube", 100, 0.025, monkeypatch)[-1]
+    assert final == {"decode": 1, "speed": 0, "residual": 0}
 
 
 def test_final_step_clamp():
@@ -448,8 +462,8 @@ def test_bad_average_fails_loudly():
     field.avgs[7, 2] = 0.1 * field.avgs[7, 2] - 1.0  # negative pressure
     with pytest.raises(DomainError, match=r"average 7 needs positive"):
         scheme.residual(field, 1e-3)
-    # a negative density: max_dt skips its nan speed, and the residual's
-    # check of the stage entry names the average, without a RuntimeWarning
+    # a negative density: the check of the step's stage entry names the
+    # average, without a RuntimeWarning
     field = run_mod.initial_field(cfg, scheme)
     field.avgs[7, 0] = -1.0
     with pytest.raises(DomainError) as err, warnings.catch_warnings():
@@ -477,12 +491,14 @@ def test_finite_entry_that_overflows_fails_at_stage_0(preset, array, row, col,
     # infinite pressure (s = 800), an infinite energy (v = 1e200) or an
     # average in G whose sound or fast speed is infinite (for MHD the
     # discriminant is then inf - inf). Each stops at the first stage with a
-    # located DomainError, not a zero step size or a nan speed.
+    # located DomainError, not a zero step size or a nan speed, and without
+    # a floating-point warning before it.
     cfg = load_config(preset).with_overrides(n=50)
     scheme = run_mod.build_scheme(cfg)
     field = run_mod.initial_field(cfg, scheme)
     getattr(field, array)[row, col] = value
-    with pytest.raises(DomainError) as err, np.errstate(all="ignore"):
+    with pytest.raises(DomainError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
         run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator)
     assert str(err.value) == f"step 1 stage 0 (t = 0.0): {got}"
 
@@ -512,8 +528,10 @@ def test_scalar_average_outside_g_fails_loudly():
     with pytest.raises(DomainError, match=r"^step 1 stage 0 \(t = 0\.0\): "
                        r"average 7 needs values in \[1\.0, 2\.0\], got \[2\.5\]$"):
         run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator)
+    with pytest.raises(DomainError, match=r"^average 7 needs values in"):
+        scheme.max_dt(field, cfg.cfl)
     plain = run_mod.build_scheme(cfg.with_overrides(idp=False))
-    plain.residual(field, scheme.max_dt(field, cfg.cfl))
+    plain.residual(field, plain.max_dt(field, cfg.cfl))
 
 
 @pytest.mark.parametrize("preset", ["mhd_shock_tube", "double_rarefaction"])

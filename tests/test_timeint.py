@@ -12,7 +12,7 @@ from pampa.timeint import make_integrator
 class LinearDecay:
     """u' = -u for both average and point blocks."""
 
-    def residual(self, field, dt, record=None):
+    def residual(self, field, dt, record=None, entry=None):
         return -field.avgs, -field.points
 
     def finish_stage(self, field):
@@ -20,7 +20,7 @@ class LinearDecay:
 
 
 class ZeroRhs:
-    def residual(self, field, dt, record=None):
+    def residual(self, field, dt, record=None, entry=None):
         return np.zeros_like(field.avgs), np.zeros_like(field.points)
 
     def finish_stage(self, field):
@@ -117,7 +117,7 @@ def test_rk3_inherits_domain_membership():
     rest = sys.from_primitive(np.array([1.0, 0.0, 1.0]))
 
     class Contract:
-        def residual(self, field, dt, record=None):
+        def residual(self, field, dt, record=None, entry=None):
             return (rest - field.avgs, rest - field.points)
 
         def finish_stage(self, field):
