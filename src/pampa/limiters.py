@@ -14,10 +14,11 @@ the cell average over (left endpoint, midpoint, right endpoint):
 * the MP limiter, which clips node values into a monotonicity-preserving
   interval built from neighbouring cell averages and curvature estimates.
 
-The IDP and OE pieces work per cell and are vectorised over leading axes.
-The IDP limiter changes only the cells whose midpoint leaves G, in a run
-almost always a few or none, so it finds those rows first and runs its
-blends on them alone; every other cell costs the row search and a copy.
+The IDP piece works per cell and is vectorised over leading axes, OE on
+(cells, d) arrays. The IDP limiter changes only the cells whose midpoint
+leaves G, in a run almost always a few or none, so it finds those rows
+first and runs its blends on them alone; every other cell costs the row
+search and a copy.
 The MP limiter is a whole-field kernel: it limits both one-sided values of
 every node at once, so each curvature and each four-argument minmod is
 computed once per side orientation instead of once per node side that
@@ -203,13 +204,35 @@ def parabola_coeffs(avg, left, right):
     return c0, c1, c2
 
 
-def oe_theta(avgs, lefts, rights, sizes, dt, lo, hi, speed):
+def oe_geometry(sizes, d):
+    """The grid factors of `oe_theta` for cells 1..K-2 of K cells of the
+    given (K,) sizes and d components: (dx, left, right), with dx the (K-2,)
+    own sizes and, per neighbour side, the (K-2, d) factors b, 2 off, 6 off,
+    6 off^2 + (b^2 - 1)/2 and b^2 of the neighbour's Legendre coefficients
+    on the own cell (see `oe_theta`). They depend on the grid alone, so a
+    scheme builds them once. They come at full (K-2, d) shape because a
+    product of same-shape arrays runs several times faster than one that
+    broadcasts a per-cell factor over the short component axis; at d = 1
+    that is the (K-2, 1) shape of the broadcast."""
+    dxo = sizes[1:-1]
+
+    def side(nb, sign):
+        b = dxo / sizes[nb]
+        off = sign * 0.5 * (b + 1.0)
+        b2 = b * b
+        return tuple(np.repeat(f[:, None], d, axis=1) for f in
+                     (b, 2.0 * off, 6.0 * off, 6.0 * off * off + 0.5 * (b2 - 1.0), b2))
+
+    return dxo, side(slice(0, -2), 1.0), side(slice(2, None), -1.0)
+
+
+def oe_theta(avgs, lefts, rights, geometry, dt, lo, hi, speed):
     """Damping factors theta_OE for cells 1..K-2 given data for cells 0..K-1.
 
     avgs/lefts/rights: (K, d) cell averages and one-sided endpoint values;
-    sizes: (K,) cell sizes; lo, hi: the signed wave speeds v - c, v + c of
-    avgs, and speed their largest modulus |v| + c. Returns (K-2,) factors
-    in (0, 1].
+    geometry: `oe_geometry` of the (K,) cell sizes and d; lo, hi: the signed
+    wave speeds v - c, v + c of avgs, and speed their largest modulus
+    |v| + c. Returns (K-2,) factors in (0, 1].
 
     The jump integrals over the own cell are exact. Each parabola is taken
     in Legendre form on xi in [-1/2, 1/2], p = A + a1 P1(2xi) + a2 P2(2xi)
@@ -233,29 +256,26 @@ def oe_theta(avgs, lefts, rights, sizes, dt, lo, hi, speed):
     def square_sum(x):                       # over the components, axis 1
         return np.einsum("ij,ij->i", x, x)
 
+    dxo, left, right = geometry
     a1 = 0.5 * (rights - lefts)
     a2 = 0.5 * (lefts + rights) - avgs
     own, lnb, rnb = slice(1, -1), slice(0, -2), slice(2, None)
-    dxo = sizes[own]
     Ao, a1o, a2o = avgs[own], a1[own], a2[own]
     own_dev = square_sum(a1o) / 3.0 + square_sum(a2o) / 5.0
 
-    def jumps(nb, sign):
+    def jumps(nb, factors):
         """(eta, d) against the neighbour cells `nb`."""
-        b = dxo / sizes[nb]
-        off = sign * 0.5 * (b + 1.0)
-        b2 = b * b
+        b, off2, off6, c2, b2 = factors
         n1, n2 = a1[nb], a2[nb]
-        t2 = b2[:, None] * n2
-        t1 = b[:, None] * (n1 + (6.0 * off)[:, None] * n2)
-        t0 = ((avgs[nb] - Ao) + (2.0 * off)[:, None] * n1
-              + (6.0 * off * off + 0.5 * (b2 - 1.0))[:, None] * n2)
+        t2 = b2 * n2
+        t1 = b * (n1 + off6 * n2)
+        t0 = (avgs[nb] - Ao) + off2 * n1 + c2 * n2
         d0 = square_sum(t0)
         return (d0 + square_sum(a1o - t1) / 3.0 + _P2_WEIGHT * square_sum(a2o - t2),
                 d0 + square_sum(t1) / 3.0 + _P2_WEIGHT * square_sum(t2) + own_dev)
 
-    eta_l, d_l = jumps(lnb, 1.0)
-    eta_r, d_r = jumps(rnb, -1.0)
+    eta_l, d_l = jumps(lnb, left)
+    eta_r, d_r = jumps(rnb, right)
 
     s_l = np.minimum(np.minimum(lo[lnb], lo[own]), np.minimum(lo[rnb], 0.0))
     s_r = np.maximum(np.maximum(hi[lnb], hi[own]), np.maximum(hi[rnb], 0.0))
@@ -269,11 +289,13 @@ def oe_theta(avgs, lefts, rights, sizes, dt, lo, hi, speed):
 
 
 def oe_apply(theta, avg, left, right):
-    """Blend endpoints toward the average and recompute the midpoint so the
-    average decomposition still holds."""
-    t = theta[..., None]
-    l_new = (1.0 - t) * avg + t * left
-    r_new = (1.0 - t) * avg + t * right
+    """Blend (cells, d) endpoints toward the average by the (cells,) theta
+    and recompute the midpoint so the average decomposition still holds.
+    theta is expanded to (cells, d) once (see `oe_geometry`)."""
+    t = np.repeat(theta[:, None], avg.shape[1], axis=1)
+    base = (1.0 - t) * avg
+    l_new = base + t * left
+    r_new = base + t * right
     return l_new, midpoint_value(avg, l_new, r_new), r_new
 
 

@@ -98,8 +98,13 @@ class PampaScheme:
         self.bc = bc
         self.limiter = limiter or LimiterConfig()
         self.scalar = isinstance(system, ScalarLaw)
-        # cell sizes of cells -3..n+2: the grid and the BC never change
-        self._dxx = mesh.extend_cell_sizes(grid, bc)
+        # the grid and the BC never change: the grid factors are built once,
+        # at the (cells, d) shape of the arrays they scale (see oe_geometry)
+        n, d = grid.n_cells, system.nvars
+        dxx = mesh.extend_cell_sizes(grid, bc)                   # cells -3..n+2
+        self._dxx = np.repeat(dxx[:, None], d, axis=1)
+        self._oe_geometry = (limiters.oe_geometry(dxx[1 : n + 5], d)  # cells -2..n+1
+                             if self.limiter.oscillation == "oe" else None)
 
     @property
     def n_points(self) -> int:
@@ -185,8 +190,9 @@ class PampaScheme:
         if lim.oscillation == "oe":
             c = slice(1, n + 5)                                  # cells -2..n+1
             lo, hi = e.range_avg
-            theta_oe = limiters.oe_theta(A[c], Ux[0 : n + 4], Ux[c], dxx[c], dt,
-                                         lo[c], hi[c], e.speed_avg[c])
+            theta_oe = limiters.oe_theta(A[c], Ux[0 : n + 4], Ux[c],
+                                         self._oe_geometry, dt, lo[c], hi[c],
+                                         e.speed_avg[c])
             u_l, u_m, u_r = limiters.oe_apply(theta_oe, cel_a, u_l, u_r)
         elif lim.oscillation == "mp":
             w_avg = transform.to_transformed(sys, A, p_avg)
@@ -219,7 +225,7 @@ class PampaScheme:
             # blends of guarded states: their density is positive
             pL, pR = sys.pressure(UL, check=False), sys.pressure(UR, check=False)
         fluxes = llf_flux(sys, UL, UR, pL, pR)
-        davg = -(fluxes[1:] - fluxes[:-1]) / self.grid.cell_sizes[:, None]
+        davg = -(fluxes[1:] - fluxes[:-1]) / dxx[3 : n + 3]
 
         # point residual at owned nodes
         w_prev = Wx[1 : m + 1]
@@ -251,9 +257,9 @@ class PampaScheme:
         # upwind split: (J - alpha) delta_m / dx_right + (J + alpha) delta_p
         # / dx_left, with J linear, so one Jacobian action serves both sides
         delta_m = (-1.5 * w_here + 2.0 * w_mid[1 : m + 1] - 0.5 * w_next) \
-            / dxx[3 : m + 3, None]
+            / dxx[3 : m + 3]
         delta_p = (0.5 * w_prev - 2.0 * w_mid[0:m] + 1.5 * w_here) \
-            / dxx[2 : m + 2, None]
+            / dxx[2 : m + 2]
         jd = transform.apply_jacobian(sys, Ux[2 : m + 2], delta_m + delta_p,
                                       _rows(p_node, 2, m + 2))
         dpts = -(jd - alpha[:, None] * (delta_m - delta_p))

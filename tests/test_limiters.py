@@ -326,11 +326,12 @@ def test_limiter_bulk_invariants():
 
 
 def _oe_theta(system, avgs, lefts, rights, sizes, dt):
-    """limiters.oe_theta with the speed range and the speeds of `avgs` taken
-    from the system."""
+    """limiters.oe_theta with the grid factors of `sizes` and the speed
+    range and the speeds of `avgs` taken from the system."""
     lo, hi = system.wave_speed_range(avgs)
-    return limiters.oe_theta(avgs, lefts, rights, sizes, dt, lo, hi,
-                             system.max_wave_speed(avgs))
+    return limiters.oe_theta(avgs, lefts, rights,
+                             limiters.oe_geometry(sizes, avgs.shape[1]), dt,
+                             lo, hi, system.max_wave_speed(avgs))
 
 
 def test_oe_theta_constant_field():
