@@ -320,7 +320,11 @@ def mp_limit(w_avg, w_node):
     u_md carries -d/2 (a smooth profile is never modified; the
     transcription pairing the away neighbour with +d/2 clips smooth curved
     regions at second order and breaks the scheme's accuracy tables). The
-    value is median(u, u_min, u_max).
+    value is median(u, u_min, u_max), taken as the clip
+    min(max(u, u_min), u_max): `own` is an argument of every min/max
+    bracket, so u_min <= own <= u_max holds exactly and the clip is the
+    median bit for bit, signed zeros included (`median3` is the general
+    form, kept for the tracer).
 
     Each side orientation builds one curvature array over cells -2..n+1 and
     one minmod4 array over the interfaces between them; the node and
@@ -328,7 +332,10 @@ def mp_limit(w_avg, w_node):
     per-node summation order of its orientation, (a[i+1] - 2a[i]) + a[i-1]
     for the left side and (a[i-1] - 2a[i]) + a[i+1] for the mirrored right
     side: the two orders round differently, so one shared array would
-    change the limited values in the last bit.
+    change the limited values in the last bit. The face half-sums
+    0.5 (a[i] + a[i+1]) are shared, since addition commutes; the min/max
+    brackets are not, because a shared one would swap the arguments of
+    np.minimum and np.maximum and with them the sign of a tied zero.
     """
     n2 = len(w_avg) - 4                      # nodes per side, n + 2
     # the cells before, at and after each node's own cell, in w_avg rows
@@ -337,6 +344,9 @@ def mp_limit(w_avg, w_node):
     face_lo, face_hi = slice(0, n2), slice(1, n2 + 1)
     own = w_avg[mid]
     ahead, behind, twice = w_avg[2:], w_avg[:-2], 2.0 * w_avg[1:-1]
+    # 0.5 (a + a_near) at the faces between cells -2..n+1 and their right
+    # neighbours, so each row's node slice picks its straddling face
+    half = 0.5 * (w_avg[1 : n2 + 2] + w_avg[2 : n2 + 3])
     out = np.empty((2,) + own.shape)
     # per row: curvature summation order (leading, trailing term), far cell,
     # straddling cell, node and far-face minmod slices, node values
@@ -349,12 +359,12 @@ def mp_limit(w_avg, w_node):
         dm4 = minmod4(c4[:-1] - e, c4[1:] - c, c, e)
         a_near = w_avg[near]
         step = own - w_avg[far]
-        u_md = 0.5 * (own + a_near) - 0.5 * dm4[at_node]
+        u_md = half[at_node] - 0.5 * dm4[at_node]
         u_ul = own + MP_ALPHA * step
         u_lc = own + 0.5 * step + (MP_BETA / 3.0) * dm4[at_face]
         u_min = np.maximum(np.minimum(np.minimum(own, a_near), u_md),
                            np.minimum(np.minimum(own, u_ul), u_lc))
         u_max = np.minimum(np.maximum(np.maximum(own, a_near), u_md),
                            np.maximum(np.maximum(own, u_ul), u_lc))
-        out[row] = median3(u, u_min, u_max)
+        np.minimum(np.maximum(u, u_min), u_max, out=out[row])
     return out

@@ -70,8 +70,7 @@ class DomainSweep:
 
     def _check(self, states, kind, step, stage):
         rep = self.report
-        margin = self.system.domain_margin(states)
-        ok = self.system.in_domain(states)
+        ok, margin = self.system.domain_check(states)
         rep.n_checked += states.shape[0]
         rep.worst_margin = min(rep.worst_margin, float(np.min(margin)))
         if not np.all(ok):
@@ -180,8 +179,7 @@ def sample_lf_splitting(system, n_samples: int, seed: int,
         UL = _sample_states(batch, rng, m)
         UR = _sample_states(batch, rng, m)
         states = _splitting_states(batch, UL, UR, lam_scale)
-        margin = batch.domain_margin(states)
-        ok = batch.in_domain(states)
+        ok, margin = batch.domain_check(states)
         worst = min(worst, float(np.min(margin)))
         n_bad += int(np.count_nonzero(~ok))
         if first is None and not np.all(ok):
@@ -291,8 +289,9 @@ def check_transform_membership(system, n_samples: int, seed: int) -> PropertyRep
     U = transform.from_transformed(system, W)
     finite = np.all(np.isfinite(U), axis=-1)
     if isinstance(system, ScalarLaw):
-        ok = finite & system.in_domain(U)
-        worst = float(np.min(system.domain_margin(U)))
+        ok, margin = system.domain_check(U)
+        ok &= finite
+        worst = float(np.min(margin))
     else:
         rho, p = prim[..., 0], prim[..., -1]
         ok = finite & (rho > 0.0) & (p > 0.0)

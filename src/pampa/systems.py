@@ -82,14 +82,15 @@ class ScalarLaw:
         return np.maximum(self.max_wave_speed(UL), self.max_wave_speed(UR))
 
     def in_domain(self, U):
+        return self.domain_check(U)[0]
+
+    def domain_check(self, U):
+        """(in_domain(U), margin): the margin is the distance to the nearer
+        end of [u_min, u_max], negative outside."""
         u = U[..., 0]
         with np.errstate(invalid="ignore"):
             ok = (u >= self.u_min) & (u <= self.u_max)
-        return ok & _finite(U)
-
-    def domain_margin(self, U):
-        u = U[..., 0]
-        return np.minimum(u - self.u_min, self.u_max - u)
+        return ok & _finite(U), np.minimum(u - self.u_min, self.u_max - u)
 
     def primitive(self, U):
         return U
@@ -122,7 +123,10 @@ class _Gas:
     the wave speeds with an optional precomputed pressure p of U (without
     it they compute and guard their own), the primitive decode and the wall
     reflections. Each system supplies the formulas `_pressure`, `_flux` and
-    the signal speed `_fast_speed`, and its momentum columns `_velocity`."""
+    the signal speed `_fast_speed`, its momentum columns `_velocity`, and
+    `conservative(rho, prim, p)`, the encode that reads only the middle
+    columns of prim (velocities and fields), so that the gas decode can
+    hand it W itself with the decoded rho and p."""
 
     domain_rule = POSITIVE
     # sign of each conservative (and transformed) component under a wall
@@ -160,15 +164,15 @@ class _Gas:
             U, np.maximum(self.pressure(U) if p is None else p, 0.0))
 
     def in_domain(self, U):
+        return self.domain_check(U)[0]
+
+    def domain_check(self, U):
+        """(in_domain(U), margin) from one pressure: the margin is
+        min(rho, p), so negative outside G."""
         with np.errstate(divide="ignore", invalid="ignore"):
             p = self.pressure(U, check=False)
             ok = (U[..., 0] > 0.0) & (p > 0.0)
-        return ok & _finite(U) & np.isfinite(p)
-
-    def domain_margin(self, U):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = self.pressure(U, check=False)
-        return np.minimum(U[..., 0], p)
+        return ok & _finite(U) & np.isfinite(p), np.minimum(U[..., 0], p)
 
     def max_wave_speed(self, U, p=None):
         return np.abs(U[..., 1] / U[..., 0]) + self.fast_speed(U, p)
@@ -192,6 +196,9 @@ class _Gas:
         prim[..., self._velocity] /= U[..., :1]
         prim[..., -1] = p
         return prim
+
+    def from_primitive(self, prim):
+        return self.conservative(prim[..., 0], prim, prim[..., -1])
 
     def reflect(self, U):
         """Mirror states at a wall; conservative and transformed alike."""
@@ -221,15 +228,22 @@ class Euler(_Gas):
     def _flux(self, U, p):
         rho, mom, E = U[..., 0], U[..., 1], U[..., 2]
         v = mom / rho
-        return np.stack([mom, mom * v + p, v * (E + p)], axis=-1)
+        F = np.empty(U.shape)
+        F[..., 0] = mom
+        F[..., 1] = mom * v + p
+        F[..., 2] = v * (E + p)
+        return F
 
     def pair_speed(self, UL, UR, pL=None, pR=None):
         return np.maximum(self.max_wave_speed(UL, pL), self.max_wave_speed(UR, pR))
 
-    def from_primitive(self, prim):
-        rho, v, p = prim[..., 0], prim[..., 1], prim[..., 2]
-        E = p / (self.gamma - 1.0) + 0.5 * rho * v * v
-        return np.stack([rho, rho * v, E], axis=-1)
+    def conservative(self, rho, prim, p):
+        v = prim[..., 1]
+        U = np.empty(prim.shape)
+        U[..., 0] = rho
+        U[..., 1] = rho * v
+        U[..., 2] = p / (self.gamma - 1.0) + 0.5 * rho * v * v
+        return U
 
 
 class IdealMHD(_Gas):
@@ -306,10 +320,16 @@ class IdealMHD(_Gas):
         )
         return base + db / (sl + sr)
 
-    def from_primitive(self, prim):
-        rho, vx, vy, vz = prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3]
-        By, Bz, p = prim[..., 4], prim[..., 5], prim[..., 6]
+    def conservative(self, rho, prim, p):
+        vx, vy, vz = prim[..., 1], prim[..., 2], prim[..., 3]
+        By, Bz = prim[..., 4], prim[..., 5]
         b2 = self.bx ** 2 + By ** 2 + Bz ** 2
         v2 = vx * vx + vy * vy + vz * vz
-        E = p / (self.gamma - 1.0) + 0.5 * rho * v2 + 0.5 * b2
-        return np.stack([rho, rho * vx, rho * vy, rho * vz, By, Bz, E], axis=-1)
+        U = np.empty(prim.shape)
+        U[..., 0] = rho
+        U[..., 1] = rho * vx
+        U[..., 2] = rho * vy
+        U[..., 3] = rho * vz
+        U[..., 4:6] = prim[..., 4:6]
+        U[..., 6] = p / (self.gamma - 1.0) + 0.5 * rho * v2 + 0.5 * b2
+        return U

@@ -81,10 +81,14 @@ def primitive_from_transformed(system, W):
         span = system.u_max - system.u_min
         return span * np.minimum(np.maximum(W, 0.0), 1.0) + system.u_min
     prim = W.copy()
-    rho = softplus(W[..., 0])
-    prim[..., 0] = rho
-    prim[..., -1] = np.exp(W[..., -1] + system.gamma * np.log(rho))
+    prim[..., 0], prim[..., -1] = _density_pressure(system, W)
     return prim
+
+
+def _density_pressure(system, W):
+    """The decoded rho = softplus(q) and p = rho^gamma * e^s of a gas."""
+    rho = softplus(W[..., 0])
+    return rho, np.exp(W[..., -1] + system.gamma * np.log(rho))
 
 
 def from_transformed(system, W, with_pressure: bool = False):
@@ -96,9 +100,10 @@ def from_transformed(system, W, with_pressure: bool = False):
     if isinstance(system, ScalarLaw):
         U = primitive_from_transformed(system, W)
         return (U, None) if with_pressure else U
-    prim = primitive_from_transformed(system, W)
-    U = system.from_primitive(prim)
-    return (U, prim[..., -1]) if with_pressure else U
+    rho, p = _density_pressure(system, W)
+    # W holds the primitive velocities and fields: no primitive copy
+    U = system.conservative(rho, W, p)
+    return (U, p) if with_pressure else U
 
 
 def jacobian_transformed(system, U):
@@ -113,7 +118,9 @@ def jacobian_transformed(system, U):
 def apply_jacobian(system, U, vec, p=None):
     """J(U) @ vec without materialising the matrices (hot path).
 
-    p: the pressure of U when the caller has it already (systems only).
+    U and vec broadcast against each other (`jacobian_transformed` hands
+    in (..., 1, d) states and the (d, d) identity). p: the pressure of U
+    when the caller has it already (systems only).
     """
     if isinstance(system, ScalarLaw):
         return system.dflux_fn(U[..., 0])[..., None] * vec
@@ -124,11 +131,12 @@ def apply_jacobian(system, U, vec, p=None):
         v = U[..., 1] / rho
         qp = _softplus_deriv_inv(rho)
         g = system.gamma
-        y0 = v * vec[..., 0] + qp * rho * vec[..., 1]
-        y1 = (g * p / (rho * rho * qp)) * vec[..., 0] + v * vec[..., 1] \
+        y = np.empty(np.broadcast_shapes(U.shape, vec.shape))
+        y[..., 0] = v * vec[..., 0] + qp * rho * vec[..., 1]
+        y[..., 1] = (g * p / (rho * rho * qp)) * vec[..., 0] + v * vec[..., 1] \
             + (p / rho) * vec[..., 2]
-        y2 = v * vec[..., 2]
-        return np.stack([y0, y1, y2], axis=-1)
+        y[..., 2] = v * vec[..., 2]
+        return y
     if isinstance(system, IdealMHD):
         rho = U[..., 0]
         vx = U[..., 1] / rho
@@ -141,15 +149,17 @@ def apply_jacobian(system, U, vec, p=None):
         d_p = (g * p / rho) * d_rho + p * vec[..., 6]
         dvx, dvy, dvz = vec[..., 1], vec[..., 2], vec[..., 3]
         dBy, dBz = vec[..., 4], vec[..., 5]
-        # primitive quasilinear action A @ dV
+        # primitive quasilinear action A @ dV, then T: primitive
+        # perturbation -> W-perturbation, which changes rows 0 and 6 only
         r0 = vx * d_rho + rho * dvx
-        r1 = vx * dvx + (By * dBy + Bz * dBz + d_p) / rho
-        r2 = vx * dvy - (bx / rho) * dBy
-        r3 = vx * dvz - (bx / rho) * dBz
-        r4 = By * dvx - bx * dvy + vx * dBy
-        r5 = Bz * dvx - bx * dvz + vx * dBz
         r6 = g * p * dvx + vx * d_p
-        # T: primitive perturbation -> W-perturbation
-        return np.stack([qp * r0, r1, r2, r3, r4, r5,
-                         -(g / rho) * r0 + r6 / p], axis=-1)
+        y = np.empty(np.broadcast_shapes(U.shape, vec.shape))
+        y[..., 0] = qp * r0
+        y[..., 1] = vx * dvx + (By * dBy + Bz * dBz + d_p) / rho
+        y[..., 2] = vx * dvy - (bx / rho) * dBy
+        y[..., 3] = vx * dvz - (bx / rho) * dBz
+        y[..., 4] = By * dvx - bx * dvy + vx * dBy
+        y[..., 5] = Bz * dvx - bx * dvz + vx * dBz
+        y[..., 6] = -(g / rho) * r0 + r6 / p
+        return y
     raise TypeError(f"no Jacobian for {type(system).__name__}")

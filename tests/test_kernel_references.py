@@ -1,19 +1,25 @@
-"""The OE kernels and the MHD flux against the formulas they replaced.
+"""Kernels against the formulas they replaced.
 
 `oe_theta` takes its grid factors from `oe_geometry`, built once per
 scheme at (cells, d) shape, `oe_apply` expands theta once and the MHD flux
-works on component rows. None of that may change a bit of the result, so
-the code they replaced is kept here, byte for byte apart from names and
-docstrings, as the reference, and compared with `np.array_equal` and the
-sign bits (which `np.array_equal` does not see).
+works on component rows. `mp_limit` clips to its ordered interval instead
+of taking a general median and shares the face half-sums of its two side
+orientations. The gas flux, both encodes and `apply_jacobian` write their
+components into one array instead of calling `np.stack`, and the gas
+decode encodes W's own columns instead of a primitive copy of W.
+None of that may change a bit of the result, so the code they replaced is
+kept here, byte for byte apart from names and docstrings, as the
+reference, and compared with `np.array_equal` and the sign bits (which
+`np.array_equal` does not see).
 """
 
 import numpy as np
 import pytest
 
-from pampa import limiters
-from pampa.limiters import _P2_WEIGHT, OE_FLOOR, midpoint_value
-from pampa.systems import IdealMHD
+from pampa import limiters, transform
+from pampa.limiters import _P2_WEIGHT, MP_ALPHA, MP_BETA, OE_FLOOR, midpoint_value
+from pampa.systems import Euler, IdealMHD
+from pampa.transform import _softplus_deriv_inv, softplus
 
 
 def _oe_theta_ref(avgs, lefts, rights, sizes, dt, lo, hi, speed):
@@ -166,3 +172,208 @@ def test_mhd_flux_matches_column_formula(shape, bx, rng):
     _assert_same(system._flux(U, p), ref._flux(U, p))
     _assert_same(system.flux(U), ref.flux(U))
     assert system.flux(U).flags.c_contiguous
+
+
+def _minmod4_ref(a, b, c, d):
+    lo = np.minimum(np.minimum(a, b), np.minimum(c, d))
+    hi = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    return np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
+
+
+def _median3_ref(a, b, c):
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+
+
+def _mp_limit_ref(w_avg, w_node):
+    """mp_limit with a general median and a half-sum per side."""
+    n2 = len(w_avg) - 4                      # nodes per side, n + 2
+    # the cells before, at and after each node's own cell, in w_avg rows
+    lo, mid, hi = slice(1, n2 + 1), slice(2, n2 + 2), slice(3, n2 + 3)
+    # the minmod4 interfaces before and after each node's own cell
+    face_lo, face_hi = slice(0, n2), slice(1, n2 + 1)
+    own = w_avg[mid]
+    ahead, behind, twice = w_avg[2:], w_avg[:-2], 2.0 * w_avg[1:-1]
+    out = np.empty((2,) + own.shape)
+    # per row: curvature summation order (leading, trailing term), far cell,
+    # straddling cell, node and far-face minmod slices, node values
+    sides = ((ahead, behind, lo, hi, face_hi, face_lo, w_node[mid]),
+             (behind, ahead, hi, lo, face_lo, face_hi, w_node[lo]))
+    for row, (lead, trail, far, near, at_node, at_face, u) in enumerate(sides):
+        curv = (lead - twice) + trail        # centred on cells -2..n+1
+        c4 = 4.0 * curv
+        c, e = curv[:-1], curv[1:]
+        dm4 = _minmod4_ref(c4[:-1] - e, c4[1:] - c, c, e)
+        a_near = w_avg[near]
+        step = own - w_avg[far]
+        u_md = 0.5 * (own + a_near) - 0.5 * dm4[at_node]
+        u_ul = own + MP_ALPHA * step
+        u_lc = own + 0.5 * step + (MP_BETA / 3.0) * dm4[at_face]
+        u_min = np.maximum(np.minimum(np.minimum(own, a_near), u_md),
+                           np.minimum(np.minimum(own, u_ul), u_lc))
+        u_max = np.minimum(np.maximum(np.maximum(own, a_near), u_md),
+                           np.maximum(np.maximum(own, u_ul), u_lc))
+        out[row] = _median3_ref(u, u_min, u_max)
+    return out
+
+
+# the signed zeros, the least subnormals and a few exact values, so that
+# brackets tie often and the sign of a tied zero shows
+_MP_GRID = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0, 0.5])
+
+
+@pytest.mark.parametrize("n2", [1, 2, 3, 8, 200])
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_mp_limit_matches_median_form(d, n2, rng):
+    for _ in range(5):
+        # a smooth field with noise (most values unclipped) and a rough one
+        x = np.linspace(0.0, 3.0, n2 + 4)[:, None] * rng.uniform(0.5, 2.0, d)
+        for w_avg in (np.sin(x) + rng.normal(0.0, 1e-3, x.shape),
+                      rng.normal(0.0, 1.0, x.shape)):
+            w_node = 0.5 * (w_avg[:-1] + w_avg[1:]) \
+                + rng.normal(0.0, 0.1, (n2 + 3, d))
+            _assert_same(limiters.mp_limit(w_avg, w_node),
+                         _mp_limit_ref(w_avg, w_node))
+    for _ in range(300):
+        w_avg = rng.choice(_MP_GRID, (n2 + 4, d))
+        w_node = rng.choice(_MP_GRID, (n2 + 3, d))
+        _assert_same(limiters.mp_limit(w_avg, w_node),
+                     _mp_limit_ref(w_avg, w_node))
+
+
+class _StackedEuler(Euler):
+    """Euler with the flux and the encode assembled by np.stack."""
+
+    def _flux(self, U, p):
+        rho, mom, E = U[..., 0], U[..., 1], U[..., 2]
+        v = mom / rho
+        return np.stack([mom, mom * v + p, v * (E + p)], axis=-1)
+
+    def from_primitive(self, prim):
+        rho, v, p = prim[..., 0], prim[..., 1], prim[..., 2]
+        E = p / (self.gamma - 1.0) + 0.5 * rho * v * v
+        return np.stack([rho, rho * v, E], axis=-1)
+
+
+class _StackedMHD(IdealMHD):
+    """IdealMHD with the encode assembled by np.stack."""
+
+    def from_primitive(self, prim):
+        rho, vx, vy, vz = prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3]
+        By, Bz, p = prim[..., 4], prim[..., 5], prim[..., 6]
+        b2 = self.bx ** 2 + By ** 2 + Bz ** 2
+        v2 = vx * vx + vy * vy + vz * vz
+        E = p / (self.gamma - 1.0) + 0.5 * rho * v2 + 0.5 * b2
+        return np.stack([rho, rho * vx, rho * vy, rho * vz, By, Bz, E], axis=-1)
+
+
+def _apply_jacobian_ref(system, U, vec, p=None):
+    """apply_jacobian of the gases with the result assembled by np.stack."""
+    if p is None:
+        p = system.pressure(U)
+    if isinstance(system, Euler):
+        rho = U[..., 0]
+        v = U[..., 1] / rho
+        qp = _softplus_deriv_inv(rho)
+        g = system.gamma
+        y0 = v * vec[..., 0] + qp * rho * vec[..., 1]
+        y1 = (g * p / (rho * rho * qp)) * vec[..., 0] + v * vec[..., 1] \
+            + (p / rho) * vec[..., 2]
+        y2 = v * vec[..., 2]
+        return np.stack([y0, y1, y2], axis=-1)
+    rho = U[..., 0]
+    vx = U[..., 1] / rho
+    By, Bz = U[..., 4], U[..., 5]
+    qp = _softplus_deriv_inv(rho)
+    g = system.gamma
+    bx = system.bx
+    # Tinv: W-perturbation -> primitive perturbation
+    d_rho = vec[..., 0] / qp
+    d_p = (g * p / rho) * d_rho + p * vec[..., 6]
+    dvx, dvy, dvz = vec[..., 1], vec[..., 2], vec[..., 3]
+    dBy, dBz = vec[..., 4], vec[..., 5]
+    # primitive quasilinear action A @ dV
+    r0 = vx * d_rho + rho * dvx
+    r1 = vx * dvx + (By * dBy + Bz * dBz + d_p) / rho
+    r2 = vx * dvy - (bx / rho) * dBy
+    r3 = vx * dvz - (bx / rho) * dBz
+    r4 = By * dvx - bx * dvy + vx * dBy
+    r5 = Bz * dvx - bx * dvz + vx * dBz
+    r6 = g * p * dvx + vx * d_p
+    # T: primitive perturbation -> W-perturbation
+    return np.stack([qp * r0, r1, r2, r3, r4, r5,
+                     -(g / rho) * r0 + r6 / p], axis=-1)
+
+
+def _primitive_from_transformed_ref(system, W):
+    """The gas branch of primitive_from_transformed."""
+    prim = W.copy()
+    rho = softplus(W[..., 0])
+    prim[..., 0] = rho
+    prim[..., -1] = np.exp(W[..., -1] + system.gamma * np.log(rho))
+    return prim
+
+
+def _gas_pair(name):
+    if name == "euler":
+        return Euler(1.4), _StackedEuler(1.4)
+    return IdealMHD(5.0 / 3.0, 0.75), _StackedMHD(5.0 / 3.0, 0.75)
+
+
+def _primitive_states(d, shape, rng):
+    prim = rng.uniform(-2.0, 2.0, shape + (d,))
+    prim[..., 0] = rng.uniform(0.1, 3.0, shape)
+    prim[..., -1] = rng.uniform(1e-3, 3.0, shape)
+    prim[..., 1].flat[0] = -0.0                       # signed-zero velocities
+    prim[..., 1].flat[-1] = 0.0
+    if d == 7:
+        prim[..., 4].flat[0] = -0.0                   # and a signed-zero field
+    return prim
+
+
+@pytest.mark.parametrize("name", ["euler", "mhd"])
+@pytest.mark.parametrize("shape", [(), (33,), (2, 33)], ids=["d", "Kd", "2Kd"])
+def test_gas_assembly_matches_stack(name, shape, rng):
+    system, ref = _gas_pair(name)
+    prim = _primitive_states(system.nvars, shape, rng)
+    U = system.from_primitive(prim)
+    _assert_same(U, ref.from_primitive(prim))
+    assert U.flags.c_contiguous
+    p = system.pressure(U)
+    _assert_same(system.flux(U, p), ref.flux(U, p))
+    vec = rng.normal(0.0, 1.0, U.shape)
+    vec[..., 0].flat[0] = -0.0
+    _assert_same(transform.apply_jacobian(system, U, vec, p),
+                 _apply_jacobian_ref(system, U, vec, p))
+    _assert_same(transform.apply_jacobian(system, U, vec),
+                 _apply_jacobian_ref(system, U, vec))
+
+
+@pytest.mark.parametrize("name", ["euler", "mhd"])
+@pytest.mark.parametrize("shape", [(), (33,), (2, 33)], ids=["d", "Kd", "2Kd"])
+def test_decode_matches_primitive_copy(name, shape, rng):
+    # from_transformed encodes straight from W's middle columns with the
+    # decoded rho and p; it used to encode a primitive copy of W
+    system, ref = _gas_pair(name)
+    W = rng.uniform(-3.0, 3.0, shape + (system.nvars,))
+    W[..., 1].flat[0] = -0.0
+    W[..., 1].flat[-1] = 0.0
+    U, p = transform.from_transformed(system, W, with_pressure=True)
+    prim = _primitive_from_transformed_ref(system, W)
+    _assert_same(transform.primitive_from_transformed(system, W), prim)
+    _assert_same(U, ref.from_primitive(prim))
+    _assert_same(p, prim[..., -1])
+    _assert_same(transform.from_transformed(system, W), U)
+
+
+@pytest.mark.parametrize("name", ["euler", "mhd"])
+@pytest.mark.parametrize("shape", [(), (9,), (2, 9)], ids=["d", "Kd", "2Kd"])
+def test_jacobian_broadcast_matches_stack(name, shape, rng):
+    # jacobian_transformed hands (..., 1, d) states and the (d, d) identity
+    # to apply_jacobian, which must build the (..., d, d) broadcast
+    system, _ = _gas_pair(name)
+    U = system.from_primitive(_primitive_states(system.nvars, shape, rng))
+    eye = np.eye(system.nvars)
+    ref = np.swapaxes(_apply_jacobian_ref(system, U[..., None, :], eye), -1, -2)
+    J = transform.jacobian_transformed(system, U)
+    assert J.shape == shape + (system.nvars, system.nvars)
+    _assert_same(J, ref)

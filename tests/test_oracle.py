@@ -81,6 +81,106 @@ def test_domain_sweep_flags_planted_fault():
     assert v.margin < 0.0
 
 
+def _in_domain_ref(system, U):
+    if isinstance(system, ScalarLaw):
+        u = U[..., 0]
+        with np.errstate(invalid="ignore"):
+            ok = (u >= system.u_min) & (u <= system.u_max)
+        return ok & np.all(np.isfinite(U), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = system.pressure(U, check=False)
+        ok = (U[..., 0] > 0.0) & (p > 0.0)
+    return ok & np.all(np.isfinite(U), axis=-1) & np.isfinite(p)
+
+
+def _domain_margin_ref(system, U):
+    if isinstance(system, ScalarLaw):
+        u = U[..., 0]
+        return np.minimum(u - system.u_min, system.u_max - u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = system.pressure(U, check=False)
+    return np.minimum(U[..., 0], p)
+
+
+class _TwoPressureSweep(oracle.DomainSweep):
+    """DomainSweep with the predicate and the margin taken separately, each
+    with its own pressure."""
+
+    def _check(self, states, kind, step, stage):
+        rep = self.report
+        margin = _domain_margin_ref(self.system, states)
+        ok = _in_domain_ref(self.system, states)
+        rep.n_checked += states.shape[0]
+        rep.worst_margin = min(rep.worst_margin, float(np.min(margin)))
+        if not np.all(ok):
+            for loc in np.flatnonzero(~ok):
+                if len(rep.violations) >= self.MAX_RECORDED:
+                    break
+                rep.violations.append(oracle.Violation(
+                    step=step, stage=stage, location=int(loc), kind=kind,
+                    state=states[loc].copy(), margin=float(margin[loc]),
+                ))
+
+
+def _assert_same_report(got, want):
+    assert got.n_checked == want.n_checked
+    assert np.array_equal(got.worst_margin, want.worst_margin, equal_nan=True)
+    assert len(got.violations) == len(want.violations)
+    for a, b in zip(got.violations, want.violations):
+        assert (a.step, a.stage, a.location, a.kind) == \
+            (b.step, b.stage, b.location, b.kind)
+        assert np.array_equal(a.state, b.state, equal_nan=True)
+        assert np.array_equal(a.margin, b.margin, equal_nan=True)
+
+
+@pytest.mark.parametrize("preset,n", [
+    ("double_rarefaction", 40), ("sedov", 41), ("blast_waves", 40),
+    ("leblanc", 40), ("mhd_leblanc", 40), ("mhd_shock_tube", 40),
+    ("jiang_shu", 40)])
+def test_domain_sweep_matches_two_pressure_sweep(preset, n):
+    # the c05 stress presets (and a scalar law): one pressure per state set
+    # gives the report of a predicate and a margin taken separately
+    cfg = load_config(preset).with_overrides(n=n)
+    scheme = run_mod.build_scheme(cfg)
+    sweep = oracle.DomainSweep(scheme.system)
+    ref = _TwoPressureSweep(scheme.system)
+    field = run_mod.initial_field(cfg, scheme)
+    for s in (sweep, ref):
+        s.check_field(field)
+
+    def on_stage(*args):
+        sweep.on_stage(*args)
+        ref.on_stage(*args)
+
+    run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator,
+                    on_stage=on_stage)
+    assert sweep.report.n_checked > 1000
+    _assert_same_report(sweep.report, ref.report)
+
+
+@pytest.mark.parametrize("preset", ["sod", "mhd_shock_tube"])
+def test_domain_sweep_planted_faults_match_two_pressure_sweep(preset):
+    # an out-of-G point (its decoded pressure overflows: infinite energy)
+    # and an out-of-G midpoint (negative pressure)
+    cfg = load_config(preset).with_overrides(n=16)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    field.points[5, -1] = 800.0
+    mid = field.avgs.copy()
+    mid[9, -1] = -1.0
+    sweep = oracle.DomainSweep(scheme.system)
+    ref = _TwoPressureSweep(scheme.system)
+    with np.errstate(over="ignore"):
+        for s in (sweep, ref):
+            s.on_stage(0.0, 2, 1, field, {"mid_hat": mid})
+    _assert_same_report(sweep.report, ref.report)
+    rep = sweep.report
+    assert [(v.kind, v.location) for v in rep.violations] == \
+        [("point", 5), ("midpoint", 9)]
+    assert rep.violations[1].margin < 0.0
+    assert rep.worst_margin == rep.violations[1].margin
+
+
 def test_offline_sweep_snapshots():
     cfg = load_config("jiang_shu").with_overrides(n=60, t_final=0.05)
     scheme = run_mod.build_scheme(cfg)

@@ -560,6 +560,27 @@ def test_pressure_calls_per_residual(preset, monkeypatch):
     assert len(calls) == 4, calls
 
 
+@pytest.mark.parametrize("preset", ["sod", "mhd_shock_tube"])
+def test_no_stack_calls_per_residual(preset, monkeypatch):
+    # the flux, the gas encode and the Jacobian action write their
+    # components into one array: np.stack costs about three times as much
+    # at paper sizes
+    cfg = load_config(preset).with_overrides(n=200)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    dt = scheme.max_dt(field, cfg.cfl)
+    stack = np.stack
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counted)
+    scheme.residual(field, dt)
+    assert calls == []
+
+
 STAGE_RECORD_KEYS = {"theta", "mid_hat", "idp_active", "theta_oe", "oe_active",
                      "mp_active"}
 
