@@ -18,7 +18,9 @@ The IDP piece works per cell and is vectorised over leading axes, OE on
 (cells, d) arrays. The IDP limiter changes only the cells whose midpoint
 leaves G, in a run almost always a few or none, so it finds those rows
 first and runs its blends on them alone; every other cell costs the row
-search and a copy.
+search and a copy. The scalar limiter takes the scheme's (k, 1) rows as
+they are and copies its inputs only when a row is limited, since at paper
+sizes each array pass costs about as much as its whole arithmetic.
 The MP limiter is a whole-field kernel: it limits both one-sided values of
 every node at once, so each curvature and each four-argument minmod is
 computed once per side orientation instead of once per node side that
@@ -67,30 +69,36 @@ def midpoint_value(avg, left, right):
 def scaling_limit_scalar(avg, left, mid, right, lo, hi):
     """Blend (left, mid, right) toward avg until mid lies in [lo, hi].
 
-    avg, left, mid and right share one shape (0-d for a single cell); lo
-    and hi are numbers, and avg lies in [lo, hi] (the scheme checks its
-    averages once per stage). Returns (left_hat, mid_hat, right_hat,
-    theta) in that shape. Only the cells whose midpoint leaves [lo, hi]
-    are blended; every other cell comes back with its own values and
-    theta = 1.
+    avg, left, mid and right are arrays of one shape (the scheme's (k, 1)
+    rows, or 0-d) or plain numbers for one cell; lo and hi are numbers, and
+    avg lies in [lo, hi] (the scheme checks its averages once per stage).
+    Returns (left_hat, mid_hat, right_hat, theta) in that shape. Only the
+    cells whose midpoint leaves [lo, hi] are blended, and an output is
+    copied only if there is one: with none, the inputs themselves come
+    back (as arrays) with theta = 1.
     """
-    avg, left, mid, right = (np.asarray(x, dtype=float)
-                             for x in (avg, left, mid, right))
-    shape = mid.shape
-    hat_l, hat_m, hat_r = left.flatten(), mid.flatten(), right.flatten()
-    theta = np.ones(hat_m.shape)
-    rows = ((hat_m < lo) | (hat_m > hi)).nonzero()[0]
-    a, m = avg.ravel()[rows], hat_m[rows]
-    below = m < lo
-    t = np.where(below, (a - lo) / (a - m), (hi - a) / (m - a))
-    theta[rows] = t
-    # land the midpoint exactly on the violated bound
-    hat_m[rows] = np.where(below, lo, hi)
+    if not isinstance(mid, np.ndarray):
+        avg, left, mid, right = (np.asarray(x, dtype=float)
+                                 for x in (avg, left, mid, right))
+    out = (mid < lo) | (mid > hi)
+    m = mid[out]                      # the limited rows' midpoints, or none
+    theta = np.empty(mid.shape)
+    theta.fill(1.0)
+    if not m.size:
+        return left, mid, right, theta
+    a = avg[out]
+    bound = np.where(m < lo, lo, hi)
+    # a - bound and a - m share their sign, and negating both terms of a
+    # quotient negates it exactly: the modulus is (a - lo)/(a - m) below
+    # and (hi - a)/(m - a) above bit for bit, and a +0 where a is the bound
+    t = np.abs((a - bound) / (a - m))
+    theta[out] = t
     base = (1.0 - t) * a
-    hat_l[rows] = base + t * hat_l[rows]
-    hat_r[rows] = base + t * hat_r[rows]
-    return (hat_l.reshape(shape), hat_m.reshape(shape), hat_r.reshape(shape),
-            theta.reshape(shape))
+    hat_l, hat_m, hat_r = left.copy(), mid.copy(), right.copy()
+    hat_m[out] = bound                # the midpoint lands on the violated bound
+    hat_l[out] = base + t * left[out]
+    hat_r[out] = base + t * right[out]
+    return hat_l, hat_m, hat_r, theta
 
 
 def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
@@ -153,7 +161,7 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
         pm = system.pressure(m, check=False)
         for attempt in range(4):
             bad = pm < e
-            if not bad.any():
+            if not np.logical_or.reduce(bad):
                 break
             t = np.where(bad, 0.5 * t if attempt < 3 else 0.0, t)
             m = blend(t)
@@ -184,10 +192,8 @@ def scaling_limit(system, avg, left, mid, right, p_avg=None):
     right_hat, theta, p_mid); p_mid is None for scalar laws."""
     if isinstance(system, ScalarLaw):
         hat_l, hat_m, hat_r, theta = scaling_limit_scalar(
-            avg[..., 0], left[..., 0], mid[..., 0], right[..., 0],
-            system.u_min, system.u_max,
-        )
-        return hat_l[..., None], hat_m[..., None], hat_r[..., None], theta, None
+            avg, left, mid, right, system.u_min, system.u_max)
+        return hat_l, hat_m, hat_r, theta[..., 0], None
     return scaling_limit_system(system, avg, left, mid, right, p_avg)
 
 

@@ -98,18 +98,16 @@ class PampaScheme:
         self.bc = bc
         self.limiter = limiter or LimiterConfig()
         self.scalar = isinstance(system, ScalarLaw)
-        # the grid and the BC never change: the grid factors are built once,
-        # at the (cells, d) shape of the arrays they scale (see oe_geometry)
+        # the grid and the BC never change: the sizes and the grid factors
+        # are built once, the factors at the (cells, d) shape of the arrays
+        # they scale (see oe_geometry)
         n, d = grid.n_cells, system.nvars
+        self.n = n
+        self.n_points = n if bc == mesh.PERIODIC else n + 1
         dxx = mesh.extend_cell_sizes(grid, bc)                   # cells -3..n+2
         self._dxx = np.repeat(dxx[:, None], d, axis=1)
         self._oe_geometry = (limiters.oe_geometry(dxx[1 : n + 5], d)  # cells -2..n+1
                              if self.limiter.oscillation == "oe" else None)
-
-    @property
-    def n_points(self) -> int:
-        n = self.grid.n_cells
-        return n if self.bc == mesh.PERIODIC else n + 1
 
     # -- stage entry ----------------------------------------------------------
 
@@ -123,7 +121,7 @@ class PampaScheme:
         overflow (decoded without floating-point warnings); a scalar law's
         as W, whose inf clips to a finite u."""
         sys = self.system
-        n, m = self.grid.n_cells, self.n_points
+        n, m = self.n, self.n_points
         ga, gp, g = mesh.AVG_GHOST, mesh.PT_GHOST, sys.domain_rule
         A = mesh.extend_averages(field.avgs, self.bc, sys)       # cells -3..n+2
         Wx = mesh.extend_points(field.points, self.bc, sys)      # nodes -2..n+2
@@ -176,7 +174,7 @@ class PampaScheme:
         """
         sys = self.system
         lim = self.limiter
-        n, m = self.grid.n_cells, self.n_points
+        n, m = self.n, self.n_points
         e = self.stage_entry(field) if entry is None else entry
         A, Wx, Ux, p_node, p_avg, dxx = e.A, e.Wx, e.Ux, e.p_node, e.p_avg, self._dxx
 
@@ -228,9 +226,6 @@ class PampaScheme:
         davg = -(fluxes[1:] - fluxes[:-1]) / dxx[3 : n + 3]
 
         # point residual at owned nodes
-        w_prev = Wx[1 : m + 1]
-        w_here = Wx[2 : m + 2]
-        w_next = Wx[3 : m + 3]
         w_mid = transform.to_transformed(sys, hat_m, p_mid)
         # alpha must dominate the node's own spectral radius for the
         # splitting to upwind correctly; the midpoint speeds enter as an
@@ -255,11 +250,14 @@ class PampaScheme:
         )
 
         # upwind split: (J - alpha) delta_m / dx_right + (J + alpha) delta_p
-        # / dx_left, with J linear, so one Jacobian action serves both sides
-        delta_m = (-1.5 * w_here + 2.0 * w_mid[1 : m + 1] - 0.5 * w_next) \
-            / dxx[3 : m + 3]
-        delta_p = (0.5 * w_prev - 2.0 * w_mid[0:m] + 1.5 * w_here) \
-            / dxx[2 : m + 2]
+        # / dx_left, with J linear, so one Jacobian action serves both sides:
+        # delta_m = -1.5 w_here + 2 w_mid - 0.5 w_next and delta_p = 0.5 w_prev
+        # - 2 w_mid + 1.5 w_here, from multiples taken once ((-a) + b is b - a
+        # bit for bit); half holds 0.5 w_prev and 0.5 w_next
+        here, mid2, half = 1.5 * Wx[2 : m + 2], 2.0 * w_mid, 0.5 * Wx[1 : m + 3]
+        delta_m = ((mid2[1 : m + 1] - here) - half[2:]) / dxx[3 : m + 3]
+        delta_p = ((half[:m] - mid2[0:m]) + here) / dxx[2 : m + 2]
+        del here, mid2, half  # not held through the Jacobian action
         jd = transform.apply_jacobian(sys, Ux[2 : m + 2], delta_m + delta_p,
                                       _rows(p_node, 2, m + 2))
         dpts = -(jd - alpha[:, None] * (delta_m - delta_p))
@@ -291,13 +289,13 @@ class PampaScheme:
         """
         check_cfl(cfl)
         e = self.stage_entry(field) if entry is None else entry
-        n = self.grid.n_cells
+        n = self.n
         s_node = e.speed_node[mesh.PT_GHOST : mesh.PT_GHOST + n + 1]
         lam = np.maximum(e.speed_avg[mesh.AVG_GHOST : mesh.AVG_GHOST + n],
                          np.maximum(s_node[:-1], s_node[1:]))
         with np.errstate(divide="ignore"):
             ratios = self.grid.cell_sizes / lam
-        dt = cfl * float(ratios.min())
+        dt = cfl * float(np.minimum.reduce(ratios))
         if not dt > 0.0:  # an infinite (or nan) speed
             guard("wave speed of cell", lam, lam, FINITE)
         return dt

@@ -32,7 +32,9 @@ def guard(kind: str, states, values, rule, offset: int = 0, count=None):
     offset+count on are ghost images of the others, so the first bad row
     in between, counted from offset, is named as `{kind} {j}`."""
     need, lo, hi = rule
-    if not values.size or (values.min() >= lo and values.max() <= hi):
+    # ufunc reductions: ndarray.min/max are Python wrappers around them
+    if not values.size or (np.minimum.reduce(values, axis=None) >= lo
+                           and np.maximum.reduce(values, axis=None) <= hi):
         return  # a nan fails both
     if np.ndim(values) == 0:
         values, states = np.reshape(values, 1), np.asarray(states)[None]
@@ -47,19 +49,24 @@ def _finite(U):
 
 
 class ScalarLaw:
-    """Scalar conservation law u_t + f(u)_x = 0 with invariant interval G."""
+    """Scalar conservation law u_t + f(u)_x = 0 with invariant interval G.
+
+    flux_fn, dflux_fn and speed_fn are f, f' and the wave speed |f'| of the
+    value array u, the speed as one kernel call (advection's constant 1,
+    Burgers' np.abs)."""
 
     nvars = 1
     conservative_names = primitive_names = ("u",)
 
-    def __init__(self, flux_fn: Callable, dflux_fn: Callable, u_min: float,
-                 u_max: float, name: str = "scalar"):
+    def __init__(self, flux_fn: Callable, dflux_fn: Callable, speed_fn: Callable,
+                 u_min: float, u_max: float, name: str = "scalar"):
         if not u_min < u_max:
             raise DomainError(f"need u_min < u_max, got [{u_min}, {u_max}]")
         if not (math.isfinite(u_min) and math.isfinite(u_max)):
             raise ConfigError(f"need finite u_min and u_max, got [{u_min}, {u_max}]")
         self.flux_fn = flux_fn
         self.dflux_fn = dflux_fn
+        self.speed_fn = speed_fn
         self.u_min = float(u_min)
         self.u_max = float(u_max)
         self.domain_rule = (f"values in [{self.u_min}, {self.u_max}]",
@@ -72,7 +79,7 @@ class ScalarLaw:
         return self.flux_fn(U[..., 0])[..., None]
 
     def max_wave_speed(self, U, p=None):
-        return np.abs(self.dflux_fn(U[..., 0]))
+        return self.speed_fn(U[..., 0])
 
     def wave_speed_range(self, U, p=None):
         s = self.dflux_fn(U[..., 0])
@@ -100,20 +107,21 @@ class ScalarLaw:
 
 
 def _unit_speed(u):
-    # np.ones and np.ones_like are Python wrappers around these two calls
-    one = np.empty(np.shape(u))
+    # np.ones, np.ones_like and np.shape are Python wrappers; u is an array
+    one = np.empty(u.shape)
     one.fill(1.0)
     return one
 
 
 def advection(u_min: float, u_max: float) -> ScalarLaw:
     """u_t + u_x = 0 (unit transport speed)."""
-    return ScalarLaw(lambda u: u, _unit_speed, u_min, u_max, name="advection")
+    return ScalarLaw(lambda u: u, _unit_speed, _unit_speed, u_min, u_max,
+                     name="advection")
 
 
 def burgers(u_min: float, u_max: float) -> ScalarLaw:
     """u_t + (u^2/2)_x = 0."""
-    return ScalarLaw(lambda u: 0.5 * u * u, lambda u: u, u_min, u_max,
+    return ScalarLaw(lambda u: 0.5 * u * u, lambda u: u, np.abs, u_min, u_max,
                      name="burgers")
 
 
@@ -123,7 +131,8 @@ class _Gas:
     the wave speeds with an optional precomputed pressure p of U (without
     it they compute and guard their own), the primitive decode and the wall
     reflections. Each system supplies the formulas `_pressure`, `_flux` and
-    the signal speed `_fast_speed`, its momentum columns `_velocity`, and
+    the signal speed `_fast_speed`, its momentum columns `_velocity` (which
+    `primitive` and the gas encode divide by rho), and
     `conservative(rho, prim, p)`, the encode that reads only the middle
     columns of prim (velocities and fields), so that the gas decode can
     hand it W itself with the decoded rho and p."""
@@ -182,19 +191,14 @@ class _Gas:
         c = self.fast_speed(U, p)
         return v - c, v + c
 
-    def primitive(self, U, p=None):
-        """Primitive variables of U. Given p, U must have positive density;
-        without it, states outside G decode to nan or inf silently."""
-        if p is None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return self._primitive(U, self.pressure(U, check=False))
-        return self._primitive(U, p)
-
-    def _primitive(self, U, p):
-        """U with its velocity columns divided by rho and p in the last."""
+    def primitive(self, U):
+        """Primitive variables of U: U with its velocity columns divided by
+        rho and p in the last. States outside G decode to nan or inf
+        silently."""
         prim = U.copy()
-        prim[..., self._velocity] /= U[..., :1]
-        prim[..., -1] = p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prim[..., self._velocity] /= U[..., :1]
+            prim[..., -1] = self.pressure(U, check=False)
         return prim
 
     def from_primitive(self, prim):

@@ -30,7 +30,7 @@ def softplus(q):
     q = np.asarray(q, dtype=float)
     out = np.log1p(np.exp(np.minimum(q, _EXP_SWITCH)))
     big = q > _EXP_SWITCH
-    if big.any():
+    if np.logical_or.reduce(big, axis=None):  # big.any() without its wrapper
         out = np.where(big, q + np.log1p(np.exp(-np.abs(q))), out)
     return out
 
@@ -41,7 +41,7 @@ def inv_softplus(x):
     guard("argument", x, x, _POSITIVE_ARG)
     out = np.log(np.expm1(np.minimum(x, _EXP_SWITCH)))
     big = x > _EXP_SWITCH
-    if big.any():
+    if np.logical_or.reduce(big, axis=None):
         out = np.where(big, x + np.log1p(-np.exp(-x)), out)
     return out
 
@@ -63,8 +63,9 @@ def to_transformed(system, U, p=None):
         p = system.pressure(U)
         guard("state", U, p, POSITIVE)
     rho = U[..., 0]
-    W = system.primitive(U, p)
+    W = U.copy()                     # the fields (MHD's By, Bz) as they are
     W[..., 0] = inv_softplus(rho)
+    W[..., system._velocity] /= U[..., :1]
     W[..., -1] = np.log(p) - system.gamma * np.log(rho)
     return W
 

@@ -6,7 +6,10 @@ works on component rows. `mp_limit` clips to its ordered interval instead
 of taking a general median and shares the face half-sums of its two side
 orientations. The gas flux, both encodes and `apply_jacobian` write their
 components into one array instead of calling `np.stack`, and the gas
-decode encodes W's own columns instead of a primitive copy of W.
+decode encodes W's own columns instead of a primitive copy of W; the gas
+encode writes W into one copy of U instead of a primitive copy. The scalar
+scaling limiter works on its inputs' own shape, copies them only when a
+row is limited and takes theta as one quotient's modulus.
 None of that may change a bit of the result, so the code they replaced is
 kept here, byte for byte apart from names and docstrings, as the
 reference, and compared with `np.array_equal` and the sign bits (which
@@ -19,7 +22,7 @@ import pytest
 from pampa import limiters, transform
 from pampa.limiters import _P2_WEIGHT, MP_ALPHA, MP_BETA, OE_FLOOR, midpoint_value
 from pampa.systems import Euler, IdealMHD
-from pampa.transform import _softplus_deriv_inv, softplus
+from pampa.transform import _softplus_deriv_inv, inv_softplus, softplus
 
 
 def _oe_theta_ref(avgs, lefts, rights, sizes, dt, lo, hi, speed):
@@ -377,3 +380,123 @@ def test_jacobian_broadcast_matches_stack(name, shape, rng):
     J = transform.jacobian_transformed(system, U)
     assert J.shape == shape + (system.nvars, system.nvars)
     _assert_same(J, ref)
+
+
+def _to_transformed_ref(system, U, p=None):
+    """The gas branch of to_transformed through a primitive copy of U: the
+    velocities divided by rho and p in the last column, then q and s
+    written over the first and last."""
+    if p is None:
+        p = system.pressure(U)
+    rho = U[..., 0]
+    W = U.copy()
+    W[..., system._velocity] /= U[..., :1]
+    W[..., -1] = p
+    W[..., 0] = inv_softplus(rho)
+    W[..., -1] = np.log(p) - system.gamma * np.log(rho)
+    return W
+
+
+@pytest.mark.parametrize("name", ["euler", "mhd"])
+@pytest.mark.parametrize("shape", [(), (33,), (2, 33)], ids=["d", "Kd", "2Kd"])
+def test_encode_matches_primitive_copy(name, shape, rng):
+    system, _ = _gas_pair(name)
+    U = system.from_primitive(_primitive_states(system.nvars, shape, rng))
+    p = system.pressure(U)
+    _assert_same(transform.to_transformed(system, U, p), _to_transformed_ref(system, U, p))
+    _assert_same(transform.to_transformed(system, U), _to_transformed_ref(system, U))
+
+
+def _scaling_limit_scalar_ref(avg, left, mid, right, lo, hi):
+    """scaling_limit_scalar on flattened copies of its inputs."""
+    avg, left, mid, right = (np.asarray(x, dtype=float)
+                             for x in (avg, left, mid, right))
+    shape = mid.shape
+    hat_l, hat_m, hat_r = left.flatten(), mid.flatten(), right.flatten()
+    theta = np.ones(hat_m.shape)
+    rows = ((hat_m < lo) | (hat_m > hi)).nonzero()[0]
+    a, m = avg.ravel()[rows], hat_m[rows]
+    below = m < lo
+    t = np.where(below, (a - lo) / (a - m), (hi - a) / (m - a))
+    theta[rows] = t
+    # land the midpoint exactly on the violated bound
+    hat_m[rows] = np.where(below, lo, hi)
+    base = (1.0 - t) * a
+    hat_l[rows] = base + t * hat_l[rows]
+    hat_r[rows] = base + t * hat_r[rows]
+    return (hat_l.reshape(shape), hat_m.reshape(shape), hat_r.reshape(shape),
+            theta.reshape(shape))
+
+
+def _scalar_limiter_cells(lo, hi):
+    """(avg, left, mid, right) of cells whose midpoints lie below, above
+    and exactly on the bounds, with averages inside and exactly at a bound
+    and signed-zero endpoints: the cases where a regrouped quotient or
+    blend could differ from the old one in a bit or a sign."""
+    w = hi - lo
+    cells = [
+        (lo + 0.5 * w, lo + 0.2 * w, lo - 0.3 * w, hi),     # below
+        (lo + 0.5 * w, hi, hi + 0.7 * w, lo + 0.1 * w),     # above
+        (lo + 0.25 * w, lo, lo, hi),                        # on lo: kept
+        (hi - 0.25 * w, hi, hi, lo),                        # on hi: kept
+        (lo, lo + 0.5 * w, lo - 0.1 * w, lo),               # avg at lo, below
+        (hi, hi, hi + 0.1 * w, hi - 0.5 * w),               # avg at hi, above
+        (lo + 0.5 * w, -0.0, lo - 2.0 * w, 0.0),            # signed-zero ends
+        (lo + 0.5 * w, 0.0, hi + 1e-300, -0.0),             # barely above
+        (lo + 0.5 * w, lo + 0.5 * w, lo + 0.5 * w, lo + 0.5 * w),   # at rest
+    ]
+    return tuple(np.array(c) for c in zip(*cells))
+
+
+def _assert_limited_same(got, want):
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        _assert_same(g, w)
+        assert np.shape(g) == np.shape(w)
+
+
+# bounds with a zero at either end make zero averages, bounds and blends
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 0.0), (1.0, 2.0)])
+def test_scalar_limiter_matches_flattened_copies(lo, hi):
+    avg, left, mid, right = _scalar_limiter_cells(lo, hi)
+    _assert_limited_same(limiters.scaling_limit_scalar(avg, left, mid, right, lo, hi),
+                         _scaling_limit_scalar_ref(avg, left, mid, right, lo, hi))
+    # the scheme's (k, 1) rows
+    cols = [x[:, None] for x in (avg, left, mid, right)]
+    _assert_limited_same(limiters.scaling_limit_scalar(*cols, lo, hi),
+                         _scaling_limit_scalar_ref(*cols, lo, hi))
+    # one cell at a time: 0-d arrays and plain floats
+    for j in range(len(avg)):
+        cell = [x[j] for x in (avg, left, mid, right)]
+        want = _scaling_limit_scalar_ref(*cell, lo, hi)
+        _assert_limited_same(limiters.scaling_limit_scalar(
+            *[np.array(c) for c in cell], lo, hi), want)
+        _assert_limited_same(limiters.scaling_limit_scalar(
+            *[float(c) for c in cell], lo, hi), want)
+
+
+def test_scalar_limiter_returns_its_inputs_when_no_row_is_limited():
+    avg, left, mid, right = (np.array([[0.5], [0.2], [1.0]]) for _ in range(4))
+    got = limiters.scaling_limit_scalar(avg, left, mid, right, 0.0, 1.0)
+    assert got[0] is left and got[1] is mid and got[2] is right
+    _assert_limited_same(got, _scaling_limit_scalar_ref(avg, left, mid, right, 0.0, 1.0))
+    # a limited row: every output is a new array, the inputs keep their values
+    mid2 = np.array([[0.5], [-0.1], [1.0]])
+    got = limiters.scaling_limit_scalar(avg, left, mid2, right, 0.0, 1.0)
+    assert not any(g is x for g, x in zip(got, (left, mid2, right)))
+    assert mid2[1, 0] == -0.1
+    _assert_limited_same(got, _scaling_limit_scalar_ref(avg, left, mid2, right, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("n_active", [0, 1, 7, 64])
+def test_scalar_limiter_matches_on_random_rows(n_active, rng):
+    k = 64
+    avg = rng.uniform(0.0, 1.0, (k, 1))
+    left, right = rng.uniform(0.0, 1.0, (2, k, 1))
+    mid = np.clip(midpoint_value(avg, left, right), 0.0, 1.0)
+    rows = rng.choice(k, n_active, replace=False)
+    past = rng.uniform(0.01, 1.0, n_active)
+    mid[rows, 0] = np.where(rng.random(n_active) < 0.5, -past, 1.0 + past)
+    got = limiters.scaling_limit_scalar(avg, left, mid, right, 0.0, 1.0)
+    _assert_limited_same(got, _scaling_limit_scalar_ref(avg, left, mid, right, 0.0, 1.0))
+    assert np.array_equal(np.flatnonzero(got[3] < 1.0), np.sort(rows))

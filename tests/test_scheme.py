@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -579,6 +580,45 @@ def test_no_stack_calls_per_residual(preset, monkeypatch):
     monkeypatch.setattr(np, "stack", counted)
     scheme.residual(field, dt)
     assert calls == []
+
+
+def _stage_calls(scheme, field, cfl):
+    """Python-level calls (sys.setprofile's `call` and `c_call` events) of
+    one stage as `advance` runs it: stage_entry, max_dt and the residual,
+    each call itself included, as scripts/stage_calls.py counts them."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" or event == "c_call":
+            calls[0] += 1
+
+    record = {}
+    sys.setprofile(profile)
+    entry = scheme.stage_entry(field)
+    dt = scheme.max_dt(field, cfl, entry)
+    scheme.residual(field, dt, record, entry=entry)
+    sys.setprofile(None)
+    return calls[0] - 1, record          # less the setprofile(None) call
+
+
+@pytest.mark.parametrize("preset, n, budget, limited", [
+    ("advection_smooth", 20, 95, True), ("sod", 200, 220, False)])
+def test_stage_call_budget(preset, n, budget, limited):
+    # at paper sizes each call costs about as much as its arithmetic: these
+    # stages made 127 (advection) and 240 (sod, MP) calls, and make 82 and
+    # 191, since the scalar limiter stopped copying its inputs, the scalar
+    # speeds became one kernel call and the guards' reductions lost their
+    # Python wrappers
+    cfg = load_config(preset).with_overrides(n=n)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    field, _, _ = run_mod.advance(scheme, field, 0.05 * cfg.t_final, cfg.cfl,
+                                  cfg.integrator)
+    calls, record = _stage_calls(scheme, field, cfg.cfl)
+    # the advection stage is counted with limited cells, the limiter's
+    # longer path
+    assert (record["idp_active"] > 0) == limited
+    assert calls <= budget
 
 
 STAGE_RECORD_KEYS = {"theta", "mid_hat", "idp_active", "theta_oe", "oe_active",

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from pampa import oracle, transform
 from pampa.errors import DomainError
-from pampa.systems import FINITE, Euler, IdealMHD, advection, burgers, guard
+from pampa.systems import FINITE, POSITIVE, Euler, IdealMHD, advection, burgers, guard
 
 SQRT_14 = 1.1832159566199232  # sqrt(1.4)
 SQRT_53 = 1.2909944487358056  # sqrt(5/3)
@@ -148,3 +150,32 @@ def test_guard_takes_single_and_empty_inputs():
         guard("average", np.array(np.nan), np.array(np.nan), FINITE)
     with pytest.raises(DomainError, match=r"^state 0 needs .*, got \[-1\.  0\.  1\.\]$"):
         EULER.pressure(np.array([-1.0, 0.0, 1.0]))
+    # the fast check reduces over every entry and row: a nan in the last
+    # row, an infinity of either sign and 0-d values fail it, with the text
+    # the row search writes
+    states = np.arange(12.0).reshape(4, 3)
+    for bad, text in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")):
+        states[3, 2] = bad
+        with pytest.raises(DomainError, match=rf"^point 3 needs finite values, "
+                                              rf"got \[ +9\. +10\. +{text}\]$"):
+            guard("point", states, states, FINITE)
+        with pytest.raises(DomainError, match=rf"^average 1 needs finite values, got {text}$"):
+            guard("average", states[:, 2], states[:, 2], FINITE, offset=2)
+        with pytest.raises(DomainError, match=rf"^average 0 needs finite values, got {text}$"):
+            guard("average", np.array(bad), np.array(bad), FINITE)
+    guard("state", np.zeros((0, 3)), np.zeros((0, 3)), FINITE)
+    guard("state", np.zeros((4, 0)), np.zeros((4, 0)), FINITE)
+    # the rules' bounds are closed: values exactly at lo and hi pass
+    rule = advection(1.0, 2.0).domain_rule
+    guard("average", np.array([1.0, 2.0]), np.array([1.0, 2.0]), rule)
+    guard("average", np.array(2.0), np.array(2.0), rule)
+    big = np.finfo(float).max
+    guard("point", np.array([-big, big]), np.array([-big, big]), FINITE)
+    guard("state", np.array([5e-324, big]), np.array([5e-324, big]), POSITIVE)
+    for just_out in (np.nextafter(1.0, 0.0), np.nextafter(2.0, 3.0)):
+        with pytest.raises(DomainError, match=r"^average 1 needs values in \[1\.0, 2\.0\], "
+                                              rf"got {re.escape(str(just_out))}$"):
+            guard("average", np.array([1.5, just_out]), np.array([1.5, just_out]), rule)
+    with pytest.raises(DomainError, match=r"^state 0 needs positive, finite density "
+                                          r"and pressure, got 0\.0$"):
+        guard("state", np.array([0.0, 1.0]), np.array([0.0, 1.0]), POSITIVE)
