@@ -36,15 +36,17 @@ class StageEntry(NamedTuple):
     """A stage's checked input (a tuple builds 4x faster than a frozen
     dataclass): averages A of cells -3..n+2, points Wx of nodes -2..n+2 and
     their decode Ux, the pressures of Ux and A (None for scalar laws), the
-    speeds of Ux and A and, for OE, A's range v -+ c."""
+    speeds of Ux and A and, for OE, A's range v -+ c. A law with a constant
+    speed has no speed arrays (None) but those OE reads, A's speeds and
+    range."""
 
     A: np.ndarray
     Wx: np.ndarray
     Ux: np.ndarray
     p_node: np.ndarray | None
     p_avg: np.ndarray | None
-    speed_node: np.ndarray
-    speed_avg: np.ndarray
+    speed_node: np.ndarray | None
+    speed_avg: np.ndarray | None
     range_avg: tuple | None
 
 
@@ -74,12 +76,15 @@ def llf_flux(system, UL, UR, pL=None, pR=None):
     """Local Lax-Friedrichs flux with the pairwise IDP wave speed.
 
     pL/pR: the pressures of UL/UR when the caller has them (systems only).
+    A law with a constant speed c takes lam = c, every pair's speed.
     Exactly consistent: identical inputs give F(U) bit for bit, because
     0.5*(F+F) and the zero jump term introduce no rounding.
     """
-    lam = system.pair_speed(UL, UR, pL, pR)
+    lam = system.constant_speed
+    if lam is None:
+        lam = system.pair_speed(UL, UR, pL, pR)[..., None]
     return 0.5 * (system.flux(UL, pL) + system.flux(UR, pR)) \
-        - 0.5 * lam[..., None] * (UR - UL)
+        - 0.5 * lam * (UR - UL)
 
 
 def _rows(p, lo: int, hi: int):
@@ -100,10 +105,15 @@ class PampaScheme:
         self.scalar = isinstance(system, ScalarLaw)
         # the grid and the BC never change: the sizes and the grid factors
         # are built once, the factors at the (cells, d) shape of the arrays
-        # they scale (see oe_geometry)
+        # they scale (see oe_geometry), and with a constant speed c the
+        # step of cfl 1, min(dx)/c (x -> x/c is monotone, so that is the
+        # least of the cells' dx/c bit for bit)
         n, d = grid.n_cells, system.nvars
         self.n = n
         self.n_points = n if bc == mesh.PERIODIC else n + 1
+        c = system.constant_speed
+        self._unit_dt = (None if c is None
+                         else float(np.minimum.reduce(grid.cell_sizes)) / c)
         dxx = mesh.extend_cell_sizes(grid, bc)                   # cells -3..n+2
         self._dxx = np.repeat(dxx[:, None], d, axis=1)
         self._oe_geometry = (limiters.oe_geometry(dxx[1 : n + 5], d)  # cells -2..n+1
@@ -144,22 +154,25 @@ class PampaScheme:
     def stage_entry(self, field: DofField) -> StageEntry:
         """`guard(field)` with its wave speeds; `advance` builds one per step.
         For a gas the decode, the pressures and the speeds run under one
-        np.errstate: a speed that overflows is inf, which `max_dt` names."""
+        np.errstate: a speed that overflows is inf, which `max_dt` names.
+        A law with a constant speed takes only the speeds OE reads."""
         if self.scalar:
             return self._with_speeds(*self.guard(field))
         with np.errstate(all="ignore"):
             return self._with_speeds(*self.guard(field))
 
     def _with_speeds(self, A, Wx, Ux, p_node, p_avg) -> StageEntry:
-        sys, rng = self.system, None
+        sys, rng, speed_node, speed_avg = self.system, None, None, None
+        computed = sys.constant_speed is None
         if self.limiter.oscillation == "oe":
             # OE reads the range; max(|v - c|, |v + c|) is |v| + c bit for bit
             rng = lo, hi = sys.wave_speed_range(A, p_avg)
             speed_avg = np.maximum(np.abs(lo), np.abs(hi))
-        else:
+        elif computed:
             speed_avg = sys.max_wave_speed(A, p_avg)
-        return StageEntry(A, Wx, Ux, p_node, p_avg,
-                          sys.max_wave_speed(Ux, p_node), speed_avg, rng)
+        if computed:
+            speed_node = sys.max_wave_speed(Ux, p_node)
+        return StageEntry(A, Wx, Ux, p_node, p_avg, speed_node, speed_avg, rng)
 
     # -- residuals ----------------------------------------------------------
 
@@ -233,21 +246,24 @@ class PampaScheme:
         # the neighbourhood: a midpoint floored to eps-scale density with a
         # strong transverse field carries an Alfven speed ~ |B|/sqrt(eps)
         # (10 orders above the flow scale), which would otherwise make the
-        # point update explode at any practical time step.
-        speed_node, speed_avg = e.speed_node, e.speed_avg[2 : m + 3]
-        neighborhood = np.maximum(
-            np.maximum(speed_node[1 : m + 1], speed_node[2 : m + 2]),
-            speed_node[3 : m + 3],
-        )
-        neighborhood = np.maximum(
-            neighborhood, np.maximum(speed_avg[0:m], speed_avg[1 : m + 1]))
-        cap = 2.0 * neighborhood
-        speed_mid = sys.max_wave_speed(hat_m, p_mid)
-        alpha = np.maximum(
-            speed_node[2 : m + 2],
-            np.maximum(np.minimum(speed_mid[0:m], cap),
-                       np.minimum(speed_mid[1 : m + 1], cap)),
-        )
+        # point update explode at any practical time step. With a constant
+        # speed c every speed and every cap min(c, 2c) is c, so alpha is c.
+        alpha = sys.constant_speed
+        if alpha is None:
+            speed_node, speed_avg = e.speed_node, e.speed_avg[2 : m + 3]
+            neighborhood = np.maximum(
+                np.maximum(speed_node[1 : m + 1], speed_node[2 : m + 2]),
+                speed_node[3 : m + 3],
+            )
+            neighborhood = np.maximum(
+                neighborhood, np.maximum(speed_avg[0:m], speed_avg[1 : m + 1]))
+            cap = 2.0 * neighborhood
+            speed_mid = sys.max_wave_speed(hat_m, p_mid)
+            alpha = np.maximum(
+                speed_node[2 : m + 2],
+                np.maximum(np.minimum(speed_mid[0:m], cap),
+                           np.minimum(speed_mid[1 : m + 1], cap)),
+            )[:, None]
 
         # upwind split: (J - alpha) delta_m / dx_right + (J + alpha) delta_p
         # / dx_left, with J linear, so one Jacobian action serves both sides:
@@ -260,7 +276,7 @@ class PampaScheme:
         del here, mid2, half  # not held through the Jacobian action
         jd = transform.apply_jacobian(sys, Ux[2 : m + 2], delta_m + delta_p,
                                       _rows(p_node, 2, m + 2))
-        dpts = -(jd - alpha[:, None] * (delta_m - delta_p))
+        dpts = -(jd - alpha * (delta_m - delta_p))
 
         if record is not None:
             record["theta"] = theta
@@ -280,7 +296,8 @@ class PampaScheme:
                entry: StageEntry | None = None) -> float:
         """CFL time step: cfl * min_j dx_j / lambda_j with lambda_j the
         largest wave speed over the cell average and its endpoint states
-        from the checked entry of `field` (built here unless given).
+        from the checked entry of `field` (built here unless given); with a
+        constant speed c, cfl * (min_j dx_j / c), whatever the states.
 
         Cells with lambda_j = 0 (dx/0 = inf) are skipped; with none left the
         step is unbounded (inf). An infinite speed (dx/inf = 0) of a state in
@@ -289,6 +306,8 @@ class PampaScheme:
         """
         check_cfl(cfl)
         e = self.stage_entry(field) if entry is None else entry
+        if self._unit_dt is not None:  # a constant speed
+            return cfl * self._unit_dt
         n = self.n
         s_node = e.speed_node[mesh.PT_GHOST : mesh.PT_GHOST + n + 1]
         lam = np.maximum(e.speed_avg[mesh.AVG_GHOST : mesh.AVG_GHOST + n],

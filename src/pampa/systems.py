@@ -51,27 +51,38 @@ def _finite(U):
 class ScalarLaw:
     """Scalar conservation law u_t + f(u)_x = 0 with invariant interval G.
 
-    flux_fn, dflux_fn and speed_fn are f, f' and the wave speed |f'| of the
-    value array u, the speed as one kernel call (advection's constant 1,
-    Burgers' np.abs)."""
+    flux_fn is f of the value array u. The wave speed is computed or one
+    number: dflux_fn and speed_fn are f' and the wave speed |f'| of u, the
+    speed as one kernel call (Burgers' np.abs); a law whose f' is one
+    positive constant c gives `constant_speed` = c instead (advection's
+    1.0). `PampaScheme` then reads c itself, and the speed methods below
+    fill arrays with it for the callers that want one speed per state."""
 
     nvars = 1
     conservative_names = primitive_names = ("u",)
 
-    def __init__(self, flux_fn: Callable, dflux_fn: Callable, speed_fn: Callable,
-                 u_min: float, u_max: float, name: str = "scalar"):
+    def __init__(self, flux_fn: Callable, u_min: float, u_max: float,
+                 name: str = "scalar", *, dflux_fn: Callable | None = None,
+                 speed_fn: Callable | None = None,
+                 constant_speed: float | None = None):
         if not u_min < u_max:
             raise DomainError(f"need u_min < u_max, got [{u_min}, {u_max}]")
         if not (math.isfinite(u_min) and math.isfinite(u_max)):
             raise ConfigError(f"need finite u_min and u_max, got [{u_min}, {u_max}]")
+        if constant_speed is not None:
+            dflux_fn = speed_fn = self._constant
         self.flux_fn = flux_fn
         self.dflux_fn = dflux_fn
         self.speed_fn = speed_fn
+        self.constant_speed = constant_speed
         self.u_min = float(u_min)
         self.u_max = float(u_max)
         self.domain_rule = (f"values in [{self.u_min}, {self.u_max}]",
                             self.u_min, self.u_max)
         self.name = name
+
+    def _constant(self, u):
+        return np.full(np.shape(u), self.constant_speed)
 
     # p (the pressure that gas systems accept precomputed) is ignored
 
@@ -106,23 +117,16 @@ class ScalarLaw:
         return prim
 
 
-def _unit_speed(u):
-    # np.ones, np.ones_like and np.shape are Python wrappers; u is an array
-    one = np.empty(u.shape)
-    one.fill(1.0)
-    return one
-
-
 def advection(u_min: float, u_max: float) -> ScalarLaw:
-    """u_t + u_x = 0 (unit transport speed)."""
-    return ScalarLaw(lambda u: u, _unit_speed, _unit_speed, u_min, u_max,
-                     name="advection")
+    """u_t + u_x = 0: every wave moves at the constant speed 1."""
+    return ScalarLaw(lambda u: u, u_min, u_max, name="advection",
+                     constant_speed=1.0)
 
 
 def burgers(u_min: float, u_max: float) -> ScalarLaw:
     """u_t + (u^2/2)_x = 0."""
-    return ScalarLaw(lambda u: 0.5 * u * u, lambda u: u, np.abs, u_min, u_max,
-                     name="burgers")
+    return ScalarLaw(lambda u: 0.5 * u * u, u_min, u_max, name="burgers",
+                     dflux_fn=lambda u: u, speed_fn=np.abs)
 
 
 class _Gas:
@@ -138,6 +142,7 @@ class _Gas:
     hand it W itself with the decoded rho and p."""
 
     domain_rule = POSITIVE
+    constant_speed = None             # the speeds depend on the state
     # sign of each conservative (and transformed) component under a wall
     # reflection: only the normal momentum (velocity) flips
     _reflection: np.ndarray

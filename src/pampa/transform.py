@@ -111,7 +111,8 @@ def jacobian_transformed(system, U):
     """Jacobian matrices of the W-variable quasilinear form at the states U
     (in G), built column by column from apply_jacobian on the identity, so
     they are the hot path's own action."""
-    eye = np.eye(U.shape[-1])
+    d = U.shape[-1]
+    eye = np.broadcast_to(np.eye(d), U.shape[:-1] + (d, d))
     # row k of the result is J e_k, i.e. column k of J
     return np.swapaxes(apply_jacobian(system, U[..., None, :], eye), -1, -2)
 
@@ -119,11 +120,15 @@ def jacobian_transformed(system, U):
 def apply_jacobian(system, U, vec, p=None):
     """J(U) @ vec without materialising the matrices (hot path).
 
-    U and vec broadcast against each other (`jacobian_transformed` hands
-    in (..., 1, d) states and the (d, d) identity). p: the pressure of U
-    when the caller has it already (systems only).
+    vec has the shape of the result, and U broadcasts against it
+    (`jacobian_transformed` hands in (..., 1, d) states and the identities
+    at (..., d, d)). p: the pressure of U when the caller has it already
+    (systems only). A law with a constant speed c has J = c: c * vec.
     """
     if isinstance(system, ScalarLaw):
+        c = system.constant_speed
+        if c is not None:
+            return c * vec
         return system.dflux_fn(U[..., 0])[..., None] * vec
     if p is None:
         p = system.pressure(U)

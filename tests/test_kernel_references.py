@@ -9,19 +9,23 @@ components into one array instead of calling `np.stack`, and the gas
 decode encodes W's own columns instead of a primitive copy of W; the gas
 encode writes W into one copy of U instead of a primitive copy. The scalar
 scaling limiter works on its inputs' own shape, copies them only when a
-row is limited and takes theta as one quotient's modulus.
+row is limited and takes theta as one quotient's modulus. Advection
+carries its wave speed as one number, which the scheme reads in place of
+the arrays of ones it built from `_unit_speed`.
 None of that may change a bit of the result, so the code they replaced is
 kept here, byte for byte apart from names and docstrings, as the
 reference, and compared with `np.array_equal` and the sign bits (which
-`np.array_equal` does not see).
+`np.array_equal` does not see), or bit for bit as int64 views.
 """
 
 import numpy as np
 import pytest
 
-from pampa import limiters, transform
+from pampa import limiters, mesh, transform
+from pampa import run as run_mod
 from pampa.limiters import _P2_WEIGHT, MP_ALPHA, MP_BETA, OE_FLOOR, midpoint_value
-from pampa.systems import Euler, IdealMHD
+from pampa.scheme import DofField, LimiterConfig, PampaScheme
+from pampa.systems import Euler, IdealMHD, ScalarLaw, advection
 from pampa.transform import _softplus_deriv_inv, inv_softplus, softplus
 
 
@@ -371,8 +375,8 @@ def test_decode_matches_primitive_copy(name, shape, rng):
 @pytest.mark.parametrize("name", ["euler", "mhd"])
 @pytest.mark.parametrize("shape", [(), (9,), (2, 9)], ids=["d", "Kd", "2Kd"])
 def test_jacobian_broadcast_matches_stack(name, shape, rng):
-    # jacobian_transformed hands (..., 1, d) states and the (d, d) identity
-    # to apply_jacobian, which must build the (..., d, d) broadcast
+    # jacobian_transformed hands (..., 1, d) states and the identities,
+    # broadcast to (..., d, d), to apply_jacobian
     system, _ = _gas_pair(name)
     U = system.from_primitive(_primitive_states(system.nvars, shape, rng))
     eye = np.eye(system.nvars)
@@ -500,3 +504,124 @@ def test_scalar_limiter_matches_on_random_rows(n_active, rng):
     got = limiters.scaling_limit_scalar(avg, left, mid, right, 0.0, 1.0)
     _assert_limited_same(got, _scaling_limit_scalar_ref(avg, left, mid, right, 0.0, 1.0))
     assert np.array_equal(np.flatnonzero(got[3] < 1.0), np.sort(rows))
+
+
+def _unit_speed_ref(u):
+    # np.ones, np.ones_like and np.shape are Python wrappers; u is an array
+    one = np.empty(u.shape)
+    one.fill(1.0)
+    return one
+
+
+def _advection_ref(u_min, u_max):
+    """Advection through the computed-speed path: arrays of ones from
+    `_unit_speed_ref` as its f' and wave speed, no constant speed."""
+    return ScalarLaw(lambda u: u, u_min, u_max, name="advection",
+                     dflux_fn=_unit_speed_ref, speed_fn=_unit_speed_ref)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def _assert_bits(got, want):
+    """Equal shapes and equal bits (so -0.0 != 0.0 and every nan is seen)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _assert_records_same(got, want):
+    assert set(got) == set(want)
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            _assert_bits(got[key], value)
+        else:
+            assert got[key] == value, key
+
+
+U_MIN, U_MAX, N_CELLS = -0.5, 1.5, 24
+
+
+def _scheme_pair(bc, oscillation, idp, uniform, rng):
+    if uniform:
+        grid = mesh.uniform_grid(0.0, 1.0, N_CELLS)
+    else:
+        grid = mesh.grid_from_nodes(
+            np.concatenate([[0.0], np.cumsum(rng.uniform(0.25, 1.0, N_CELLS))]))
+    lim = LimiterConfig(idp=idp, oscillation=oscillation)
+    return (PampaScheme(advection(U_MIN, U_MAX), grid, bc, lim),
+            PampaScheme(_advection_ref(U_MIN, U_MAX), grid, bc, lim))
+
+
+def _random_field(scheme, rng):
+    """Averages in G; point values in W a little beyond [0, 1], so that the
+    decode clips some and the midpoints of many cells leave G."""
+    avgs = rng.uniform(U_MIN, U_MAX, (N_CELLS, 1))
+    points = rng.uniform(-0.2, 1.2, (scheme.n_points, 1))
+    return DofField(avgs, points)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "random"])
+@pytest.mark.parametrize("idp", [True, False], ids=["idp", "no-idp"])
+@pytest.mark.parametrize("oscillation", ["none", "oe", "mp"])
+@pytest.mark.parametrize("bc", [mesh.PERIODIC, mesh.OUTFLOW])
+def test_constant_speed_matches_speed_arrays(bc, oscillation, idp, uniform, rng):
+    # advection's constant speed 1.0 against the same law given per-state
+    # speed arrays of ones: the stage entry, max_dt, the residual with its
+    # stage record and a 20-step advance agree bit for bit
+    scheme, ref = _scheme_pair(bc, oscillation, idp, uniform, rng)
+    assert scheme.system.constant_speed == 1.0
+    assert ref.system.constant_speed is None
+    field = _random_field(scheme, rng)
+
+    entry, ref_entry = scheme.stage_entry(field), ref.stage_entry(field)
+    for got, want in zip(entry, ref_entry):
+        if want is None:
+            assert got is None
+        elif got is None:            # a speed array the constant stands for
+            _assert_bits(want, np.full(want.shape, 1.0))
+        elif isinstance(want, tuple):
+            for g, w in zip(got, want):
+                _assert_bits(g, w)
+        else:
+            _assert_bits(got, want)
+    assert entry.speed_node is None
+    assert (entry.speed_avg is None) == (oscillation != "oe")
+
+    cfl = 0.1
+    dt = scheme.max_dt(field, cfl, entry)
+    _assert_bits(dt, ref.max_dt(field, cfl, ref_entry))
+    _assert_bits(scheme.max_dt(field, cfl), dt)
+
+    record, ref_record = {}, {}
+    davg, dpts = scheme.residual(field, dt, record, entry=entry)
+    ref_davg, ref_dpts = ref.residual(field, dt, ref_record, entry=ref_entry)
+    _assert_bits(davg, ref_davg)
+    _assert_bits(dpts, ref_dpts)
+    _assert_records_same(record, ref_record)
+    if idp:
+        assert record["idp_active"] > 0       # the limiter's longer path ran
+
+    out, steps, t = run_mod.advance(scheme, field, 20 * dt, cfl, "ssp_ms3")
+    ref_out, ref_steps, ref_t = run_mod.advance(ref, field, 20 * dt, cfl, "ssp_ms3")
+    assert steps == ref_steps >= 20
+    _assert_bits(t, ref_t)
+    _assert_bits(out.avgs, ref_out.avgs)
+    _assert_bits(out.points, ref_out.points)
+
+
+@pytest.mark.parametrize("shape", [(), (9,), (2, 9)], ids=["d", "Kd", "2Kd"])
+def test_constant_speed_jacobian_matches_speed_arrays(shape, rng):
+    system, ref = advection(U_MIN, U_MAX), _advection_ref(U_MIN, U_MAX)
+    U = rng.uniform(U_MIN, U_MAX, shape + (1,))
+    vec = rng.normal(size=shape + (1,))
+    vec.flat[0] = -0.0
+    _assert_bits(transform.apply_jacobian(system, U, vec),
+                 transform.apply_jacobian(ref, U, vec))
+    _assert_bits(transform.jacobian_transformed(system, U),
+                 transform.jacobian_transformed(ref, U))
+    for method in ("max_wave_speed", "wave_speed_range", "pair_speed"):
+        args = (U, U) if method == "pair_speed" else (U,)
+        got, want = getattr(system, method)(*args), getattr(ref, method)(*args)
+        _assert_bits(got, want)

@@ -293,14 +293,18 @@ def _calls_per_step(preset, n, t_frac, monkeypatch):
 
 
 def test_max_dt_and_first_residual_share_one_stage_entry(monkeypatch):
-    # advance builds one checked stage entry per step: max_dt slices its
+    # advance builds one checked stage entry per step: max_dt reads its
     # speeds and the step's first residual reads it. On ssp_ms3, one
-    # residual per step after the three RK3 start-up steps: one decode and
-    # six wave speeds (nodes and averages of the entry, midpoints, and the
-    # interface pair_speed with its two max_wave_speed calls)
-    steps = _calls_per_step("advection_smooth", 40, 0.1, monkeypatch)[2:-1]
-    assert len(steps) >= 3
-    assert all(s == {"decode": 1, "speed": 6, "residual": 1} for s in steps)
+    # residual per step after the three RK3 start-up steps: one decode and,
+    # for Burgers, six wave speeds (nodes and averages of the entry,
+    # midpoints, and the interface pair_speed with its two max_wave_speed
+    # calls); advection's constant speed takes none
+    for preset, speeds in (("burgers_steepening", 6), ("advection_smooth", 0)):
+        steps = _calls_per_step(preset, 40, 0.1, monkeypatch)[2:-1]
+        assert len(steps) >= 3
+        assert all(s == {"decode": 1, "speed": speeds, "residual": 1}
+                   for s in steps)
+        monkeypatch.undo()
     # OE on MHD: every residual takes its averages' speeds and OE range in
     # one wave_speed_range call, four wave-speed calls per residual
     steps = _calls_per_step("mhd_shock_tube", 100, 0.02, monkeypatch)[:-1]
@@ -602,13 +606,13 @@ def _stage_calls(scheme, field, cfl):
 
 
 @pytest.mark.parametrize("preset, n, budget, limited", [
-    ("advection_smooth", 20, 95, True), ("sod", 200, 220, False)])
+    ("advection_smooth", 20, 56, True), ("sod", 200, 220, False)])
 def test_stage_call_budget(preset, n, budget, limited):
     # at paper sizes each call costs about as much as its arithmetic: these
-    # stages made 127 (advection) and 240 (sod, MP) calls, and make 82 and
+    # stages made 127 (advection) and 240 (sod, MP) calls, and make 51 and
     # 191, since the scalar limiter stopped copying its inputs, the scalar
-    # speeds became one kernel call and the guards' reductions lost their
-    # Python wrappers
+    # speeds became one kernel call, the guards' reductions lost their
+    # Python wrappers and advection's speed became one constant
     cfg = load_config(preset).with_overrides(n=n)
     scheme = run_mod.build_scheme(cfg)
     field = run_mod.initial_field(cfg, scheme)
