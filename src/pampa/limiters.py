@@ -5,7 +5,7 @@ the cell average over (left endpoint, midpoint, right endpoint):
 
 * the local scaling IDP limiter that pulls the midpoint (and, with the same
   blend factor, the endpoints) toward the cell average until the midpoint
-  satisfies the invariant-domain bounds;
+  satisfies the invariant-domain bounds (each law's `scaling_limit`);
 * the OE procedure, which damps endpoint values toward the cell average by
   exp(-beta*dt*sigma/dx) with sigma measuring the mismatch between the
   cell's parabola and its neighbours' parabolas, in Legendre form; a cell
@@ -30,8 +30,6 @@ reads it.
 from __future__ import annotations
 
 import numpy as np
-
-from .systems import ScalarLaw
 
 # positivity floors of the scaling limiter (Zhang & Shu, JCP 229, 2010)
 EPS_RHO = EPS_P = 1e-13
@@ -183,18 +181,6 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
     shape = lead + (d,)
     return (hat_l.reshape(shape), mid_hat.reshape(shape), hat_r.reshape(shape),
             theta.reshape(lead), p_mid.reshape(lead))
-
-
-def scaling_limit(system, avg, left, mid, right, p_avg=None):
-    """The scaling IDP limiter of any system on (..., d) states: scalar laws
-    through `scaling_limit_scalar` with the law's interval, gases through
-    `scaling_limit_system` (p_avg as there). Returns (left_hat, mid_hat,
-    right_hat, theta, p_mid); p_mid is None for scalar laws."""
-    if isinstance(system, ScalarLaw):
-        hat_l, hat_m, hat_r, theta = scaling_limit_scalar(
-            avg, left, mid, right, system.u_min, system.u_max)
-        return hat_l, hat_m, hat_r, theta[..., 0], None
-    return scaling_limit_system(system, avg, left, mid, right, p_avg)
 
 
 # ---------------------------------------------------------------------------

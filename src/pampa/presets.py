@@ -56,9 +56,7 @@ def _ic_burgers_square(cfg, x):
 
 
 def _ic_euler_smooth(cfg, x):
-    x = np.asarray(x, dtype=float)
-    rho = 1.0 + 0.999 * np.sin(x)
-    return np.stack([rho, np.ones_like(x), np.full_like(x, 1e-8)], axis=-1)
+    return _exact_density_wave(cfg, x, 0.0)   # x - 0.0 is x, -0.0 included
 
 
 def _riemann2(x, split, left, right, split_side="left"):

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import limiters, mesh, transform
-from .errors import ConfigError
-from .systems import FINITE, POSITIVE, ScalarLaw, guard
+from .errors import FINITE, ConfigError, guard
+from .systems import ScalarLaw
 
 
 @dataclass
@@ -217,16 +217,13 @@ class PampaScheme:
             u_m = limiters.midpoint_value(cel_a, u_l, u_r)
 
         if lim.idp:
-            hat_l, hat_m, hat_r, theta, p_mid = limiters.scaling_limit(
-                sys, cel_a, u_l, u_m, u_r, _rows(p_avg, 2, n + 4))
+            hat_l, hat_m, hat_r, theta, p_mid = sys.scaling_limit(
+                cel_a, u_l, u_m, u_r, _rows(p_avg, 2, n + 4))
         else:
-            hat_l, hat_m, hat_r = u_l, u_m, u_r
+            # an unlimited midpoint may leave G: the encode of hat_m below,
+            # handed no pressure, checks it (row j is cell j - 1's midpoint)
+            hat_l, hat_m, hat_r, p_mid = u_l, u_m, u_r, None
             theta = np.ones(n + 2)
-            # guarded: the unlimited midpoint may leave G. The guards name
-            # a row of hat_m, whose row j is the midpoint of cell j - 1.
-            p_mid = None if self.scalar else sys.pressure(hat_m)
-            if not self.scalar:
-                guard("state", hat_m, p_mid, POSITIVE)
 
         # interface fluxes at nodes 0..n from one-sided limited states
         UL = hat_r[0 : n + 1]

@@ -4,9 +4,10 @@ Each system provides the algebraic flux, pointwise and pairwise wave-speed
 estimates, the predicate, margin and `guard` rule of its invariant domain G
 (the interval [u_min, u_max] of a scalar law; positive density and pressure
 for Euler and MHD), primitive<->conservative converters and the names of
-its components. States are float ndarrays whose last axis holds the d
-components, so every operation works on a single state or a whole field at
-once.
+its components, and owns its numerics of the W variables (`transform`):
+`encode`, `decode`, `jacobian_action` and its IDP `scaling_limit`. States
+are float ndarrays whose last axis holds the d components, so every
+operation works on a single state or a whole field at once.
 """
 
 from __future__ import annotations
@@ -16,32 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-
-# Guard rules (what is needed, lo, hi): the values must lie in [lo, hi], so
-# "finite" is [-max, max] and "positive" starts at the least positive double.
-_BIG = float(np.finfo(float).max)
-FINITE = ("finite values", -_BIG, _BIG)
-POSITIVE = ("positive, finite density and pressure", 5e-324, _BIG)
-
-
-def guard(kind: str, states, values, rule, offset: int = 0, count=None):
-    """The one located check of G: raise DomainError unless every entry of
-    `values` (a quantity of `states`, row for row; 0-d is one row) lies in
-    the closed interval of `rule`. Rows before `offset` and from
-    offset+count on are ghost images of the others, so the first bad row
-    in between, counted from offset, is named as `{kind} {j}`."""
-    need, lo, hi = rule
-    # ufunc reductions: ndarray.min/max are Python wrappers around them
-    if not values.size or (np.minimum.reduce(values, axis=None) >= lo
-                           and np.maximum.reduce(values, axis=None) <= hi):
-        return  # a nan fails both
-    if np.ndim(values) == 0:
-        values, states = np.reshape(values, 1), np.asarray(states)[None]
-    inner = values[offset:][:count]
-    ok = ((inner >= lo) & (inner <= hi)).reshape(len(inner), -1).all(axis=-1)
-    j = int(np.argmin(ok))
-    raise DomainError(f"{kind} {j} needs {need}, got {states[offset + j]}")
+from . import limiters
+from .errors import FINITE, POSITIVE, ConfigError, DomainError, guard
+from .transform import _softplus_deriv_inv, inv_softplus, softplus
 
 
 def _finite(U):
@@ -116,6 +94,28 @@ class ScalarLaw:
     def from_primitive(self, prim):
         return prim
 
+    def encode(self, U, p=None):
+        """The clipped-ReLU map's inverse on [u_min, u_max]: w in [0, 1]."""
+        return (U - self.u_min) / (self.u_max - self.u_min)
+
+    def decode(self, W):
+        """(u, None): the clipped ReLU, in G for every w; no pressure."""
+        span = self.u_max - self.u_min
+        return span * np.minimum(np.maximum(W, 0.0), 1.0) + self.u_min, None
+
+    def jacobian_action(self, U, vec, p=None):
+        """f'(u) * vec; with a constant speed c, c * vec."""
+        c = self.constant_speed
+        if c is not None:
+            return c * vec
+        return self.dflux_fn(U[..., 0])[..., None] * vec
+
+    def scaling_limit(self, avg, left, mid, right, p_avg=None):
+        """The scalar limiter on [u_min, u_max]; no midpoint pressure."""
+        hat_l, hat_m, hat_r, theta = limiters.scaling_limit_scalar(
+            avg, left, mid, right, self.u_min, self.u_max)
+        return hat_l, hat_m, hat_r, theta[..., 0], None
+
 
 def advection(u_min: float, u_max: float) -> ScalarLaw:
     """u_t + u_x = 0: every wave moves at the constant speed 1."""
@@ -133,13 +133,14 @@ class _Gas:
     """What Euler and ideal MHD share: the positivity domain (density and
     pressure), its predicate and margin, the guarded pressure, the flux and
     the wave speeds with an optional precomputed pressure p of U (without
-    it they compute and guard their own), the primitive decode and the wall
-    reflections. Each system supplies the formulas `_pressure`, `_flux` and
-    the signal speed `_fast_speed`, its momentum columns `_velocity` (which
-    `primitive` and the gas encode divide by rho), and
-    `conservative(rho, prim, p)`, the encode that reads only the middle
-    columns of prim (velocities and fields), so that the gas decode can
-    hand it W itself with the decoded rho and p."""
+    it they compute and guard their own), the primitive decode, the wall
+    reflections, the Softplus-entropy map W <-> U and the two-stage scaling
+    limiter. Each system supplies the formulas `_pressure`, `_flux`, the
+    signal speed `_fast_speed` and `jacobian_action`, its momentum columns
+    `_velocity` (which `primitive` and `encode` divide by rho), and
+    `conservative(rho, prim, p)`, the conversion that reads only the middle
+    columns of prim (velocities and fields), so that `decode` can hand it
+    W itself with the decoded rho and p."""
 
     domain_rule = POSITIVE
     constant_speed = None             # the speeds depend on the state
@@ -209,6 +210,30 @@ class _Gas:
     def from_primitive(self, prim):
         return self.conservative(prim[..., 0], prim, prim[..., -1])
 
+    def encode(self, U, p=None):
+        """W = (q, velocities, fields, s) of U; a p given is trusted, one
+        computed here is checked (`state j`)."""
+        if p is None:
+            p = self.pressure(U)
+            guard("state", U, p, POSITIVE)
+        rho = U[..., 0]
+        W = U.copy()                     # the fields (MHD's By, Bz) as they are
+        W[..., 0] = inv_softplus(rho)
+        W[..., self._velocity] /= U[..., :1]
+        W[..., -1] = np.log(p) - self.gamma * np.log(rho)
+        return W
+
+    def decode(self, W):
+        """(U, p), rho = softplus(q) and p = rho^gamma e^s > 0 for any finite
+        W; this p keeps digits that one recomputed from U loses if p << E."""
+        rho = softplus(W[..., 0])
+        p = np.exp(W[..., -1] + self.gamma * np.log(rho))
+        return self.conservative(rho, W, p), p
+
+    def scaling_limit(self, avg, left, mid, right, p_avg=None):
+        """`limiters.scaling_limit_system`: density, then pressure."""
+        return limiters.scaling_limit_system(self, avg, left, mid, right, p_avg)
+
     def reflect(self, U):
         """Mirror states at a wall; conservative and transformed alike."""
         return U * self._reflection
@@ -245,6 +270,20 @@ class Euler(_Gas):
 
     def pair_speed(self, UL, UR, pL=None, pR=None):
         return np.maximum(self.max_wave_speed(UL, pL), self.max_wave_speed(UR, pR))
+
+    def jacobian_action(self, U, vec, p=None):
+        """J(U) @ vec of the W form, J similar to dF/dU."""
+        p = self.pressure(U) if p is None else p
+        rho = U[..., 0]
+        v = U[..., 1] / rho
+        qp = _softplus_deriv_inv(rho)
+        g = self.gamma
+        y = np.empty(np.broadcast_shapes(U.shape, vec.shape))
+        y[..., 0] = v * vec[..., 0] + qp * rho * vec[..., 1]
+        y[..., 1] = (g * p / (rho * rho * qp)) * vec[..., 0] + v * vec[..., 1] \
+            + (p / rho) * vec[..., 2]
+        y[..., 2] = v * vec[..., 2]
+        return y
 
     def conservative(self, rho, prim, p):
         v = prim[..., 1]
@@ -328,6 +367,34 @@ class IdealMHD(_Gas):
             (UL[..., 4] - UR[..., 4]) ** 2 + (UL[..., 5] - UR[..., 5]) ** 2
         )
         return base + db / (sl + sr)
+
+    def jacobian_action(self, U, vec, p=None):
+        """J(U) @ vec of the W form, J similar to dF/dU."""
+        p = self.pressure(U) if p is None else p
+        rho = U[..., 0]
+        vx = U[..., 1] / rho
+        By, Bz = U[..., 4], U[..., 5]
+        qp = _softplus_deriv_inv(rho)
+        g = self.gamma
+        bx = self.bx
+        # Tinv: W-perturbation -> primitive perturbation
+        d_rho = vec[..., 0] / qp
+        d_p = (g * p / rho) * d_rho + p * vec[..., 6]
+        dvx, dvy, dvz = vec[..., 1], vec[..., 2], vec[..., 3]
+        dBy, dBz = vec[..., 4], vec[..., 5]
+        # primitive quasilinear action A @ dV, then T: primitive
+        # perturbation -> W-perturbation, which changes rows 0 and 6 only
+        r0 = vx * d_rho + rho * dvx
+        r6 = g * p * dvx + vx * d_p
+        y = np.empty(np.broadcast_shapes(U.shape, vec.shape))
+        y[..., 0] = qp * r0
+        y[..., 1] = vx * dvx + (By * dBy + Bz * dBz + d_p) / rho
+        y[..., 2] = vx * dvy - (bx / rho) * dBy
+        y[..., 3] = vx * dvz - (bx / rho) * dBz
+        y[..., 4] = By * dvx - bx * dvy + vx * dBy
+        y[..., 5] = Bz * dvx - bx * dvz + vx * dBz
+        y[..., 6] = -(g / rho) * r0 + r6 / p
+        return y
 
     def conservative(self, rho, prim, p):
         vx, vy, vz = prim[..., 1], prim[..., 2], prim[..., 3]
