@@ -13,7 +13,10 @@ mhd_leblanc) it prints the step count and the hashes of
 
 and the hashes of the cells, nodes and diagnostics CSVs of `run_to_files`
 for double_rarefaction, blast_waves and jiang_shu at n=60 and t_final/10,
-plus the SVG plots of the double_rarefaction run (`svg=True`).
+plus the SVG plots of the double_rarefaction run (`svg=True`), and the
+hashes of `reference.csv` and `reference_meta.json` that
+`write_reference_csv` writes for mhd_shock_tube on 60 cells at t_final/8
+(its metadata notes the published resolution).
 
 For Euler(1.4), IdealMHD(5/3, 0.75), burgers(-1, 2) and advection(0, 1) it
 also prints the SHA-256 of the `repr` of each oracle report (LF splitting,
@@ -42,6 +45,8 @@ from pathlib import Path
 CSV_RUNS = ("double_rarefaction", "blast_waves", "jiang_shu")
 CSV_FILES = ("cells.csv", "nodes.csv", "diagnostics.csv")
 SVG_RUN = "double_rarefaction"
+REFERENCE_RUN = "mhd_shock_tube"
+REFERENCE_FILES = ("reference.csv", "reference_meta.json")
 
 # (preset, overrides) that no run accepts
 BAD_SETTINGS = (
@@ -203,6 +208,14 @@ def main():
             for fname in (*CSV_FILES, *svgs):
                 data = (Path(tmp) / fname).read_bytes()
                 out[f"{name}/{fname}"] = hashlib.sha256(data).hexdigest()
+
+    base = load_config(REFERENCE_RUN)
+    cfg = base.with_overrides(n=60, t_final=base.t_final / 8.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        run_mod.write_reference_csv(cfg, 60, tmp)
+        for fname in REFERENCE_FILES:
+            data = (Path(tmp) / fname).read_bytes()
+            out[f"{REFERENCE_RUN}/{fname}"] = hashlib.sha256(data).hexdigest()
 
     _oracle_hashes(out)
     _error_lines(out)

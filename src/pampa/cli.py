@@ -14,13 +14,18 @@ from .scheme import OSCILLATION_KINDS
 from .systems import Euler, IdealMHD, advection, burgers
 
 
-def _overrides(args):
-    return dict(n=args.n, oscillation=args.oscillation, t_final=args.t_final,
-                integrator=args.integrator, cfl=args.cfl)
+def _at_least(least: int):
+    """An argparse type: an int of `least` or more, else exit 2."""
+    def count(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return int(text)
+    return count
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config).with_overrides(**_overrides(args))
+    cfg = load_config(args.config).with_overrides(
+        n=args.n, oscillation=args.oscillation, t_final=args.t_final)
     outdir = Path(args.out or f"out/{cfg.label}")
     paths = run_mod.run_to_files(cfg, outdir, svg=args.svg,
                                  snapshot_every=args.snapshots)
@@ -30,8 +35,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    cfg = load_config(args.config).with_overrides(
-        oscillation=args.oscillation, integrator=args.integrator, cfl=args.cfl)
+    cfg = load_config(args.config)
     n_list = [int(s) for s in args.N.split(",")]
     rows = run_mod.convergence_table(cfg, n_list)
     print(run_mod.format_convergence(rows))
@@ -44,7 +48,7 @@ def cmd_convergence(args) -> int:
 def cmd_reference(args) -> int:
     cfg = load_config(args.config)
     outdir = Path(args.out or f"out/{cfg.label}_reference")
-    path = run_mod.write_reference_csv(cfg, args.n, outdir, cfl=args.cfl)
+    path = run_mod.write_reference_csv(cfg, args.n, outdir)
     print(f"wrote {path}")
     return 0
 
@@ -146,29 +150,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a benchmark preset or config file")
     p.add_argument("config")
     p.add_argument("--svg", action="store_true", help="emit SVG plots")
-    p.add_argument("--snapshots", type=int, default=0,
+    p.add_argument("--snapshots", type=_at_least(0), default=0,
                    help="write cell snapshots every K steps (0: none)")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--oscillation", choices=OSCILLATION_KINDS, default=None)
     p.add_argument("--t-final", dest="t_final", type=float, default=None)
-    p.add_argument("--integrator", default=None)
-    p.add_argument("--cfl", type=float, default=None)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("convergence", help="error table over a cell-count ladder")
     p.add_argument("config")
     p.add_argument("--N", required=True, help="comma-separated cell counts")
-    p.add_argument("--oscillation", choices=OSCILLATION_KINDS, default=None)
-    p.add_argument("--integrator", default=None)
-    p.add_argument("--cfl", type=float, default=None)
     p.add_argument("--out", default=None, help="CSV file for the table")
     p.set_defaults(fn=cmd_convergence)
 
     p = sub.add_parser("reference", help="first-order LLF reference run")
     p.add_argument("config")
     p.add_argument("--n", type=int, required=True, help="reference cell count")
-    p.add_argument("--cfl", type=float, default=0.45)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(fn=cmd_reference)
 
@@ -176,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help="all | splitting | thm43 | transform | limiters | sweep")
     p.add_argument("--system", default="all",
                    help="euler | mhd | burgers | advection | all")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_at_least(1), default=100_000)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--preset", default="jiang_shu", help="preset for the sweep suite")
     p.add_argument("--seed", type=int, default=42,

@@ -22,12 +22,12 @@ FINITE = ("finite values", -_BIG, _BIG)
 POSITIVE = ("positive, finite density and pressure", 5e-324, _BIG)
 
 
-def guard(kind: str, states, values, rule, offset: int = 0, count=None):
+def guard(kind: str, states, values, rule, offset: int = 0):
     """The one located check of G: raise DomainError unless every entry of
     `values` (a quantity of `states`, row for row; 0-d is one row) lies in
-    the closed interval of `rule`. Rows before `offset` and from
-    offset+count on are ghost images of the others, so the first bad row
-    in between, counted from offset, is named as `{kind} {j}`."""
+    the closed interval of `rule`. It names the first bad row from `offset`
+    on, counted from offset, as `{kind} {j}`: that row is never a ghost, as
+    ghosts copy or mirror interior rows (finiteness, rho and p kept)."""
     need, lo, hi = rule
     # ufunc reductions: ndarray.min/max are Python wrappers around them
     if not values.size or (np.minimum.reduce(values, axis=None) >= lo
@@ -35,7 +35,7 @@ def guard(kind: str, states, values, rule, offset: int = 0, count=None):
         return  # a nan fails both
     if np.ndim(values) == 0:
         values, states = np.reshape(values, 1), np.asarray(states)[None]
-    inner = values[offset:][:count]
+    inner = values[offset:]
     ok = ((inner >= lo) & (inner <= hi)).reshape(len(inner), -1).all(axis=-1)
     j = int(np.argmin(ok))
     raise DomainError(f"{kind} {j} needs {need}, got {states[offset + j]}")

@@ -68,7 +68,7 @@ def initial_field(cfg: RunConfig, scheme: PampaScheme) -> DofField:
     avgs = initial_averages(cfg, system, grid)
     nodes = grid.nodes[: scheme.n_points]
     points = transform.to_transformed(system, _initial_state(cfg, system, nodes))
-    return DofField(avgs=avgs, points=np.atleast_2d(points))
+    return DofField(avgs=avgs, points=points)
 
 
 def advance(scheme: PampaScheme, field: DofField, t_final: float,
@@ -191,11 +191,10 @@ class DiagnosticsRecorder:
         self._mp = 0
 
     def on_stage(self, t, step, stage, field, record):
-        if record and record.get("theta") is not None:
-            self._theta_min = min(self._theta_min, float(np.min(record["theta"])))
-            self._idp += record.get("idp_active", 0)
-            self._oe += record.get("oe_active", 0)
-            self._mp += record.get("mp_active", 0)
+        self._theta_min = min(self._theta_min, float(np.min(record["theta"])))
+        self._idp += record["idp_active"]
+        self._oe += record["oe_active"]
+        self._mp += record["mp_active"]
 
     def on_step(self, t, step, dt, field):
         sys = self.scheme.system
@@ -275,9 +274,11 @@ PUBLISHED_REFERENCE_CELLS = {
     "mhd_shock_tube": 4000,
     "mhd_leblanc": 10000,
 }
+# the first-order LLF update keeps G for CFL <= 1/2 (a convex combination)
+REFERENCE_CFL = 0.45
 
 
-def reference_solution(cfg: RunConfig, n_cells: int, cfl: float = 0.45):
+def reference_solution(cfg: RunConfig, n_cells: int):
     """First-order finite-volume LLF run on n_cells (cell averages only)."""
     cfg = cfg.validate()
     system = build_system(cfg)
@@ -293,7 +294,7 @@ def reference_solution(cfg: RunConfig, n_cells: int, cfl: float = 0.45):
         lam = system.max_wave_speed(ext)
         pairmax = np.maximum(lam[:-1], lam[1:])  # interface bounds
         cellmax = np.maximum(pairmax[:-1], pairmax[1:])
-        dt = cfl * float(np.min(dx / np.maximum(cellmax, 1e-300)))
+        dt = REFERENCE_CFL * float(np.min(dx / np.maximum(cellmax, 1e-300)))
         dt = min(dt, cfg.t_final - t)
         F = llf_flux(system, ext[:-1], ext[1:])
         U = U - (dt / dx)[:, None] * (F[1:] - F[:-1])
@@ -301,15 +302,15 @@ def reference_solution(cfg: RunConfig, n_cells: int, cfl: float = 0.45):
     return grid.cell_centers, U, system.primitive(U)
 
 
-def write_reference_csv(cfg: RunConfig, n_cells: int, outdir, cfl: float = 0.45):
+def write_reference_csv(cfg: RunConfig, n_cells: int, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    centers, U, prim = reference_solution(cfg, n_cells, cfl)
+    centers, U, prim = reference_solution(cfg, n_cells)
     system = build_system(cfg)
     path = outdir / "reference.csv"
     header = ["x_center", *system.primitive_names]
     _write_csv(path, header, [centers] + [prim[:, k] for k in range(system.nvars)])
-    meta = {"config": asdict(cfg), "reference_cells": n_cells, "cfl": cfl}
+    meta = {"config": asdict(cfg), "reference_cells": n_cells, "cfl": REFERENCE_CFL}
     pub = PUBLISHED_REFERENCE_CELLS.get(cfg.label)
     if pub is not None and pub != n_cells:
         meta["note"] = (f"benchmark-published reference resolution is {pub} cells; "

@@ -131,24 +131,23 @@ class PampaScheme:
         overflow (decoded without floating-point warnings); a scalar law's
         as W, whose inf clips to a finite u."""
         sys = self.system
-        n, m = self.n, self.n_points
         ga, gp, g = mesh.AVG_GHOST, mesh.PT_GHOST, sys.domain_rule
         A = mesh.extend_averages(field.avgs, self.bc, sys)       # cells -3..n+2
         Wx = mesh.extend_points(field.points, self.bc, sys)      # nodes -2..n+2
         if self.scalar:
             Ux = transform.from_transformed(sys, Wx)
-            guard("point", Ux, Wx, FINITE, gp, m)
+            guard("point", Ux, Wx, FINITE, gp)
             # the scaling limiter needs a scalar law's averages inside G
-            guard("average", A, A, g if self.limiter.idp else FINITE, ga, n)
+            guard("average", A, A, g if self.limiter.idp else FINITE, ga)
             return A, Wx, Ux, None, None
         with np.errstate(all="ignore"):
             Ux, p_node = transform.from_transformed(sys, Wx, with_pressure=True)
             p_avg = sys.pressure(A, check=False)
-        guard("point", Ux, Ux, FINITE, gp, m)
-        guard("average", A, A[:, 0], g, ga, n)
-        guard("average", A, p_avg, g, ga, n)
-        guard("point", Ux, Ux[:, 0], g, gp, m)
-        guard("point", Ux, p_node, g, gp, m)
+        guard("point", Ux, Ux, FINITE, gp)
+        guard("average", A, A[:, 0], g, ga)
+        guard("average", A, p_avg, g, ga)
+        guard("point", Ux, Ux[:, 0], g, gp)
+        guard("point", Ux, p_node, g, gp)
         return A, Wx, Ux, p_node, p_avg
 
     def stage_entry(self, field: DofField) -> StageEntry:

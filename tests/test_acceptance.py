@@ -69,7 +69,9 @@ def test_c02_euler_convergence(oscillation):
     rows = run_mod.convergence_table(cfg, [20, 40, 80, 160, 320, 640, 1280])
     for r in rows[-2:]:
         assert r.order_avg >= 2.8, (oscillation, rows)
+        assert r.order_point >= 2.8, (oscillation, rows)
     assert 4.89e-9 / 3 <= rows[-1].err_avg <= 4.89e-9 * 3, rows[-1]
+    assert 6.58e-9 / 3 <= rows[-1].err_point <= 6.58e-9 * 3, rows[-1]
     # no domain violation despite the 1e-8 background pressure
     run = _full_run("euler_smooth", oscillation=oscillation, n=160)
     assert run["sweep"].report.is_empty, run["sweep"].report.summary()

@@ -294,6 +294,7 @@ def test_cli_reference_run(tmp_path):
     assert (tmp_path / "ref" / "reference.csv").exists()
     meta = json.loads((tmp_path / "ref" / "reference_meta.json").read_text())
     assert meta["reference_cells"] == 60
+    assert meta["cfl"] == 0.45  # fixed: no flag or setting moves it
 
 
 def test_reference_reflective_walls_conserve_mass():
@@ -335,6 +336,29 @@ def test_cli_verify_suites():
     assert cli.main(["verify", "transform", "--system", "euler",
                      "--samples", "2000"]) == 0
     assert cli.main(["verify", "sweep", "--preset", "burgers_steepening"]) in (0,)
+
+
+@pytest.mark.parametrize("suite", ["all", "splitting", "transform", "limiters"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_verify_rejects_no_samples(suite, samples, capsys):
+    # no sample is no check: the parser refuses it before any suite runs
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", suite, "--samples", samples])
+    assert err.value.code == 2
+    assert f"must be at least 1, got {samples}" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_negative_snapshots(tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", "sod", "--snapshots", "-1", "--out", str(out)])
+    assert err.value.code == 2
+    assert "must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    # 0 means no snapshots
+    assert cli.main(["run", "sod", "--n", "40", "--t-final", "0.05",
+                     "--snapshots", "0", "--out", str(out)]) == 0
+    assert (out / "cells.csv").exists() and not (out / "snapshots").exists()
 
 
 def test_cli_presets_listing(capsys):
@@ -400,6 +424,14 @@ def test_cli_run_reports_unparsable_config(tmp_path, capsys):
     ["convergence", "advection_smooth", "--N", "20", "--seed", "1"],
     ["reference", "sod", "--n", "60", "--seed", "1"],
     ["verify", "thm43", "--out", "x"],
+    # settings of the config file, not of the command line
+    ["run", "sod", "--integrator", "forward_euler"],
+    ["run", "sod", "--cfl", "0.1"],
+    ["convergence", "advection_smooth", "--N", "20", "--oscillation", "oe"],
+    ["convergence", "advection_smooth", "--N", "20", "--integrator", "ssp_rk3"],
+    ["convergence", "advection_smooth", "--N", "20", "--cfl", "0.1"],
+    # the reference solver's CFL is fixed
+    ["reference", "sod", "--n", "20", "--cfl", "0"],
 ])
 def test_cli_rejects_flags_a_subcommand_does_not_read(argv):
     with pytest.raises(SystemExit) as err:

@@ -262,6 +262,21 @@ def test_max_dt_zero_and_nan_speeds(bc):
         scheme.max_dt(field, 0.1)
 
 
+@pytest.mark.parametrize("bc", [mesh.PERIODIC, mesh.OUTFLOW, mesh.REFLECTIVE])
+def test_guard_names_boundary_rows_not_their_ghosts(bc):
+    # ghost rows copy or mirror the rows next to a boundary, so a bad first
+    # or last average or node is named by its own index, not a ghost's
+    scheme = PampaScheme(Euler(1.4), mesh.uniform_grid(0.0, 1.0, 8), bc)
+    m, state = scheme.n_points, np.array([1.0, 0.5, 2.0])
+    for array, kind, last in (("avgs", "average", 7), ("points", "point", m - 1)):
+        for row in (0, last):
+            field = DofField(np.tile(state, (8, 1)), transform.to_transformed(
+                scheme.system, np.tile(state, (m, 1))))
+            getattr(field, array)[row, 0] = np.nan
+            with pytest.raises(DomainError, match=rf"^{kind} {row} needs"):
+                scheme.stage_entry(field)
+
+
 def _calls_per_step(preset, n, t_frac, monkeypatch):
     """Decode, wave-speed and residual calls in each step of an advance
     after the first and, last, those after the last step (the check of the
