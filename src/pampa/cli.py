@@ -23,6 +23,18 @@ def _at_least(least: int):
     return count
 
 
+def _cell_counts(text: str) -> list[int]:
+    """An argparse type: comma-separated ints, else exit 2 naming the entry."""
+    counts = []
+    for entry in text.split(","):
+        try:
+            counts.append(int(entry))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{entry!r} in {text!r} is not a cell count") from None
+    return counts
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config).with_overrides(
         n=args.n, oscillation=args.oscillation, t_final=args.t_final)
@@ -36,8 +48,7 @@ def cmd_run(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg = load_config(args.config)
-    n_list = [int(s) for s in args.N.split(",")]
-    rows = run_mod.convergence_table(cfg, n_list)
+    rows = run_mod.convergence_table(cfg, args.N)
     print(run_mod.format_convergence(rows))
     if args.out:
         run_mod.write_convergence_csv(rows, args.out)
@@ -160,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="error table over a cell-count ladder")
     p.add_argument("config")
-    p.add_argument("--N", required=True, help="comma-separated cell counts")
+    p.add_argument("--N", required=True, type=_cell_counts,
+                   help="comma-separated cell counts")
     p.add_argument("--out", default=None, help="CSV file for the table")
     p.set_defaults(fn=cmd_convergence)
 
@@ -177,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_at_least(1), default=100_000)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--preset", default="jiang_shu", help="preset for the sweep suite")
-    p.add_argument("--seed", type=int, default=42,
+    p.add_argument("--seed", type=_at_least(0), default=42,
                    help="seed for the randomised suites")
     p.set_defaults(fn=cmd_verify)
 

@@ -73,29 +73,28 @@ def scaling_limit_scalar(avg, left, mid, right, lo, hi):
     Returns (left_hat, mid_hat, right_hat, theta) in that shape. Only the
     cells whose midpoint leaves [lo, hi] are blended, and an output is
     copied only if there is one: with none, the inputs themselves come
-    back (as arrays) with theta = 1.
+    back (as arrays) with theta = 1. Limited cells are gathered and
+    scattered by flat index (`take`, `put`), whatever the shape.
     """
     if not isinstance(mid, np.ndarray):
         avg, left, mid, right = (np.asarray(x, dtype=float)
                                  for x in (avg, left, mid, right))
-    out = (mid < lo) | (mid > hi)
-    m = mid[out]                      # the limited rows' midpoints, or none
+    rows = ((mid < lo) | (mid > hi)).ravel().nonzero()[0]  # the limited cells
     theta = np.empty(mid.shape)
     theta.fill(1.0)
-    if not m.size:
+    if not rows.size:
         return left, mid, right, theta
-    a = avg[out]
-    bound = np.where(m < lo, lo, hi)
+    hat_m = np.minimum(np.maximum(mid, lo), hi)  # limited ones on their bound
+    a, m, bound = avg.take(rows), mid.take(rows), hat_m.take(rows)
     # a - bound and a - m share their sign, and negating both terms of a
     # quotient negates it exactly: the modulus is (a - lo)/(a - m) below
     # and (hi - a)/(m - a) above bit for bit, and a +0 where a is the bound
     t = np.abs((a - bound) / (a - m))
-    theta[out] = t
+    theta.put(rows, t)
     base = (1.0 - t) * a
-    hat_l, hat_m, hat_r = left.copy(), mid.copy(), right.copy()
-    hat_m[out] = bound                # the midpoint lands on the violated bound
-    hat_l[out] = base + t * left[out]
-    hat_r[out] = base + t * right[out]
+    hat_l, hat_r = left.copy(), right.copy()
+    hat_l.put(rows, base + t * left.take(rows))
+    hat_r.put(rows, base + t * right.take(rows))
     return hat_l, hat_m, hat_r, theta
 
 

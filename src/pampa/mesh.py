@@ -62,45 +62,47 @@ def check_bc(bc: str, system) -> None:
         )
 
 
-def _extend(data: np.ndarray, bc: str, g: int, reflect=None, nodal: bool = False):
-    """data with g ghost rows per side under the boundary condition bc.
-
-    Cell data gains cells -g .. n-1+g. Nodal data gains nodes -g .. n+g:
-    periodic nodal data holds n values (node n is node 0), so it wraps one
-    more row on the right, and a wall mirrors about the boundary node, which
-    is not repeated. reflect maps mirrored states (None: plain copies).
-    """
-    k = int(nodal)
-    m = data.shape[0]
+def fill_ghosts(ext: np.ndarray, bc: str, g: int, reflect=None, nodal=False):
+    """ext, its g ghost rows per side filled in place from its interior
+    under the boundary condition bc. ext holds cells or nodes -g .. m-1+g;
+    periodic nodal data holds m = n values (node n is node 0), so it wraps
+    one more row on the right, and a wall mirrors about the boundary node,
+    which is not repeated. reflect maps mirrored states (None: copies)."""
+    k, e = int(nodal), ext.shape[0]
     if bc == PERIODIC:
-        left, right = data[m - g :], data[: g + k]
+        m = e - 2 * g - k
+        ext[:g], ext[m + g :] = ext[m : m + g], ext[g : e - m]
     elif bc == OUTFLOW:
-        left = np.repeat(data[:1], g, axis=0)
-        right = np.repeat(data[-1:], g, axis=0)
+        ext[:g], ext[e - g :] = ext[g], ext[e - g - 1]
     else:
-        left, right = data[k : g + k][::-1], data[m - g - k : m - k][::-1]
+        left, right = ext[g + k : 2 * g + k][::-1], ext[e - 2 * g - k : e - g - k][::-1]
         if reflect is not None:
             left, right = reflect(left), reflect(right)
-    return np.concatenate([left, data, right], axis=0)
+        ext[:g], ext[e - g :] = left, right
+    return ext
+
+
+def _extended(data: np.ndarray, bc: str, g: int, reflect=None, nodal=False):
+    """A new array of data with g ghost rows per side (`fill_ghosts`)."""
+    ext = np.empty((len(data) + 2 * g + int(nodal and bc == PERIODIC),)
+                   + data.shape[1:])
+    ext[g : g + len(data)] = data
+    return fill_ghosts(ext, bc, g, reflect, nodal)
 
 
 def extend_averages(avgs: np.ndarray, bc: str, system) -> np.ndarray:
     """Cell averages for cells -AVG_GHOST .. n-1+AVG_GHOST as an (n+6, d) array.
 
     A wall mirrors about the boundary node, negating normal momentum."""
-    return _extend(avgs, bc, AVG_GHOST, getattr(system, "reflect", None))
+    return _extended(avgs, bc, AVG_GHOST, getattr(system, "reflect", None))
 
 
 def extend_points(points: np.ndarray, bc: str, system) -> np.ndarray:
-    """Transformed point values for nodes -PT_GHOST .. last+PT_GHOST.
-
-    For periodic runs `points` holds n values (node n is identified with
-    node 0); otherwise n+1 values. The result has points.shape[0]+(4 or 5)
-    rows so that nodes -2 .. n+2 are always addressable.
-    """
-    return _extend(points, bc, PT_GHOST, getattr(system, "reflect", None),
-                   nodal=True)
+    """Transformed point values for nodes -PT_GHOST .. n+PT_GHOST: n + 5
+    rows from the n values of a periodic grid (node n is node 0), else n+1."""
+    return _extended(points, bc, PT_GHOST, getattr(system, "reflect", None),
+                     nodal=True)
 
 
 def extend_cell_sizes(grid: Grid1D, bc: str) -> np.ndarray:
-    return _extend(grid.cell_sizes, bc, AVG_GHOST)
+    return _extended(grid.cell_sizes, bc, AVG_GHOST)

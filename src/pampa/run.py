@@ -223,6 +223,8 @@ def run_to_files(cfg: RunConfig, outdir, svg: bool = False,
                  snapshot_every: int = 0) -> dict:
     """Full benchmark run; writes cells/nodes/diagnostics (+ optional SVG,
     and cell snapshots every `snapshot_every` steps when it is positive)."""
+    if snapshot_every < 0:
+        raise ConfigError(f"snapshot_every must be at least 0, got {snapshot_every}")
     cfg = cfg.validate()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -20,16 +20,34 @@ from .errors import FINITE, ConfigError, guard
 from .systems import ScalarLaw
 
 
-@dataclass
 class DofField:
-    """Discrete solution: conservative cell averages and transformed point
-    values (n points for periodic runs, n+1 otherwise)."""
+    """Discrete solution in one (n+6) + (n+5) by d buffer `data`: averages
+    of cells -3..n+2, then transformed point values of nodes -2..n+2. The
+    views `avgs` and `points` (n of them if periodic, else n+1) are its
+    interior; stage entries fill the ghost rows in place. A residual's
+    rates share the layout and unpack as `da, dp = rates`."""
 
-    avgs: np.ndarray
-    points: np.ndarray
+    def __init__(self, avgs, points):
+        """A field holding copies of the (n, d) avgs and the (m, d) points."""
+        n = len(avgs)
+        self.data = np.zeros((2 * n + 11,) + np.shape(avgs)[1:])
+        self._rows = slice(3, n + 3), slice(n + 8, n + 8 + len(points))
+        self.avgs[...], self.points[...] = avgs, points
+
+    avgs = property(lambda self: self.data[self._rows[0]])
+    points = property(lambda self: self.data[self._rows[1]])
+
+    def __iter__(self):
+        return iter((self.avgs, self.points))
+
+    def like(self, data: np.ndarray) -> "DofField":
+        """The field over `data`, a buffer of this layout (no copy)."""
+        out = DofField.__new__(DofField)
+        out.data, out._rows = data, self._rows
+        return out
 
     def copy(self) -> "DofField":
-        return DofField(self.avgs.copy(), self.points.copy())
+        return self.like(self.data.copy())
 
 
 class StageEntry(NamedTuple):
@@ -87,11 +105,6 @@ def llf_flux(system, UL, UR, pL=None, pR=None):
         - 0.5 * lam * (UR - UL)
 
 
-def _rows(p, lo: int, hi: int):
-    """p[lo:hi], or None for the scalar laws, which carry no pressure."""
-    return None if p is None else p[lo:hi]
-
-
 class PampaScheme:
     """Spatial discretisation bundle: system + grid + BC + limiter config."""
 
@@ -111,6 +124,8 @@ class PampaScheme:
         n, d = grid.n_cells, system.nvars
         self.n = n
         self.n_points = n if bc == mesh.PERIODIC else n + 1
+        self._split = n + 6           # a field buffer holds A in rows :split
+        self._reflect = getattr(system, "reflect", None)
         c = system.constant_speed
         self._unit_dt = (None if c is None
                          else float(np.minimum.reduce(grid.cell_sizes)) / c)
@@ -122,18 +137,20 @@ class PampaScheme:
     # -- stage entry ----------------------------------------------------------
 
     def guard(self, field: DofField) -> tuple:
-        """The one check of a stage's input: `field` ghost-extended and
-        decoded, as (A, Wx, Ux, p_node, p_avg) of `StageEntry`, unless
-        DomainError names its first bad cell or node. Points and averages
-        must be finite and, for systems, have positive density and pressure;
-        with the IDP limiter, a scalar law's averages must lie in [u_min,
-        u_max]. A system's points are checked as U, which a finite W may
-        overflow (decoded without floating-point warnings); a scalar law's
-        as W, whose inf clips to a finite u."""
+        """The one check of a stage's input: `field` with its ghost rows
+        filled in place (A, Wx: views of field.data) and decoded, as (A, Wx,
+        Ux, p_node, p_avg) of `StageEntry`, unless DomainError names its
+        first bad cell or node. Points and averages must be finite and, for
+        systems, have positive density and pressure; with the IDP limiter, a
+        scalar law's averages must lie in [u_min, u_max]. A system's points
+        are checked as U, which a finite W may overflow (decoded without
+        floating-point warnings); a scalar law's as W, whose inf clips to a
+        finite u."""
         sys = self.system
         ga, gp, g = mesh.AVG_GHOST, mesh.PT_GHOST, sys.domain_rule
-        A = mesh.extend_averages(field.avgs, self.bc, sys)       # cells -3..n+2
-        Wx = mesh.extend_points(field.points, self.bc, sys)      # nodes -2..n+2
+        data, bc, split, reflect = field.data, self.bc, self._split, self._reflect
+        A = mesh.fill_ghosts(data[:split], bc, ga, reflect)            # cells -3..n+2
+        Wx = mesh.fill_ghosts(data[split:], bc, gp, reflect, nodal=True)  # nodes -2..
         if self.scalar:
             Ux = transform.from_transformed(sys, Wx)
             guard("point", Ux, Wx, FINITE, gp)
@@ -182,7 +199,8 @@ class PampaScheme:
         The entry (built here unless given) was checked where it was built,
         by `guard`. Every later state of the stage is one of its states or a
         convex blend of them, so its pressure is computed once, unguarded,
-        and handed to each consumer.
+        and handed to each consumer. The rates come as a field of `field`'s
+        layout with zero ghost rows.
         """
         sys = self.system
         lim = self.limiter
@@ -217,11 +235,12 @@ class PampaScheme:
 
         if lim.idp:
             hat_l, hat_m, hat_r, theta, p_mid = sys.scaling_limit(
-                cel_a, u_l, u_m, u_r, _rows(p_avg, 2, n + 4))
+                cel_a, u_l, u_m, u_r, None if p_avg is None else p_avg[2 : n + 4])
         else:
-            # an unlimited midpoint may leave G: the encode of hat_m below,
-            # handed no pressure, checks it (row j is cell j - 1's midpoint)
-            hat_l, hat_m, hat_r, p_mid = u_l, u_m, u_r, None
+            # an unlimited midpoint may leave G: its pressure is checked
+            # once for the encode and speeds (row j: cell j - 1's midpoint)
+            hat_l, hat_m, hat_r = u_l, u_m, u_r
+            p_mid = None if self.scalar else sys.checked_pressure(hat_m)
             theta = np.ones(n + 2)
 
         # interface fluxes at nodes 0..n from one-sided limited states
@@ -232,7 +251,9 @@ class PampaScheme:
             # blends of guarded states: their density is positive
             pL, pR = sys.pressure(UL, check=False), sys.pressure(UR, check=False)
         fluxes = llf_flux(sys, UL, UR, pL, pR)
-        davg = -(fluxes[1:] - fluxes[:-1]) / dxx[3 : n + 3]
+        rates = field.like(np.zeros(field.data.shape))
+        rows_avg, rows_pt = rates._rows
+        np.divide(-(fluxes[1:] - fluxes[:-1]), dxx[3 : n + 3], out=rates.data[rows_avg])
 
         # point residual at owned nodes
         w_mid = transform.to_transformed(sys, hat_m, p_mid)
@@ -271,8 +292,8 @@ class PampaScheme:
         delta_p = ((half[:m] - mid2[0:m]) + here) / dxx[2 : m + 2]
         del here, mid2, half  # not held through the Jacobian action
         jd = transform.apply_jacobian(sys, Ux[2 : m + 2], delta_m + delta_p,
-                                      _rows(p_node, 2, m + 2))
-        dpts = -(jd - alpha * (delta_m - delta_p))
+                                      None if p_node is None else p_node[2 : m + 2])
+        np.negative(jd - alpha * (delta_m - delta_p), out=rates.data[rows_pt])
 
         if record is not None:
             record["theta"] = theta
@@ -284,7 +305,7 @@ class PampaScheme:
                 else int(np.count_nonzero(theta_oe < 1.0 - 1e-12))
             )
             record["mp_active"] = mp_changed
-        return davg, dpts
+        return rates
 
     # -- time-step control ---------------------------------------------------
 
@@ -318,12 +339,12 @@ class PampaScheme:
     # -- boundary fix-ups ----------------------------------------------------
 
     def finish_stage(self, field: DofField) -> DofField:
-        """Reflective walls: the boundary node keeps zero normal velocity
-        (average of the value and its mirror)."""
+        """Reflective walls: the boundary node of `field`, a stage's own new
+        buffer, keeps zero normal velocity (value and mirror averaged)."""
         if self.bc != mesh.REFLECTIVE:
             return field
-        pts = field.points.copy()
+        pts = field.points
         pts[0] = 0.5 * (pts[0] + self.system.reflect(pts[0]))
         pts[-1] = 0.5 * (pts[-1] + self.system.reflect(pts[-1]))
-        return DofField(field.avgs, pts)
+        return field
 

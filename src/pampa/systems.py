@@ -167,6 +167,12 @@ class _Gas:
             guard("state", U, rho, POSITIVE)
         return self._pressure(U, rho)
 
+    def checked_pressure(self, U):
+        """Pressure of the states U, guarded positive (`state j`)."""
+        p = self.pressure(U)
+        guard("state", U, p, POSITIVE)
+        return p
+
     def flux(self, U, p=None):
         if p is None:
             p = self.pressure(U)
@@ -214,8 +220,7 @@ class _Gas:
         """W = (q, velocities, fields, s) of U; a p given is trusted, one
         computed here is checked (`state j`)."""
         if p is None:
-            p = self.pressure(U)
-            guard("state", U, p, POSITIVE)
+            p = self.checked_pressure(U)
         rho = U[..., 0]
         W = U.copy()                     # the fields (MHD's By, Bz) as they are
         W[..., 0] = inv_softplus(rho)

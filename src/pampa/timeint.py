@@ -4,6 +4,8 @@ Every stage is a forward-Euler step (the limiters re-run inside each
 residual evaluation), so convexity carries the invariant-domain property of
 a single Euler step to the composed methods. Each integrator's
 `step_size` turns the forward-Euler CFL step into the step it may take.
+Fields and rates share one buffer layout (`DofField`), and each term of a
+combination is one operation on whole buffers, ghost rows included.
 """
 
 from __future__ import annotations
@@ -12,16 +14,13 @@ import math
 from collections import deque
 
 from .errors import ConfigError
-from .scheme import DofField
 
 
 def _euler_stage(scheme, field, dt, resid=None, record=None, entry=None):
     if resid is None:
         record = {} if record is None else record
         resid = scheme.residual(field, dt, record, entry=entry)
-    da, dp = resid
-    out = DofField(field.avgs + dt * da, field.points + dt * dp)
-    return scheme.finish_stage(out), record
+    return scheme.finish_stage(field.like(field.data + dt * resid.data)), record
 
 
 def _rk3_step(scheme, field, dt, t, step, on_stage, first_resid=None,
@@ -32,16 +31,13 @@ def _rk3_step(scheme, field, dt, t, step, on_stage, first_resid=None,
         on_stage(t + dt, step, 0, s1, rec1)
 
     fe2, rec2 = _euler_stage(scheme, s1, dt)
-    s2 = DofField(0.75 * field.avgs + 0.25 * fe2.avgs,
-                  0.75 * field.points + 0.25 * fe2.points)
-    s2 = scheme.finish_stage(s2)
+    s2 = scheme.finish_stage(field.like(0.75 * field.data + 0.25 * fe2.data))
     if on_stage:
         on_stage(t + dt, step, 1, s2, rec2)
 
     fe3, rec3 = _euler_stage(scheme, s2, dt)
-    out = DofField(field.avgs / 3.0 + (2.0 / 3.0) * fe3.avgs,
-                   field.points / 3.0 + (2.0 / 3.0) * fe3.points)
-    out = scheme.finish_stage(out)
+    out = scheme.finish_stage(
+        field.like(field.data / 3.0 + (2.0 / 3.0) * fe3.data))
     if on_stage:
         on_stage(t + dt, step, 2, out, rec3)
     return out
@@ -105,14 +101,10 @@ class SspMultistep3:
             return _rk3_step(scheme, field, dt, t, step, on_stage,
                              first_resid=resid, first_record=record)
         old_field, old_resid = self._hist[0]
-        da, dp = resid
-        oda, odp = old_resid
         w_new, w_old = 16.0 / 27.0, 11.0 / 27.0
-        avgs = (w_new * (field.avgs + 3.0 * dt * da)
-                + w_old * (old_field.avgs + (12.0 / 11.0) * dt * oda))
-        points = (w_new * (field.points + 3.0 * dt * dp)
-                  + w_old * (old_field.points + (12.0 / 11.0) * dt * odp))
-        out = scheme.finish_stage(DofField(avgs, points))
+        data = (w_new * (field.data + 3.0 * dt * resid.data)
+                + w_old * (old_field.data + (12.0 / 11.0) * dt * old_resid.data))
+        out = scheme.finish_stage(field.like(data))
         self._hist.append((field, resid))
         self._hist_dt = dt
         if on_stage:

@@ -361,6 +361,38 @@ def test_cli_run_rejects_negative_snapshots(tmp_path, capsys):
     assert (out / "cells.csv").exists() and not (out / "snapshots").exists()
 
 
+@pytest.mark.parametrize("ladder, bad", [("20,abc", "abc"), ("20,,40", ""),
+                                        ("2.5", "2.5")])
+def test_cli_convergence_names_a_bad_ladder_entry(ladder, bad, capsys):
+    # an entry that is not an int exits 2 at parse time, named, where it
+    # raised a ValueError traceback from the run
+    with pytest.raises(SystemExit) as err:
+        cli.main(["convergence", "advection_smooth", "--N", ladder])
+    assert err.value.code == 2
+    assert f"--N: {bad!r} in {ladder!r} is not a cell count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["splitting", "transform", "limiters"])
+def test_cli_verify_rejects_a_negative_seed(suite, capsys):
+    # the random generators take no negative seed: the parser refuses it
+    # where numpy's seeding raised a ValueError traceback
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", suite, "--seed", "-1", "--samples", "10"])
+    assert err.value.code == 2
+    assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
+
+
+def test_run_to_files_rejects_negative_snapshot_every(tmp_path):
+    # the library refuses it as the CLI does, before writing anything; it
+    # wrote a snapshot every step
+    cfg = load_config("sod").with_overrides(n=40, t_final=0.05)
+    with pytest.raises(ConfigError, match="^snapshot_every must be at least 0, got -1$"):
+        run_mod.run_to_files(cfg, tmp_path / "run", snapshot_every=-1)
+    assert not (tmp_path / "run").exists()
+    run_mod.run_to_files(cfg, tmp_path / "every", snapshot_every=1)
+    assert len(list((tmp_path / "every" / "snapshots").iterdir())) == 3
+
+
 def test_cli_presets_listing(capsys):
     assert cli.main(["presets"]) == 0
     out = capsys.readouterr().out

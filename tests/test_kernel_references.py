@@ -11,21 +11,28 @@ encode writes W into one copy of U instead of a primitive copy. The scalar
 scaling limiter works on its inputs' own shape, copies them only when a
 row is limited and takes theta as one quotient's modulus. Advection
 carries its wave speed as one number, which the scheme reads in place of
-the arrays of ones it built from `_unit_speed`.
+the arrays of ones it built from `_unit_speed`. A field is one buffer
+whose ghost rows a stage entry fills in place, where `mesh._extend` built
+new arrays by concatenation, and the integrators combine whole buffers,
+where they combined the averages and the points apart.
 None of that may change a bit of the result, so the code they replaced is
 kept here, byte for byte apart from names and docstrings, as the
 reference, and compared with `np.array_equal` and the sign bits (which
 `np.array_equal` does not see), or bit for bit as int64 views.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 
-from pampa import limiters, mesh, transform
+from pampa import limiters, mesh, oracle, transform
 from pampa import run as run_mod
+from pampa.config import load_config
 from pampa.limiters import _P2_WEIGHT, MP_ALPHA, MP_BETA, OE_FLOOR, midpoint_value
 from pampa.scheme import DofField, LimiterConfig, PampaScheme
 from pampa.systems import Euler, IdealMHD, ScalarLaw, advection
+from pampa.timeint import make_integrator
 from pampa.transform import _softplus_deriv_inv, inv_softplus, softplus
 
 
@@ -626,3 +633,140 @@ def test_constant_speed_jacobian_matches_speed_arrays(shape, rng):
         args = (U, U) if method == "pair_speed" else (U,)
         got, want = getattr(system, method)(*args), getattr(ref, method)(*args)
         _assert_bits(got, want)
+
+
+def _extend_ref(data, bc, g, reflect=None, nodal=False):
+    """data with g ghost rows per side, built by concatenation."""
+    k = int(nodal)
+    m = data.shape[0]
+    if bc == mesh.PERIODIC:
+        left, right = data[m - g :], data[: g + k]
+    elif bc == mesh.OUTFLOW:
+        left = np.repeat(data[:1], g, axis=0)
+        right = np.repeat(data[-1:], g, axis=0)
+    else:
+        left, right = data[k : g + k][::-1], data[m - g - k : m - k][::-1]
+        if reflect is not None:
+            left, right = reflect(left), reflect(right)
+    return np.concatenate([left, data, right], axis=0)
+
+
+_LAWS = {"advection": advection(U_MIN, U_MAX), "euler": Euler(1.4),
+         "mhd": IdealMHD(5.0 / 3.0, 0.75)}
+
+
+def _law_field(scheme, rng):
+    """Averages in G (signed zeros in a scalar law's) and finite points,
+    whose decode lies in G, in a buffer whose ghost rows hold nan."""
+    law, n = scheme.system, scheme.n
+    if law.constant_speed is None:
+        avgs = oracle.sample_states_representable(law, rng, n)
+    else:
+        avgs = rng.uniform(U_MIN, U_MAX, (n, 1))
+        avgs[::3] = -0.0
+    field = DofField(avgs, rng.normal(size=(scheme.n_points, law.nvars)))
+    interior = field.avgs.copy(), field.points.copy()
+    field.data.fill(np.nan)
+    field.avgs[...], field.points[...] = interior
+    return field
+
+
+@pytest.mark.parametrize("n", [3, 4, 17])
+@pytest.mark.parametrize("law, bc", [
+    (law, bc) for law in sorted(_LAWS) for bc in mesh.BC_KINDS
+    if bc != mesh.REFLECTIVE or law != "advection"])      # no scalar walls
+def test_ghost_fill_matches_concatenation(law, bc, n, rng):
+    # the extension wrappers and a stage entry's in-place fill of the
+    # field's buffer give the concatenated arrays bit for bit, cell and
+    # nodal data alike
+    system = _LAWS[law]
+    reflect = getattr(system, "reflect", None)
+    grid = mesh.grid_from_nodes(np.cumsum(rng.uniform(0.25, 1.0, n + 1)))
+    scheme = PampaScheme(system, grid, bc)
+    field = _law_field(scheme, rng)
+    avgs, points = field.avgs.copy(), field.points.copy()
+    want_a = _extend_ref(avgs, bc, mesh.AVG_GHOST, reflect)
+    want_w = _extend_ref(points, bc, mesh.PT_GHOST, reflect, nodal=True)
+    _assert_bits(mesh.extend_averages(avgs, bc, system), want_a)
+    _assert_bits(mesh.extend_points(points, bc, system), want_w)
+    _assert_bits(mesh.extend_cell_sizes(grid, bc),
+                 _extend_ref(grid.cell_sizes, bc, mesh.AVG_GHOST))
+    entry = scheme.stage_entry(field)
+    _assert_bits(entry.A, want_a)
+    _assert_bits(entry.Wx, want_w)
+    assert np.shares_memory(entry.A, field.data)
+    assert np.shares_memory(entry.Wx, field.data)
+    _assert_bits(field.avgs, avgs)        # the interior is left as it was
+    _assert_bits(field.points, points)
+
+
+def _euler_stage_ref(scheme, field, dt, resid=None):
+    """A forward-Euler stage on the averages and the points apart."""
+    if resid is None:
+        resid = scheme.residual(field, dt, {})
+    da, dp = resid
+    return scheme.finish_stage(DofField(field.avgs + dt * da,
+                                        field.points + dt * dp))
+
+
+def _rk3_step_ref(scheme, field, dt, first_resid=None):
+    s1 = _euler_stage_ref(scheme, field, dt, first_resid)
+    fe2 = _euler_stage_ref(scheme, s1, dt)
+    s2 = DofField(0.75 * field.avgs + 0.25 * fe2.avgs,
+                  0.75 * field.points + 0.25 * fe2.points)
+    s2 = scheme.finish_stage(s2)
+    fe3 = _euler_stage_ref(scheme, s2, dt)
+    out = DofField(field.avgs / 3.0 + (2.0 / 3.0) * fe3.avgs,
+                   field.points / 3.0 + (2.0 / 3.0) * fe3.points)
+    return scheme.finish_stage(out)
+
+
+class _Ms3Ref:
+    """SspMultistep3's step with the two-array combination."""
+
+    def __init__(self):
+        self._hist = deque(maxlen=3)
+        self._hist_dt = None
+
+    def step(self, scheme, field, dt):
+        if self._hist_dt is not None and abs(dt - self._hist_dt) > 1e-9 * dt:
+            self._hist.clear()
+        resid = scheme.residual(field, dt, {})
+        if len(self._hist) < 3:
+            self._hist.append((field, resid))
+            self._hist_dt = dt
+            return _rk3_step_ref(scheme, field, dt, first_resid=resid)
+        old_field, old_resid = self._hist[0]
+        da, dp = resid
+        oda, odp = old_resid
+        w_new, w_old = 16.0 / 27.0, 11.0 / 27.0
+        avgs = (w_new * (field.avgs + 3.0 * dt * da)
+                + w_old * (old_field.avgs + (12.0 / 11.0) * dt * oda))
+        points = (w_new * (field.points + 3.0 * dt * dp)
+                  + w_old * (old_field.points + (12.0 / 11.0) * dt * odp))
+        out = scheme.finish_stage(DofField(avgs, points))
+        self._hist.append((field, resid))
+        self._hist_dt = dt
+        return out
+
+
+_REF_STEPS = {"forward_euler": lambda: _euler_stage_ref,
+              "ssp_rk3": lambda: _rk3_step_ref,
+              "ssp_ms3": lambda: _Ms3Ref().step}
+
+
+@pytest.mark.parametrize("kind", sorted(_REF_STEPS))
+@pytest.mark.parametrize("preset", ["jiang_shu", "sod", "blast_waves"],
+                         ids=["periodic", "outflow", "reflective"])
+def test_buffer_combinations_match_two_array_formulas(preset, kind):
+    # 20 steps of each integrator, its combinations on whole buffers
+    # against the same terms on the averages and the points apart
+    cfg = load_config(preset).with_overrides(n=40)
+    scheme = run_mod.build_scheme(cfg)
+    integ, ref_step = make_integrator(kind), _REF_STEPS[kind]()
+    field = ref = run_mod.initial_field(cfg, scheme)
+    for _ in range(20):
+        dt = integ.step_size(scheme.max_dt(field, cfg.cfl))
+        field, ref = integ.step(scheme, field, dt), ref_step(scheme, ref, dt)
+        _assert_bits(field.avgs, ref.avgs)
+        _assert_bits(field.points, ref.points)

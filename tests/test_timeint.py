@@ -13,7 +13,7 @@ class LinearDecay:
     """u' = -u for both average and point blocks."""
 
     def residual(self, field, dt, record=None, entry=None):
-        return -field.avgs, -field.points
+        return DofField(-field.avgs, -field.points)
 
     def finish_stage(self, field):
         return field
@@ -21,7 +21,7 @@ class LinearDecay:
 
 class ZeroRhs:
     def residual(self, field, dt, record=None, entry=None):
-        return np.zeros_like(field.avgs), np.zeros_like(field.points)
+        return DofField(np.zeros_like(field.avgs), np.zeros_like(field.points))
 
     def finish_stage(self, field):
         return field
@@ -118,7 +118,7 @@ def test_rk3_inherits_domain_membership():
 
     class Contract:
         def residual(self, field, dt, record=None, entry=None):
-            return (rest - field.avgs, rest - field.points)
+            return DofField(rest - field.avgs, rest - field.points)
 
         def finish_stage(self, field):
             return field
