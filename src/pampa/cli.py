@@ -64,18 +64,17 @@ def cmd_reference(args) -> int:
     return 0
 
 
+_VERIFY_SYSTEMS = {
+    "euler": Euler(gamma=1.4),
+    "mhd": IdealMHD(gamma=5.0 / 3.0, bx=0.75),
+    "burgers": burgers(-1.0, 2.0),
+    "advection": advection(0.0, 1.0),
+}
+
+
 def _verify_systems(which):
-    table = {
-        "euler": Euler(gamma=1.4),
-        "mhd": IdealMHD(gamma=5.0 / 3.0, bx=0.75),
-        "burgers": burgers(-1.0, 2.0),
-        "advection": advection(0.0, 1.0),
-    }
-    if which == "all":
-        return list(table.values())
-    if which not in table:
-        raise PampaError(f"unknown system {which!r}")
-    return [table[which]]
+    """The laws `--system` names (a choice of the parser), or all of them."""
+    return list(_VERIFY_SYSTEMS.values()) if which == "all" else [_VERIFY_SYSTEMS[which]]
 
 
 def _report_lines(reports) -> list[str]:
@@ -126,21 +125,20 @@ def _verify_sweep(args) -> list[str]:
     return lines
 
 
+_VERIFY_SUITES = {
+    "splitting": _verify_splitting,
+    "thm43": _verify_thm43,
+    "transform": _verify_transform,
+    "limiters": _verify_limiters,
+    "sweep": _verify_sweep,
+}
+
+
 def cmd_verify(args) -> int:
-    suites = {
-        "splitting": _verify_splitting,
-        "thm43": _verify_thm43,
-        "transform": _verify_transform,
-        "limiters": _verify_limiters,
-        "sweep": _verify_sweep,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    if any(n not in suites for n in names):
-        print(f"unknown suite {args.suite!r}; choices: all, {', '.join(suites)}")
-        return 2
+    names = list(_VERIFY_SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
-        for line in suites[name](args):
+        for line in _VERIFY_SUITES[name](args):
             print(line)
             failed = failed or line == "FAILED"
     print("verification FAILED" if failed else "verification passed")
@@ -183,9 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reference)
 
     p = sub.add_parser("verify", help="run oracle/property verification suites")
-    p.add_argument("suite", help="all | splitting | thm43 | transform | limiters | sweep")
-    p.add_argument("--system", default="all",
-                   help="euler | mhd | burgers | advection | all")
+    p.add_argument("suite", choices=("all", *_VERIFY_SUITES))
+    p.add_argument("--system", choices=("all", *_VERIFY_SYSTEMS), default="all")
     p.add_argument("--samples", type=_at_least(1), default=100_000)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--preset", default="jiang_shu", help="preset for the sweep suite")

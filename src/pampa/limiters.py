@@ -109,14 +109,15 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
     avg, left, mid, right: (..., d) states of one shape; avg has positive,
     finite density and pressure (the scheme checks its averages once per
     stage). p_avg: the pressures of avg if the caller has them. Returns
-    (left_hat, mid_hat, right_hat, theta, p_mid) with p_mid the pressures
-    of the limited midpoints.
+    (left_hat, mid_hat, right_hat, theta, mid_state) with mid_state the
+    derivation (`GasState`: rho, v_x, p, B^2) of the limited midpoints.
 
     Each stage works on its own rows only: the density stage on the cells
     whose midpoint density is under the floor, the pressure stage and its
     re-halving on the cells whose pressure is then under the floor (with
-    none, p_mid is the pressure already computed for the density stage's
-    states), and the endpoint blends on the cells with theta < 1. Every
+    none, mid_state is the derivation already taken of the density stage's
+    states; a limited row takes its blend's), and the endpoint blends on
+    the cells with theta < 1. Every
     other cell gets its inputs as a blend with theta = 1 gives them,
     `0*avg + value`, so the result is the full-array formula's bit for
     bit, signed zeros included.
@@ -126,7 +127,7 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
     mid = mid.reshape(-1, d)
 
     p_a = (system.pressure(avg, check=False) if p_avg is None
-           else np.reshape(p_avg, -1))
+           else p_avg.reshape(-1))
     e_rho = np.minimum(EPS_RHO, avg[:, 0])
     e_p = np.minimum(EPS_P, p_a)
     theta = np.ones(len(avg))
@@ -142,29 +143,32 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
         theta[rows] = t
         u_star[rows] = (1.0 - t)[:, None] * a + t[:, None] * m
 
-    # where t_p = 1 the midpoint is u_star bit for bit and p_mid is p_star
+    # where t_p = 1 the midpoint is u_star bit for bit and so is its
+    # derivation; its rho is a view of mid_hat, which the rows below update
     mid_hat = u_star
-    p_mid = system.pressure(u_star, check=False)
-    rows = (p_mid < e_p).nonzero()[0]
+    st = system.derive(u_star)
+    rows = (st.p < e_p).nonzero()[0]
     if rows.size:
         a, us = avg.take(rows, 0), u_star.take(rows, 0)
         pa, e = p_a[rows], e_p[rows]
-        t = (pa - e) / (pa - p_mid[rows])
+        t = (pa - e) / (pa - st.p[rows])
 
         def blend(t):
             return (1.0 - t)[:, None] * a + t[:, None] * us
 
         m = blend(t)
-        pm = system.pressure(m, check=False)
+        sm = system.derive(m)
         for attempt in range(4):
-            bad = pm < e
+            bad = sm.p < e
             if not np.logical_or.reduce(bad):
                 break
             t = np.where(bad, 0.5 * t if attempt < 3 else 0.0, t)
             m = blend(t)
-            pm = system.pressure(m, check=False)
+            sm = system.derive(m)
         mid_hat[rows] = m
-        p_mid[rows] = pm
+        st.vx[rows], st.p[rows] = sm.vx, sm.p
+        if st.b2 is not None:
+            st.b2[rows] = sm.b2
         theta[rows] *= t
 
     left = left.reshape(-1, d)
@@ -177,9 +181,11 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
         base = (1.0 - th) * avg.take(rows, 0)
         hat_l[rows] = base + th * left.take(rows, 0)
         hat_r[rows] = base + th * right.take(rows, 0)
+    if len(lead) != 1:                  # states given other than as rows
+        st = type(st)(*(None if a is None else a.reshape(lead) for a in st))
     shape = lead + (d,)
     return (hat_l.reshape(shape), mid_hat.reshape(shape), hat_r.reshape(shape),
-            theta.reshape(lead), p_mid.reshape(lead))
+            theta.reshape(lead), st)
 
 
 # ---------------------------------------------------------------------------

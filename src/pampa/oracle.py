@@ -285,14 +285,14 @@ def check_transform_membership(system, n_samples: int, seed: int) -> PropertyRep
     finite."""
     rng = np.random.Generator(np.random.Philox(seed))
     W = rng.uniform(-W_RANGE, W_RANGE, (n_samples, system.nvars))
-    U, p = transform.from_transformed(system, W, with_pressure=True)
+    U, state = transform.from_transformed(system, W, with_state=True)
     finite = np.all(np.isfinite(U), axis=-1)
-    if p is None:                    # a scalar law
+    if state is None:                # a scalar law
         ok, margin = system.domain_check(U)
         ok &= finite
         worst = float(np.min(margin))
     else:
-        rho = U[..., 0]
+        rho, p = U[..., 0], state.p
         ok = finite & (rho > 0.0) & (p > 0.0)
         worst = float(min(np.min(rho), np.min(p)))
     return PropertyReport(name=f"transform-membership[{system.name}]",

@@ -3,6 +3,7 @@ and the first-order reference solver."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -86,7 +87,12 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
     input is checked where its entry is built (`scheme.guard`), so the
     final field, which no stage reads, gets the same checks after the last
     step; a failure there names the last step and the stage that produced
-    the field."""
+    the field.
+
+    A step's entry is built when the step before it ends, for
+    `on_step(t, step, dt, field, entry)` first; it is None after the last
+    step and where the check failed, which the next step then repeats and
+    raises as its stage 0."""
     integ = make_integrator(integrator)
     t = t_step = 0.0
     step = 0
@@ -99,11 +105,13 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
         if on_stage:
             on_stage(t_stage, k, stage, out, record)
 
+    entry = None
     while t < t_final - eps_t:
         remaining = t_final - t
         stages_done = 0
         try:
-            entry = scheme.stage_entry(field)  # max_dt's and the first residual's
+            if entry is None:
+                entry = scheme.stage_entry(field)  # max_dt's and the first residual's
             plan = min(integ.step_size(scheme.max_dt(field, cfl, entry=entry)),
                        remaining)
             q = remaining / plan
@@ -117,8 +125,12 @@ def advance(scheme: PampaScheme, field: DofField, t_final: float,
         t_step = t
         t += dt
         step += 1
+        entry = None
+        if t < t_final - eps_t:
+            with contextlib.suppress(DomainError):
+                entry = scheme.stage_entry(field)
         if on_step:
-            on_step(t, step, dt, field)
+            on_step(t, step, dt, field, entry)
     if step:
         try:
             scheme.guard(field)
@@ -191,24 +203,37 @@ class DiagnosticsRecorder:
         self._mp = 0
 
     def on_stage(self, t, step, stage, field, record):
-        self._theta_min = min(self._theta_min, float(np.min(record["theta"])))
+        self._theta_min = min(self._theta_min,
+                              float(np.minimum.reduce(record["theta"])))
         self._idp += record["idp_active"]
         self._oe += record["oe_active"]
         self._mp += record["mp_active"]
 
-    def on_step(self, t, step, dt, field):
-        sys = self.scheme.system
-        u_nodes = transform.from_transformed(sys, field.points)
-        totals = np.sum(self.scheme.grid.cell_sizes[:, None] * field.avgs, axis=0)
+    def on_step(self, t, step, dt, field, entry=None):
+        """The row of `field`; `entry`, the stage entry `advance` built of
+        it, if any, holds its decoded points and its averages' pressures."""
+        scheme, sys = self.scheme, self.scheme.system
+        if entry is None:
+            u_nodes = transform.from_transformed(sys, field.points)
+        else:
+            u_nodes = entry.Ux[mesh.PT_GHOST : mesh.PT_GHOST + scheme.n_points]
+        totals = np.sum(scheme.grid.cell_sizes[:, None] * field.avgs, axis=0)
         if self.scalar:
             u_all = (float(np.min(field.avgs)), float(np.max(field.avgs)),
                      float(np.min(u_nodes)), float(np.max(u_nodes)))
             state = [min(u_all[0], u_all[2]), max(u_all[1], u_all[3]),
                      float(np.min(field.points)), float(np.max(field.points))]
         else:
-            states = np.concatenate([field.avgs, u_nodes])
-            state = [float(np.min(states[:, 0])),
-                     float(np.min(sys.pressure(states, check=False)))]
+            p_avg = (sys.pressure(field.avgs, check=False) if entry is None
+                     else entry.avg.p[mesh.AVG_GHOST : mesh.AVG_GHOST + scheme.n])
+            # the nodes' pressure from U, as for the averages (the decoded
+            # one keeps other last bits); np.minimum(nodes, averages) keeps
+            # a nan and, on a tie, the averages' value, as one reduction
+            # over both would
+            low = np.minimum.reduce
+            state = [float(np.minimum(low(u_nodes[:, 0]), low(field.avgs[:, 0]))),
+                     float(np.minimum(low(sys.pressure(u_nodes, check=False)),
+                                      low(p_avg)))]
         row = ([step, t, dt] + state
                + [self._theta_min, self._idp, self._oe, self._mp]
                + [float(v) for v in totals])
@@ -234,8 +259,8 @@ def run_to_files(cfg: RunConfig, outdir, svg: bool = False,
     diag = DiagnosticsRecorder(scheme, outdir / "diagnostics.csv")
     snap_dir = outdir / "snapshots"
 
-    def on_step(t, step, dt, fld):
-        diag.on_step(t, step, dt, fld)
+    def on_step(t, step, dt, fld, entry):
+        diag.on_step(t, step, dt, fld, entry)
         if snapshot_every and step % snapshot_every == 0:
             snap_dir.mkdir(exist_ok=True)
             write_cells_csv(snap_dir / f"cells_{step:06d}.csv", scheme, fld)

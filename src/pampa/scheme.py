@@ -17,7 +17,7 @@ import numpy as np
 
 from . import limiters, mesh, transform
 from .errors import FINITE, ConfigError, guard
-from .systems import ScalarLaw
+from .systems import GasState, ScalarLaw
 
 
 class DofField:
@@ -53,16 +53,16 @@ class DofField:
 class StageEntry(NamedTuple):
     """A stage's checked input (a tuple builds 4x faster than a frozen
     dataclass): averages A of cells -3..n+2, points Wx of nodes -2..n+2 and
-    their decode Ux, the pressures of Ux and A (None for scalar laws), the
-    speeds of Ux and A and, for OE, A's range v -+ c. A law with a constant
-    speed has no speed arrays (None) but those OE reads, A's speeds and
-    range."""
+    their decode Ux, the derivations (`GasState`: rho, v_x, p, B^2) of Ux
+    and A (None for scalar laws), the speeds of Ux and A and, for OE, A's
+    range v -+ c. A law with a constant speed has no speed arrays (None)
+    but those OE reads, A's speeds and range."""
 
     A: np.ndarray
     Wx: np.ndarray
     Ux: np.ndarray
-    p_node: np.ndarray | None
-    p_avg: np.ndarray | None
+    node: GasState | None
+    avg: GasState | None
     speed_node: np.ndarray | None
     speed_avg: np.ndarray | None
     range_avg: tuple | None
@@ -90,19 +90,16 @@ def check_cfl(cfl: float) -> None:
         )
 
 
-def llf_flux(system, UL, UR, pL=None, pR=None):
-    """Local Lax-Friedrichs flux with the pairwise IDP wave speed.
-
-    pL/pR: the pressures of UL/UR when the caller has them (systems only).
-    A law with a constant speed c takes lam = c, every pair's speed.
+def llf_flux(system, UL, UR, check=True):
+    """Local Lax-Friedrichs flux 0.5*(F(UL) + F(UR)) - 0.5*lam*(UR - UL)
+    with the pairwise IDP wave speed lam, as the law's `interface_flux`
+    builds it (a gas from one derivation of both sides, a law with a
+    constant speed c with lam = c). check=True checks the states as `flux`
+    does; check=False is for states known to be blends of checked ones.
     Exactly consistent: identical inputs give F(U) bit for bit, because
     0.5*(F+F) and the zero jump term introduce no rounding.
     """
-    lam = system.constant_speed
-    if lam is None:
-        lam = system.pair_speed(UL, UR, pL, pR)[..., None]
-    return 0.5 * (system.flux(UL, pL) + system.flux(UR, pR)) \
-        - 0.5 * lam * (UR - UL)
+    return system.interface_flux(UL, UR, check)
 
 
 class PampaScheme:
@@ -139,7 +136,7 @@ class PampaScheme:
     def guard(self, field: DofField) -> tuple:
         """The one check of a stage's input: `field` with its ghost rows
         filled in place (A, Wx: views of field.data) and decoded, as (A, Wx,
-        Ux, p_node, p_avg) of `StageEntry`, unless DomainError names its
+        Ux, node, avg) of `StageEntry`, unless DomainError names its
         first bad cell or node. Points and averages must be finite and, for
         systems, have positive density and pressure; with the IDP limiter, a
         scalar law's averages must lie in [u_min, u_max]. A system's points
@@ -158,18 +155,18 @@ class PampaScheme:
             guard("average", A, A, g if self.limiter.idp else FINITE, ga)
             return A, Wx, Ux, None, None
         with np.errstate(all="ignore"):
-            Ux, p_node = transform.from_transformed(sys, Wx, with_pressure=True)
-            p_avg = sys.pressure(A, check=False)
+            Ux, node = transform.from_transformed(sys, Wx, with_state=True)
+            avg = sys.derive(A)
         guard("point", Ux, Ux, FINITE, gp)
         guard("average", A, A[:, 0], g, ga)
-        guard("average", A, p_avg, g, ga)
+        guard("average", A, avg.p, g, ga)
         guard("point", Ux, Ux[:, 0], g, gp)
-        guard("point", Ux, p_node, g, gp)
-        return A, Wx, Ux, p_node, p_avg
+        guard("point", Ux, node.p, g, gp)
+        return A, Wx, Ux, node, avg
 
     def stage_entry(self, field: DofField) -> StageEntry:
         """`guard(field)` with its wave speeds; `advance` builds one per step.
-        For a gas the decode, the pressures and the speeds run under one
+        For a gas the decode, the derivations and the speeds run under one
         np.errstate: a speed that overflows is inf, which `max_dt` names.
         A law with a constant speed takes only the speeds OE reads."""
         if self.scalar:
@@ -177,18 +174,18 @@ class PampaScheme:
         with np.errstate(all="ignore"):
             return self._with_speeds(*self.guard(field))
 
-    def _with_speeds(self, A, Wx, Ux, p_node, p_avg) -> StageEntry:
+    def _with_speeds(self, A, Wx, Ux, node, avg) -> StageEntry:
         sys, rng, speed_node, speed_avg = self.system, None, None, None
         computed = sys.constant_speed is None
         if self.limiter.oscillation == "oe":
             # OE reads the range; max(|v - c|, |v + c|) is |v| + c bit for bit
-            rng = lo, hi = sys.wave_speed_range(A, p_avg)
+            rng = lo, hi = sys.wave_speed_range(A, avg)
             speed_avg = np.maximum(np.abs(lo), np.abs(hi))
         elif computed:
-            speed_avg = sys.max_wave_speed(A, p_avg)
+            speed_avg = sys.max_wave_speed(A, avg)
         if computed:
-            speed_node = sys.max_wave_speed(Ux, p_node)
-        return StageEntry(A, Wx, Ux, p_node, p_avg, speed_node, speed_avg, rng)
+            speed_node = sys.max_wave_speed(Ux, node)
+        return StageEntry(A, Wx, Ux, node, avg, speed_node, speed_avg, rng)
 
     # -- residuals ----------------------------------------------------------
 
@@ -198,15 +195,18 @@ class PampaScheme:
 
         The entry (built here unless given) was checked where it was built,
         by `guard`. Every later state of the stage is one of its states or a
-        convex blend of them, so its pressure is computed once, unguarded,
-        and handed to each consumer. The rates come as a field of `field`'s
-        layout with zero ghost rows.
+        convex blend of them, so each state set is derived once (rho, v_x,
+        p and B^2), unguarded, and handed to each consumer. The rates come
+        as a field of `field`'s layout with zero ghost rows.
         """
         sys = self.system
         lim = self.limiter
         n, m = self.n, self.n_points
         e = self.stage_entry(field) if entry is None else entry
-        A, Wx, Ux, p_node, p_avg, dxx = e.A, e.Wx, e.Ux, e.p_node, e.p_avg, self._dxx
+        A, Wx, Ux, dxx = e.A, e.Wx, e.Ux, self._dxx
+        p_node = p_avg = None                   # a scalar law derives nothing
+        if e.avg is not None:
+            p_node, p_avg = e.node.p, e.avg.p
 
         # limited triples (left, mid, right) for cells -1..n (index c+1)
         cel_a = A[2 : n + 4]                                     # cells -1..n
@@ -234,29 +234,24 @@ class PampaScheme:
             u_m = limiters.midpoint_value(cel_a, u_l, u_r)
 
         if lim.idp:
-            hat_l, hat_m, hat_r, theta, p_mid = sys.scaling_limit(
+            hat_l, hat_m, hat_r, theta, mid = sys.scaling_limit(
                 cel_a, u_l, u_m, u_r, None if p_avg is None else p_avg[2 : n + 4])
         else:
-            # an unlimited midpoint may leave G: its pressure is checked
+            # an unlimited midpoint may leave G: its derivation is checked
             # once for the encode and speeds (row j: cell j - 1's midpoint)
             hat_l, hat_m, hat_r = u_l, u_m, u_r
-            p_mid = None if self.scalar else sys.checked_pressure(hat_m)
+            mid = sys.checked_state(hat_m)
             theta = np.ones(n + 2)
 
-        # interface fluxes at nodes 0..n from one-sided limited states
-        UL = hat_r[0 : n + 1]
-        UR = hat_l[1 : n + 2]
-        pL = pR = None
-        if not self.scalar:
-            # blends of guarded states: their density is positive
-            pL, pR = sys.pressure(UL, check=False), sys.pressure(UR, check=False)
-        fluxes = llf_flux(sys, UL, UR, pL, pR)
+        # interface fluxes at nodes 0..n from one-sided limited states,
+        # blends of guarded states (so unchecked)
+        fluxes = llf_flux(sys, hat_r[0 : n + 1], hat_l[1 : n + 2], check=False)
         rates = field.like(np.zeros(field.data.shape))
         rows_avg, rows_pt = rates._rows
         np.divide(-(fluxes[1:] - fluxes[:-1]), dxx[3 : n + 3], out=rates.data[rows_avg])
 
         # point residual at owned nodes
-        w_mid = transform.to_transformed(sys, hat_m, p_mid)
+        w_mid = transform.to_transformed(sys, hat_m, None if mid is None else mid.p)
         # alpha must dominate the node's own spectral radius for the
         # splitting to upwind correctly; the midpoint speeds enter as an
         # enlargement but are capped at twice the largest physical speed in
@@ -275,7 +270,7 @@ class PampaScheme:
             neighborhood = np.maximum(
                 neighborhood, np.maximum(speed_avg[0:m], speed_avg[1 : m + 1]))
             cap = 2.0 * neighborhood
-            speed_mid = sys.max_wave_speed(hat_m, p_mid)
+            speed_mid = sys.max_wave_speed(hat_m, mid)
             alpha = np.maximum(
                 speed_node[2 : m + 2],
                 np.maximum(np.minimum(speed_mid[0:m], cap),

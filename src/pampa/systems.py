@@ -1,7 +1,8 @@
 """Equation systems: linear advection, Burgers, compressible Euler, ideal MHD.
 
 Each system provides the algebraic flux, pointwise and pairwise wave-speed
-estimates, the predicate, margin and `guard` rule of its invariant domain G
+estimates, the LLF flux of an interface (`interface_flux`), the predicate,
+margin and `guard` rule of its invariant domain G
 (the interval [u_min, u_max] of a scalar law; positive density and pressure
 for Euler and MHD), primitive<->conservative converters and the names of
 its components, and owns its numerics of the W variables (`transform`):
@@ -13,7 +14,7 @@ operation works on a single state or a whole field at once.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,16 @@ from .transform import _softplus_deriv_inv, inv_softplus, softplus
 
 def _finite(U):
     return np.all(np.isfinite(U), axis=-1)
+
+
+class GasState(NamedTuple):
+    """A gas's derivation of states U (`derive`), arrays of U's leading
+    shape: rho, v_x = (rho v_x) / rho, p and B^2 (None for Euler)."""
+
+    rho: np.ndarray
+    vx: np.ndarray
+    p: np.ndarray
+    b2: np.ndarray | None
 
 
 class ScalarLaw:
@@ -62,20 +73,34 @@ class ScalarLaw:
     def _constant(self, u):
         return np.full(np.shape(u), self.constant_speed)
 
-    # p (the pressure that gas systems accept precomputed) is ignored
+    # p and state (what gas systems accept precomputed) are ignored
 
     def flux(self, U, p=None):
         return self.flux_fn(U[..., 0])[..., None]
 
-    def max_wave_speed(self, U, p=None):
+    def max_wave_speed(self, U, state=None):
         return self.speed_fn(U[..., 0])
 
-    def wave_speed_range(self, U, p=None):
+    def wave_speed_range(self, U, state=None):
         s = self.dflux_fn(U[..., 0])
         return s, s
 
-    def pair_speed(self, UL, UR, pL=None, pR=None):
+    def pair_speed(self, UL, UR):
         return np.maximum(self.max_wave_speed(UL), self.max_wave_speed(UR))
+
+    def interface_flux(self, UL, UR, check=True):
+        """The LLF flux of `scheme.llf_flux`, from one flux per side; with a
+        constant speed c, lam = c for every pair."""
+        lam = self.constant_speed
+        if lam is None:
+            lam = self.pair_speed(UL, UR)[..., None]
+        return 0.5 * (self.flux(UL) + self.flux(UR)) - 0.5 * lam * (UR - UL)
+
+    def derive(self, U, p=None, b2=None):
+        """A scalar law derives nothing from its states."""
+        return None
+
+    checked_state = derive
 
     def in_domain(self, U):
         return self.domain_check(U)[0]
@@ -99,9 +124,9 @@ class ScalarLaw:
         return (U - self.u_min) / (self.u_max - self.u_min)
 
     def decode(self, W):
-        """(u, None): the clipped ReLU, in G for every w; no pressure."""
+        """(u, None, None): the clipped ReLU, in G for every w."""
         span = self.u_max - self.u_min
-        return span * np.minimum(np.maximum(W, 0.0), 1.0) + self.u_min, None
+        return span * np.minimum(np.maximum(W, 0.0), 1.0) + self.u_min, None, None
 
     def jacobian_action(self, U, vec, p=None):
         """f'(u) * vec; with a constant speed c, c * vec."""
@@ -131,16 +156,17 @@ def burgers(u_min: float, u_max: float) -> ScalarLaw:
 
 class _Gas:
     """What Euler and ideal MHD share: the positivity domain (density and
-    pressure), its predicate and margin, the guarded pressure, the flux and
-    the wave speeds with an optional precomputed pressure p of U (without
-    it they compute and guard their own), the primitive decode, the wall
-    reflections, the Softplus-entropy map W <-> U and the two-stage scaling
-    limiter. Each system supplies the formulas `_pressure`, `_flux`, the
-    signal speed `_fast_speed` and `jacobian_action`, its momentum columns
-    `_velocity` (which `primitive` and `encode` divide by rho), and
-    `conservative(rho, prim, p)`, the conversion that reads only the middle
-    columns of prim (velocities and fields), so that `decode` can hand it
-    W itself with the decoded rho and p."""
+    pressure), its predicate and margin, the guarded pressure, one
+    derivation per state set (`derive`: rho, v_x, p and B^2) from which the
+    flux, the wave speeds and the interface flux read, the primitive decode,
+    the wall reflections, the Softplus-entropy map W <-> U and the two-stage
+    scaling limiter. Each system supplies the formulas `_b_squared` (None
+    without a field), `_pressure`, `_flux`, the signal speed `_fast_speed`,
+    the IDP speed of a stack of pairs `_pair_speed` and `jacobian_action`,
+    its momentum columns `_velocity` (which `primitive` and `encode` divide
+    by rho), and `conservative(rho, prim, p, b2)`, the conversion that reads
+    only the middle columns of prim (velocities and fields), so that
+    `decode` can hand it W itself with the decoded rho and p."""
 
     domain_rule = POSITIVE
     constant_speed = None             # the speeds depend on the state
@@ -153,6 +179,25 @@ class _Gas:
         self.gamma = float(gamma)
         if not 1.0 < self.gamma < math.inf:
             raise ConfigError(f"gamma must be a finite number above 1, got {gamma}")
+
+    def _b_squared(self, U):
+        """B^2 of the states U: none without a magnetic field."""
+        return None
+
+    # derive(U, p=None, b2=None), each system's: the `GasState` of U, each
+    # quantity computed once, a p or b2 given (a decode's) taken as it is;
+    # unguarded, so states outside G give nan or inf silently
+
+    def guarded_state(self, U):
+        """derive(U) after guarding U's densities (`state j`)."""
+        guard("state", U, U[..., 0], POSITIVE)
+        return self.derive(U)
+
+    def checked_state(self, U):
+        """guarded_state(U) with its pressures guarded positive too."""
+        state = self.guarded_state(U)
+        guard("state", U, state.p, POSITIVE)
+        return state
 
     def pressure(self, U, check: bool = True):
         """Pressure of the states U.
@@ -167,22 +212,58 @@ class _Gas:
             guard("state", U, rho, POSITIVE)
         return self._pressure(U, rho)
 
-    def checked_pressure(self, U):
-        """Pressure of the states U, guarded positive (`state j`)."""
-        p = self.pressure(U)
-        guard("state", U, p, POSITIVE)
-        return p
-
     def flux(self, U, p=None):
-        if p is None:
-            p = self.pressure(U)
-            guard("state", U, p, FINITE)
-        return self._flux(U, p)
+        """F(U); a p given is trusted, one computed here is checked
+        (positive density, then finite pressure: `state j`)."""
+        if p is not None:
+            return self._flux(U, self.derive(U, p))
+        state = self.guarded_state(U)
+        guard("state", U, state.p, FINITE)
+        return self._flux(U, state)
 
-    def fast_speed(self, U, p=None):
-        """The system's signal speed; p is clipped at 0."""
-        return self._fast_speed(
-            U, np.maximum(self.pressure(U) if p is None else p, 0.0))
+    def max_wave_speed(self, U, state=None):
+        """|v_x| + the signal speed; `state`: U's derivation, if known."""
+        if state is None:
+            state = self.guarded_state(U)
+        return np.abs(state.vx) + self._fast_speed(state)
+
+    def wave_speed_range(self, U, state=None):
+        """(v_x - c, v_x + c), c the signal speed; `state` as above."""
+        if state is None:
+            state = self.guarded_state(U)
+        c = self._fast_speed(state)
+        return state.vx - c, state.vx + c
+
+    def _stack(self, UL, UR, check):
+        """UL over UR (of one shape) in one (2k, d) array, and its
+        derivation; check=True guards UL's densities, then UR's."""
+        S = np.empty((2,) + UL.shape)
+        S[0] = UL
+        S[1] = UR
+        if check:
+            guard("state", S[0], S[0, ..., 0], POSITIVE)
+            guard("state", S[1], S[1, ..., 0], POSITIVE)
+        flat = S.reshape(-1, self.nvars)
+        return S, flat, self.derive(flat)
+
+    def pair_speed(self, UL, UR):
+        """The IDP wave speed of each pair of states (UL, UR)."""
+        S, flat, state = self._stack(UL, UR, True)
+        return self._pair_speed(flat, state).reshape(S.shape[1:-1])
+
+    def interface_flux(self, UL, UR, check=True):
+        """`scheme.llf_flux`: both fluxes and the pair speed from one
+        derivation of UL stacked over UR. check=True makes `flux`'s checks
+        (densities, then finite pressures, UL's first; `state j` counted
+        within its side)."""
+        S, flat, state = self._stack(UL, UR, check)
+        if check:
+            p = state.p.reshape(S.shape[:-1])
+            guard("state", S[0], p[0], FINITE)
+            guard("state", S[1], p[1], FINITE)
+        F = self._flux(flat, state).reshape(S.shape)
+        lam = self._pair_speed(flat, state).reshape(S.shape[1:-1])
+        return 0.5 * (F[0] + F[1]) - (0.5 * lam)[..., None] * (UR - UL)
 
     def in_domain(self, U):
         return self.domain_check(U)[0]
@@ -195,14 +276,6 @@ class _Gas:
             ok = (U[..., 0] > 0.0) & (p > 0.0)
         return ok & _finite(U) & np.isfinite(p), np.minimum(U[..., 0], p)
 
-    def max_wave_speed(self, U, p=None):
-        return np.abs(U[..., 1] / U[..., 0]) + self.fast_speed(U, p)
-
-    def wave_speed_range(self, U, p=None):
-        v = U[..., 1] / U[..., 0]
-        c = self.fast_speed(U, p)
-        return v - c, v + c
-
     def primitive(self, U):
         """Primitive variables of U: U with its velocity columns divided by
         rho and p in the last. States outside G decode to nan or inf
@@ -214,13 +287,14 @@ class _Gas:
         return prim
 
     def from_primitive(self, prim):
-        return self.conservative(prim[..., 0], prim, prim[..., -1])
+        return self.conservative(prim[..., 0], prim, prim[..., -1],
+                                 self._b_squared(prim))
 
     def encode(self, U, p=None):
         """W = (q, velocities, fields, s) of U; a p given is trusted, one
         computed here is checked (`state j`)."""
         if p is None:
-            p = self.checked_pressure(U)
+            p = self.checked_state(U).p
         rho = U[..., 0]
         W = U.copy()                     # the fields (MHD's By, Bz) as they are
         W[..., 0] = inv_softplus(rho)
@@ -229,11 +303,13 @@ class _Gas:
         return W
 
     def decode(self, W):
-        """(U, p), rho = softplus(q) and p = rho^gamma e^s > 0 for any finite
-        W; this p keeps digits that one recomputed from U loses if p << E."""
+        """(U, p, B^2), rho = softplus(q) and p = rho^gamma e^s > 0 for any
+        finite W; this p keeps digits that one recomputed from U loses if
+        p << E. W holds U's fields, so B^2 (None for Euler) is W's."""
         rho = softplus(W[..., 0])
         p = np.exp(W[..., -1] + self.gamma * np.log(rho))
-        return self.conservative(rho, W, p), p
+        b2 = self._b_squared(W)
+        return self.conservative(rho, W, p, b2), p, b2
 
     def scaling_limit(self, avg, left, mid, right, p_avg=None):
         """`limiters.scaling_limit_system`: density, then pressure."""
@@ -260,21 +336,29 @@ class Euler(_Gas):
     def _pressure(self, U, rho):
         return (self.gamma - 1.0) * (U[..., 2] - 0.5 * U[..., 1] ** 2 / rho)
 
-    def _fast_speed(self, U, p):
-        """Sound speed c: the fast speed without a magnetic field."""
-        return np.sqrt(self.gamma * p / U[..., 0])
+    def derive(self, U, p=None, b2=None) -> GasState:
+        rho = U[..., 0]
+        p = self._pressure(U, rho) if p is None else p
+        return GasState(rho, U[..., 1] / rho, p, None)
 
-    def _flux(self, U, p):
-        rho, mom, E = U[..., 0], U[..., 1], U[..., 2]
-        v = mom / rho
+    def _fast_speed(self, state):
+        """Sound speed c, the fast speed without a field; p clipped at 0."""
+        return np.sqrt(self.gamma * np.maximum(state.p, 0.0) / state.rho)
+
+    def _flux(self, U, state):
+        mom, E = U[..., 1], U[..., 2]
+        v, p = state.vx, state.p
         F = np.empty(U.shape)
         F[..., 0] = mom
         F[..., 1] = mom * v + p
         F[..., 2] = v * (E + p)
         return F
 
-    def pair_speed(self, UL, UR, pL=None, pR=None):
-        return np.maximum(self.max_wave_speed(UL, pL), self.max_wave_speed(UR, pR))
+    def _pair_speed(self, S, state):
+        """max(|v| + c) of each pair (S[j], S[k + j]) of a (2k, 3) stack."""
+        k = len(S) // 2
+        speed = np.abs(state.vx) + self._fast_speed(state)
+        return np.maximum(speed[:k], speed[k:])
 
     def jacobian_action(self, U, vec, p=None):
         """J(U) @ vec of the W form, J similar to dF/dU."""
@@ -283,14 +367,14 @@ class Euler(_Gas):
         v = U[..., 1] / rho
         qp = _softplus_deriv_inv(rho)
         g = self.gamma
-        y = np.empty(np.broadcast_shapes(U.shape, vec.shape))
+        y = np.empty(vec.shape)           # U broadcasts against vec
         y[..., 0] = v * vec[..., 0] + qp * rho * vec[..., 1]
         y[..., 1] = (g * p / (rho * rho * qp)) * vec[..., 0] + v * vec[..., 1] \
             + (p / rho) * vec[..., 2]
         y[..., 2] = v * vec[..., 2]
         return y
 
-    def conservative(self, rho, prim, p):
+    def conservative(self, rho, prim, p, b2):
         v = prim[..., 1]
         U = np.empty(prim.shape)
         U[..., 0] = rho
@@ -320,28 +404,36 @@ class IdealMHD(_Gas):
     def _b_squared(self, U):
         return self.bx ** 2 + U[..., 4] ** 2 + U[..., 5] ** 2
 
-    def _pressure(self, U, rho):
-        """Thermal pressure."""
+    def _pressure(self, U, rho, b2=None):
+        """Thermal pressure; b2: B^2 of U, if known."""
+        b2 = self._b_squared(U) if b2 is None else b2
         kin = 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2 + U[..., 3] ** 2) / rho
-        return (self.gamma - 1.0) * (U[..., 6] - kin - 0.5 * self._b_squared(U))
+        return (self.gamma - 1.0) * (U[..., 6] - kin - 0.5 * b2)
 
-    def _fast_speed(self, U, p):
-        """Fast magnetoacoustic speed c_f for propagation along x."""
+    def derive(self, U, p=None, b2=None) -> GasState:
         rho = U[..., 0]
-        a = (self.gamma * p + self._b_squared(U)) / rho
+        b2 = self._b_squared(U) if b2 is None else b2
+        p = self._pressure(U, rho, b2) if p is None else p
+        return GasState(rho, U[..., 1] / rho, p, b2)
+
+    def _fast_speed(self, state):
+        """Fast magnetoacoustic speed c_f along x; p clipped at 0."""
+        rho, p = state.rho, np.maximum(state.p, 0.0)
+        a = (self.gamma * p + state.b2) / rho
         disc = np.fmax(a * a - 4.0 * self.gamma * p * self.bx ** 2 / rho ** 2, 0.0)
         return np.sqrt(0.5 * (a + np.sqrt(disc)))
 
-    def _flux(self, U, p):
+    def _flux(self, U, state):
         """Written in component rows: one transposing copy of U in and one
         copy out make every row operation contiguous, where each operation
         on a strided column of a (..., 7) array costs about twice as much.
-        U.T reverses the leading axes too, and p.T with them."""
+        U.T reverses the leading axes too, and the state's arrays .T with
+        them."""
         rho, m1, m2, m3, By, Bz, E = U.T.copy()
-        p = p.T
-        vx, vy, vz = m1 / rho, m2 / rho, m3 / rho
+        p, vx = state.p.T, state.vx.T
+        vy, vz = m2 / rho, m3 / rho
         bx = self.bx
-        ptot = p + 0.5 * (bx ** 2 + By ** 2 + Bz ** 2)
+        ptot = p + 0.5 * state.b2.T
         bdotv = bx * vx + By * vy + Bz * vz
         F = np.empty(U.T.shape)
         F[0] = mx = rho * vx    # rho * vx * vx is (rho * vx) * vx
@@ -353,25 +445,23 @@ class IdealMHD(_Gas):
         F[6] = (E + ptot) * vx - bx * bdotv
         return F.T.copy()
 
-    def pair_speed(self, UL, UR, pL=None, pR=None):
-        sl = np.sqrt(UL[..., 0])
-        sr = np.sqrt(UR[..., 0])
-        vxl = UL[..., 1] / UL[..., 0]
-        vxr = UR[..., 1] / UR[..., 0]
-        cfl = self.fast_speed(UL, pL)
-        cfr = self.fast_speed(UR, pR)
+    def _pair_speed(self, S, state):
+        """The IDP speed of each pair (S[j], S[k + j]) of a (2k, 7) stack."""
+        k = len(S) // 2
+        s = np.sqrt(state.rho)
+        c = self._fast_speed(state)
+        vx = state.vx
+        sl, sr = s[:k], s[k:]
+        ssum = sl + sr
         # |v_roe|: the signed Roe average suppresses the third candidate
         # when both states move the same way, and sampled pairs with fast
         # common motion then violate the splitting property
-        v_roe = np.abs(sl * vxl + sr * vxr) / (sl + sr)
-        base = np.maximum(
-            np.maximum(np.abs(vxl) + cfl, np.abs(vxr) + cfr),
-            v_roe + np.maximum(cfl, cfr),
-        )
-        db = np.sqrt(
-            (UL[..., 4] - UR[..., 4]) ** 2 + (UL[..., 5] - UR[..., 5]) ** 2
-        )
-        return base + db / (sl + sr)
+        v_roe = np.abs(sl * vx[:k] + sr * vx[k:]) / ssum
+        speed = np.abs(vx) + c
+        base = np.maximum(np.maximum(speed[:k], speed[k:]),
+                          v_roe + np.maximum(c[:k], c[k:]))
+        jump = (S[:k, 4:6] - S[k:, 4:6]) ** 2       # of By and Bz
+        return base + np.sqrt(jump[:, 0] + jump[:, 1]) / ssum
 
     def jacobian_action(self, U, vec, p=None):
         """J(U) @ vec of the W form, J similar to dF/dU."""
@@ -391,7 +481,7 @@ class IdealMHD(_Gas):
         # perturbation -> W-perturbation, which changes rows 0 and 6 only
         r0 = vx * d_rho + rho * dvx
         r6 = g * p * dvx + vx * d_p
-        y = np.empty(np.broadcast_shapes(U.shape, vec.shape))
+        y = np.empty(vec.shape)           # U broadcasts against vec
         y[..., 0] = qp * r0
         y[..., 1] = vx * dvx + (By * dBy + Bz * dBz + d_p) / rho
         y[..., 2] = vx * dvy - (bx / rho) * dBy
@@ -401,10 +491,8 @@ class IdealMHD(_Gas):
         y[..., 6] = -(g / rho) * r0 + r6 / p
         return y
 
-    def conservative(self, rho, prim, p):
+    def conservative(self, rho, prim, p, b2):
         vx, vy, vz = prim[..., 1], prim[..., 2], prim[..., 3]
-        By, Bz = prim[..., 4], prim[..., 5]
-        b2 = self.bx ** 2 + By ** 2 + Bz ** 2
         v2 = vx * vx + vy * vy + vz * vz
         U = np.empty(prim.shape)
         U[..., 0] = rho

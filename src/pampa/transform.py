@@ -60,11 +60,12 @@ def to_transformed(system, U, p=None):
     return system.encode(U, p)
 
 
-def from_transformed(system, W, with_pressure: bool = False):
-    """U = Psi^{-1}(W), in G for every finite W; with_pressure=True gives
-    (U, p), p the decoded pressure (None for a scalar law)."""
-    U, p = system.decode(W)
-    return (U, p) if with_pressure else U
+def from_transformed(system, W, with_state: bool = False):
+    """U = Psi^{-1}(W), in G for every finite W; with_state=True gives
+    (U, state), state a gas's derivation of U with the decoded pressure
+    (`systems.GasState`; None for a scalar law)."""
+    U, p, b2 = system.decode(W)
+    return (U, system.derive(U, p, b2)) if with_state else U
 
 
 def jacobian_transformed(system, U):

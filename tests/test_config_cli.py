@@ -382,6 +382,21 @@ def test_cli_verify_rejects_a_negative_seed(suite, capsys):
     assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["verify", "bogus"], "argument suite: invalid choice: 'bogus'"),
+    (["verify", "thm43", "--system", "bogus"],
+     "argument --system: invalid choice: 'bogus'")], ids=["suite", "system"])
+def test_cli_verify_rejects_unknown_names(argv, bad, capsys):
+    # an unknown suite or system exits 2 with the parser's error on stderr,
+    # as every other bad argument does; the suite's went to stdout, and an
+    # unknown system was ignored by the suites that take none (exit 0)
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert bad in out.err and out.out == ""
+
+
 def test_run_to_files_rejects_negative_snapshot_every(tmp_path):
     # the library refuses it as the CLI does, before writing anything; it
     # wrote a snapshot every step

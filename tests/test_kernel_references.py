@@ -14,7 +14,9 @@ carries its wave speed as one number, which the scheme reads in place of
 the arrays of ones it built from `_unit_speed`. A field is one buffer
 whose ghost rows a stage entry fills in place, where `mesh._extend` built
 new arrays by concatenation, and the integrators combine whole buffers,
-where they combined the averages and the points apart.
+where they combined the averages and the points apart. A gas interface
+flux takes one derivation of both sides stacked, where it took two
+pressures, a pair speed of two speed calls and two fluxes.
 None of that may change a bit of the result, so the code they replaced is
 kept here, byte for byte apart from names and docstrings, as the
 reference, and compared with `np.array_equal` and the sign bits (which
@@ -29,8 +31,9 @@ import pytest
 from pampa import limiters, mesh, oracle, transform
 from pampa import run as run_mod
 from pampa.config import load_config
+from pampa.errors import FINITE, POSITIVE, DomainError, guard
 from pampa.limiters import _P2_WEIGHT, MP_ALPHA, MP_BETA, OE_FLOOR, midpoint_value
-from pampa.scheme import DofField, LimiterConfig, PampaScheme
+from pampa.scheme import DofField, LimiterConfig, PampaScheme, llf_flux
 from pampa.systems import Euler, IdealMHD, ScalarLaw, advection
 from pampa.timeint import make_integrator
 from pampa.transform import _softplus_deriv_inv, inv_softplus, softplus
@@ -94,7 +97,8 @@ class _ReferenceMHD(IdealMHD):
         By, Bz, E = U[..., 4], U[..., 5], U[..., 6]
         return rho, v, By, Bz, E
 
-    def _flux(self, U, p):
+    def _flux(self, U, state):
+        p = state.p
         rho, v, By, Bz, E = self._split(U)
         vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
         bx = self.bx
@@ -182,8 +186,8 @@ def test_mhd_flux_matches_column_formula(shape, bx, rng):
     prim[..., -1] = rng.uniform(0.1, 3.0, shape)
     U = system.from_primitive(prim)
     U[..., 4].flat[0] = -0.0                          # a signed-zero field
-    p = system.pressure(U)
-    _assert_same(system._flux(U, p), ref._flux(U, p))
+    state = system.derive(U)
+    _assert_same(system._flux(U, state), ref._flux(U, state))
     _assert_same(system.flux(U), ref.flux(U))
     assert system.flux(U).flags.c_contiguous
 
@@ -257,7 +261,8 @@ def test_mp_limit_matches_median_form(d, n2, rng):
 class _StackedEuler(Euler):
     """Euler with the flux and the encode assembled by np.stack."""
 
-    def _flux(self, U, p):
+    def _flux(self, U, state):
+        p = state.p
         rho, mom, E = U[..., 0], U[..., 1], U[..., 2]
         v = mom / rho
         return np.stack([mom, mom * v + p, v * (E + p)], axis=-1)
@@ -372,11 +377,11 @@ def test_decode_matches_primitive_copy(name, shape, rng):
     W = rng.uniform(-3.0, 3.0, shape + (system.nvars,))
     W[..., 1].flat[0] = -0.0
     W[..., 1].flat[-1] = 0.0
-    U, p = transform.from_transformed(system, W, with_pressure=True)
+    U, state = transform.from_transformed(system, W, with_state=True)
     prim = _primitive_from_transformed_ref(system, W)
     _assert_same(U[..., 0], prim[..., 0])
     _assert_same(U, ref.from_primitive(prim))
-    _assert_same(p, prim[..., -1])
+    _assert_same(state.p, prim[..., -1])
     _assert_same(transform.from_transformed(system, W), U)
 
 
@@ -770,3 +775,182 @@ def test_buffer_combinations_match_two_array_formulas(preset, kind):
         field, ref = integ.step(scheme, field, dt), ref_step(scheme, ref, dt)
         _assert_bits(field.avgs, ref.avgs)
         _assert_bits(field.points, ref.points)
+
+
+# The gas interface as two calls per side: each side's pressure (or, with
+# none given, a checked one), the pair speed from two speed calls and the
+# two fluxes, with the laws' formulas as they were.
+
+def _pressure_ref(system, U, check=True):
+    rho = U[..., 0]
+    if check:
+        guard("state", U, rho, POSITIVE)
+    if isinstance(system, Euler):
+        return (system.gamma - 1.0) * (U[..., 2] - 0.5 * U[..., 1] ** 2 / rho)
+    kin = 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2 + U[..., 3] ** 2) / rho
+    b2 = system.bx ** 2 + U[..., 4] ** 2 + U[..., 5] ** 2
+    return (system.gamma - 1.0) * (U[..., 6] - kin - 0.5 * b2)
+
+
+def _fast_speed_ref(system, U, p=None):
+    p = np.maximum(_pressure_ref(system, U) if p is None else p, 0.0)
+    if isinstance(system, Euler):
+        return np.sqrt(system.gamma * p / U[..., 0])
+    rho = U[..., 0]
+    b2 = system.bx ** 2 + U[..., 4] ** 2 + U[..., 5] ** 2
+    a = (system.gamma * p + b2) / rho
+    disc = np.fmax(a * a - 4.0 * system.gamma * p * system.bx ** 2 / rho ** 2, 0.0)
+    return np.sqrt(0.5 * (a + np.sqrt(disc)))
+
+
+def _max_wave_speed_ref(system, U, p=None):
+    return np.abs(U[..., 1] / U[..., 0]) + _fast_speed_ref(system, U, p)
+
+
+def _pair_speed_ref(system, UL, UR, pL=None, pR=None):
+    if isinstance(system, Euler):
+        return np.maximum(_max_wave_speed_ref(system, UL, pL),
+                          _max_wave_speed_ref(system, UR, pR))
+    sl = np.sqrt(UL[..., 0])
+    sr = np.sqrt(UR[..., 0])
+    vxl = UL[..., 1] / UL[..., 0]
+    vxr = UR[..., 1] / UR[..., 0]
+    cfl = _fast_speed_ref(system, UL, pL)
+    cfr = _fast_speed_ref(system, UR, pR)
+    v_roe = np.abs(sl * vxl + sr * vxr) / (sl + sr)
+    base = np.maximum(
+        np.maximum(np.abs(vxl) + cfl, np.abs(vxr) + cfr),
+        v_roe + np.maximum(cfl, cfr),
+    )
+    db = np.sqrt(
+        (UL[..., 4] - UR[..., 4]) ** 2 + (UL[..., 5] - UR[..., 5]) ** 2
+    )
+    return base + db / (sl + sr)
+
+
+def _flux_ref(system, U, p=None):
+    if p is None:
+        p = _pressure_ref(system, U)
+        guard("state", U, p, FINITE)
+    if isinstance(system, Euler):
+        rho, mom, E = U[..., 0], U[..., 1], U[..., 2]
+        v = mom / rho
+        F = np.empty(U.shape)
+        F[..., 0] = mom
+        F[..., 1] = mom * v + p
+        F[..., 2] = v * (E + p)
+        return F
+    rho, m1, m2, m3, By, Bz, E = U.T.copy()
+    p = p.T
+    vx, vy, vz = m1 / rho, m2 / rho, m3 / rho
+    bx = system.bx
+    ptot = p + 0.5 * (bx ** 2 + By ** 2 + Bz ** 2)
+    bdotv = bx * vx + By * vy + Bz * vz
+    F = np.empty(U.T.shape)
+    F[0] = mx = rho * vx
+    F[1] = mx * vx + ptot - bx * bx
+    F[2] = mx * vy - bx * By
+    F[3] = mx * vz - bx * Bz
+    F[4] = By * vx - bx * vy
+    F[5] = Bz * vx - bx * vz
+    F[6] = (E + ptot) * vx - bx * bdotv
+    return F.T.copy()
+
+
+def _llf_two_calls(system, UL, UR, pL=None, pR=None):
+    lam = _pair_speed_ref(system, UL, UR, pL, pR)[..., None]
+    return 0.5 * (_flux_ref(system, UL, pL) + _flux_ref(system, UR, pR)) \
+        - 0.5 * lam * (UR - UL)
+
+
+def _stage_interface_ref(system, UL, UR):
+    """The scheme's interface: unchecked pressures handed to the flux."""
+    pL = _pressure_ref(system, UL, check=False)
+    pR = _pressure_ref(system, UR, check=False)
+    return _llf_two_calls(system, UL, UR, pL, pR)
+
+
+_GASES = {"euler": Euler(1.4), "mhd": IdealMHD(5.0 / 3.0, 0.75)}
+
+
+def _gas_pairs(system, k, rng):
+    """k pairs: random states of G, then pairs with UL == UR, near-vacuum
+    states (rho down to 1e-12, p down to 1e-14, fast flow) and
+    strong-field states (|B| up to 1e3 over p near 1e-6)."""
+    d = system.nvars
+    UL, UR = (oracle.sample_states_representable(system, rng, k)
+              for _ in range(2))
+    if k < 3:
+        return UL, UR
+    same, vac, strong = np.array_split(rng.permutation(k), 4)[1:]
+    UR[same] = UL[same]
+    for U in (UL, UR):
+        prim = rng.uniform(-2.0, 2.0, (k, d))
+        prim[:, 0] = 10.0 ** rng.uniform(-12.0, -6.0, k)
+        prim[:, -1] = 10.0 ** rng.uniform(-14.0, -8.0, k)
+        prim[:, 1] *= 100.0
+        U[vac] = system.from_primitive(prim[vac])
+        if d == 7:
+            prim = rng.uniform(-1.0, 1.0, (k, d))
+            prim[:, 0] = rng.uniform(0.1, 2.0, k)
+            prim[:, 4:6] = rng.uniform(-1e3, 1e3, (k, 2))
+            prim[:, -1] = 10.0 ** rng.uniform(-6.0, -3.0, k)
+            U[strong] = system.from_primitive(prim[strong])
+    return UL, UR
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (801,), (), (2, 5)],
+                         ids=["1", "3", "801", "one", "2x5"])
+@pytest.mark.parametrize("name", sorted(_GASES))
+def test_interface_flux_matches_two_calls(name, shape, rng):
+    # one derivation of UL stacked over UR gives both fluxes and the pair
+    # speed bit for bit, checked (the reference solution's call) and
+    # unchecked (the stage's); pair_speed and flux alone as well
+    system = _GASES[name]
+    k = int(np.prod(shape))
+    UL, UR = _gas_pairs(system, k, rng)
+    UL, UR = UL.reshape(shape + (-1,)), UR.reshape(shape + (-1,))
+    want = _llf_two_calls(system, UL, UR)
+    _assert_bits(llf_flux(system, UL, UR), want)
+    _assert_bits(llf_flux(system, UL, UR, check=False),
+                 _stage_interface_ref(system, UL, UR))
+    _assert_bits(system.pair_speed(UL, UR), _pair_speed_ref(system, UL, UR))
+    _assert_bits(system.flux(UL), _flux_ref(system, UL))
+    if k > 1:
+        same = (UL == UR).all(axis=-1)
+        assert same.any()
+        _assert_bits(want[same], _flux_ref(system, UL[same]))
+
+
+@pytest.mark.parametrize("name", sorted(_GASES))
+def test_interface_flux_names_each_sides_bad_state(name, rng):
+    # the checked interface stops where the two calls stopped: densities of
+    # UL, then of UR, then finite pressures of UL, then of UR, each row
+    # counted within its own side; one bad state planted per side, and on
+    # both sides at once
+    system = _GASES[name]
+    k = 12
+    base = _gas_pairs(system, k, rng)
+
+    def plant(U, row, kind):
+        if kind == "density":
+            U[row, 0] = -1.0
+        else:
+            U[row, -1] = np.inf                # an infinite energy and pressure
+
+    cases = [((side, row, kind),) for side in (0, 1) for row in (0, 4, k - 1)
+             for kind in ("density", "pressure")]
+    cases += [((0, 7, "pressure"), (1, 3, "density")),
+              ((0, 9, "density"), (1, 2, "density")),
+              ((0, 5, "pressure"), (1, 1, "pressure"))]
+    for planted in cases:
+        UL, UR = (U.copy() for U in base)
+        for side, row, kind in planted:
+            plant((UL, UR)[side], row, kind)
+        # (the two calls took square roots before their checks)
+        with pytest.raises(DomainError) as want, np.errstate(invalid="ignore"):
+            _llf_two_calls(system, UL, UR)
+        with pytest.raises(DomainError) as got:
+            llf_flux(system, UL, UR)
+        assert str(got.value) == str(want.value), planted
+        assert str(got.value).startswith("state ")

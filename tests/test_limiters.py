@@ -104,7 +104,8 @@ def test_scaling_limit_dispatch(system):
     for g, w in zip(got[:4], want[:4]):
         assert g.shape == w.shape and np.array_equal(g, w)
     if want[4] is not None:
-        assert np.array_equal(got[4], want[4])
+        for g, w in zip(got[4], want[4]):
+            assert (g is None and w is None) or np.array_equal(g, w)
 
 
 # The full-array limiters as they were before the row-subset form: every
@@ -184,6 +185,22 @@ def _scaling_limit_system_full(system, avg, left, mid, right, p_avg=None,
     left_hat = (1.0 - th) * avg + th * left
     right_hat = (1.0 - th) * avg + th * right
     return left_hat, mid_hat, right_hat, theta, p_mid
+
+
+def _assert_system_limited_same(system, got, want):
+    """scaling_limit_system's outputs against the full-array formula's:
+    the limited states and theta bit for bit, the midpoints' derivation's
+    p against p_mid there, and its rho, v_x and B^2 against a derivation
+    taken afresh of the limited midpoints."""
+    for g, w in zip(got[:4], want[:4]):
+        _assert_same_bits(g, w.reshape(g.shape))
+    state, fresh = got[4], system.derive(got[1])
+    _assert_same_bits(state.p, want[4].reshape(state.p.shape))
+    for g, w in zip(state, fresh):
+        if w is None:                           # Euler's B^2
+            assert g is None
+        else:
+            _assert_same_bits(g, w)
 
 
 def _scalar_inputs(system, rng, n, active):
@@ -276,8 +293,7 @@ def test_scaling_system_matches_full_array_formula(system, kind, n_active, rng):
     p_avg = system.pressure(avg)
     for p in (None, p_avg):
         got = limiters.scaling_limit_system(system, avg, left, mid, right, p)
-        for g, w in zip(got, want):
-            _assert_same_bits(g, w)
+        _assert_system_limited_same(system, got, want)
     if kind != "mixed":
         assert np.array_equal(np.flatnonzero(want[3] < 1.0), active)
     # single states and two leading axes
@@ -286,13 +302,12 @@ def test_scaling_system_matches_full_array_formula(system, kind, n_active, rng):
                                             right[j])
         want_j = _scaling_limit_system_full(system, avg[j], left[j], mid[j],
                                             right[j])
-        for g, w in zip(got, want_j):
-            _assert_same_bits(g, w)
+        _assert_system_limited_same(system, got, want_j)
     shape = (4, 16, system.nvars)
     got = limiters.scaling_limit_system(
         system, *(x.reshape(shape) for x in (avg, left, mid, right)))
-    for g, w in zip(got, want):
-        _assert_same_bits(g, w.reshape(g.shape))
+    assert got[4].p.shape == (4, 16)
+    _assert_system_limited_same(system, got, want)
 
 
 @pytest.mark.parametrize("system", [Euler(1.4), IdealMHD(5.0 / 3.0, 0.75)],
@@ -311,8 +326,7 @@ def test_scaling_system_rehalving_matches_full_array_formula(system, rng):
     want = _scaling_limit_system_full(system, avg, left, mid, right, log=log)
     assert len(log["halved"]) >= 2, log
     got = limiters.scaling_limit_system(system, avg, left, mid, right)
-    for g, w in zip(got, want):
-        _assert_same_bits(g, w)
+    _assert_system_limited_same(system, got, want)
 
 
 def test_limiter_bulk_invariants():

@@ -193,9 +193,9 @@ def _max_dt_roll(scheme, field, cfl):
     """max_dt as it was written before: node speeds paired by np.roll for
     periodic grids, zero and nan speeds masked by a double np.where."""
     sys = scheme.system
-    u_nodes, p_nodes = transform.from_transformed(sys, field.points,
-                                                  with_pressure=True)
-    s_node = sys.max_wave_speed(u_nodes, p_nodes)
+    u_nodes, nodes = transform.from_transformed(sys, field.points,
+                                                with_state=True)
+    s_node = sys.max_wave_speed(u_nodes, nodes)
     periodic = scheme.bc == mesh.PERIODIC
     s_right = np.roll(s_node, -1) if periodic else s_node[1:]
     s_left = s_node if periodic else s_node[:-1]
@@ -308,23 +308,30 @@ def _calls_per_step(preset, n, t_frac, monkeypatch):
 
 
 def test_max_dt_and_first_residual_share_one_stage_entry(monkeypatch):
-    # advance builds one checked stage entry per step: max_dt reads its
-    # speeds and the step's first residual reads it. On ssp_ms3, one
-    # residual per step after the three RK3 start-up steps: one decode and,
-    # for Burgers, six wave speeds (nodes and averages of the entry,
-    # midpoints, and the interface pair_speed with its two max_wave_speed
-    # calls); advection's constant speed takes none
+    # advance builds one checked stage entry per step, when the step before
+    # it ends: max_dt reads its speeds and the step's first residual reads
+    # it, and so does on_step before them, so the entry counts with the
+    # step before, and the last step builds none. On ssp_ms3, one residual
+    # per step after the three RK3 start-up steps: one decode and, for
+    # Burgers, six wave speeds (nodes and averages of the entry, midpoints,
+    # and the interface pair_speed with its two max_wave_speed calls);
+    # advection's constant speed takes none
     for preset, speeds in (("burgers_steepening", 6), ("advection_smooth", 0)):
-        steps = _calls_per_step(preset, 40, 0.1, monkeypatch)[2:-1]
+        *steps, last, _ = _calls_per_step(preset, 40, 0.1, monkeypatch)[2:]
         assert len(steps) >= 3
         assert all(s == {"decode": 1, "speed": speeds, "residual": 1}
                    for s in steps)
+        assert last == {"decode": 0, "speed": max(speeds - 2, 0), "residual": 1}
         monkeypatch.undo()
-    # OE on MHD: every residual takes its averages' speeds and OE range in
-    # one wave_speed_range call, four wave-speed calls per residual
-    steps = _calls_per_step("mhd_shock_tube", 100, 0.02, monkeypatch)[:-1]
+    # OE on MHD: every entry takes its averages' speeds and OE range in one
+    # wave_speed_range call and its nodes' in one max_wave_speed call, and
+    # every residual its midpoints' in another, all from derivations the
+    # stage holds; the interface speeds come with the interface flux. Three
+    # wave-speed calls per residual, where there were four
+    *steps, last, _ = _calls_per_step("mhd_shock_tube", 100, 0.02, monkeypatch)
     assert len(steps) >= 3
-    assert all(s == {"decode": 3, "speed": 12, "residual": 3} for s in steps)
+    assert all(s == {"decode": 3, "speed": 9, "residual": 3} for s in steps)
+    assert last == {"decode": 2, "speed": 7, "residual": 3}
 
 
 def test_final_field_check_takes_no_wave_speeds(monkeypatch):
@@ -332,6 +339,64 @@ def test_final_field_check_takes_no_wave_speeds(monkeypatch):
     # decodes it once and takes no wave speed
     final = _calls_per_step("mhd_shock_tube", 100, 0.025, monkeypatch)[-1]
     assert final == {"decode": 1, "speed": 0, "residual": 0}
+
+
+@pytest.mark.parametrize("preset", ["sod", "mhd_shock_tube", "jiang_shu",
+                                    "advection_smooth"])
+def test_diagnostics_row_from_the_next_entry(preset, tmp_path):
+    # on_step reads the decoded points and the averages' pressures of the
+    # entry advance built for the next step: the row is the one it wrote
+    # from its own decode and pressures, byte for byte
+    cfg = load_config(preset).with_overrides(n=40)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    field, _, _ = run_mod.advance(scheme, field, 0.1 * cfg.t_final, cfg.cfl,
+                                  cfg.integrator)
+    rows = []
+    for entry in (scheme.stage_entry(field), None):
+        path = tmp_path / f"{entry is None}.csv"
+        diag = run_mod.DiagnosticsRecorder(scheme, path)
+        diag.on_step(0.5, 7, 0.01, field, entry)
+        diag.close()
+        rows.append(path.read_text().splitlines()[1])
+    assert rows[0] == rows[1]
+
+
+def test_failed_entry_still_gets_its_row(tmp_path, monkeypatch):
+    # the next step's entry is built before on_step: when its check fails,
+    # the field still gets its diagnostics row, then the run raises the
+    # failure as stage 0 of the next step
+    cfg = load_config("sod").with_overrides(n=50)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    integ = make_integrator(cfg.integrator)
+    step, steps = integ.step, []
+
+    def poisoned(*args, **kwargs):
+        out = step(*args, **kwargs)
+        steps.append(out)
+        if len(steps) == 2:
+            out.points[5] = np.nan
+        return out
+
+    monkeypatch.setattr(integ, "step", poisoned)
+    monkeypatch.setattr(run_mod, "make_integrator", lambda name: integ)
+    diag = run_mod.DiagnosticsRecorder(scheme, tmp_path / "diagnostics.csv")
+    times = []
+
+    def on_step(t, step, dt, fld, entry):
+        times.append(t)
+        diag.on_step(t, step, dt, fld, entry)
+
+    with pytest.raises(DomainError) as err:
+        run_mod.advance(scheme, field, cfg.t_final, cfg.cfl, cfg.integrator,
+                        on_stage=diag.on_stage, on_step=on_step)
+    diag.close()
+    assert str(err.value) == (f"step 3 stage 0 (t = {times[-1]!r}): point 5 "
+                              "needs finite values, got [nan nan nan]")
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2"]
+    assert rows[1].split(",")[4] == "nan"         # min_p of the bad node
 
 
 def test_final_step_clamp():
@@ -563,51 +628,101 @@ def test_scalar_average_outside_g_fails_loudly():
 
 @pytest.mark.parametrize("preset", ["mhd_shock_tube", "double_rarefaction"])
 def test_pressure_calls_per_residual(preset, monkeypatch):
-    # one pressure per distinct state array of a stage: the extended
-    # averages, the density-limited midpoints, the two one-sided interface
-    # states (node pressures come from the decode) and the pressure-limited
-    # midpoints, which this state, with no limited cell, does not have
+    # one pressure per distinct state array of a stage, counted at the
+    # law's pressure formula: the extended averages, the density-limited
+    # midpoints, the one-sided interface states stacked into one array
+    # (node pressures come from the decode) and the pressure-limited
+    # midpoints, which this state, with no limited cell, does not have.
+    # The interface took two and the public `pressure` none of them now
     cfg = load_config(preset).with_overrides(n=200)
     scheme = run_mod.build_scheme(cfg)
     field = run_mod.initial_field(cfg, scheme)
     field, _, _ = run_mod.advance(scheme, field, 0.05 * cfg.t_final, cfg.cfl,
                                   cfg.integrator)
     dt = scheme.max_dt(field, cfg.cfl)
-    pressure = scheme.system.pressure
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return pressure(*args, **kwargs)
+    def count(attr):
+        inner = getattr(scheme.system, attr)
 
-    monkeypatch.setattr(scheme.system, "pressure", counted)
+        def counted(*args, **kwargs):
+            calls.append((attr, args[0].shape))
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(scheme.system, attr, counted)
+
+    count("pressure")
+    count("_pressure")
     record = {}
     scheme.residual(field, dt, record)
     assert record["idp_active"] == 0
-    assert len(calls) == 4, calls
+    d = scheme.system.nvars
+    assert calls == [("_pressure", (206, d)), ("_pressure", (202, d)),
+                     ("_pressure", (402, d))], calls
 
 
 def test_unlimited_midpoint_pressure_is_computed_once(monkeypatch):
-    # without the IDP limiter the midpoints' pressure is computed and
+    # without the IDP limiter the midpoints' derivation is computed and
     # checked once, then handed to their encode and their speeds: one
-    # pressure per distinct state array (the extended averages, the two
-    # one-sided interface states and the midpoints), where the encode and
-    # the speeds each took their own
+    # pressure per distinct state array (the extended averages, the
+    # midpoints and the stacked one-sided interface states), counted at the
+    # law's pressure formula, where the encode and the speeds each took
+    # their own and the interface two
     cfg = load_config("sod").with_overrides(n=100, oscillation="oe", idp=False)
     scheme = run_mod.build_scheme(cfg)
     field = run_mod.initial_field(cfg, scheme)
     dt = scheme.max_dt(field, cfg.cfl)
-    pressure = scheme.system.pressure
+    pressure = scheme.system._pressure
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return pressure(*args, **kwargs)
 
-    monkeypatch.setattr(scheme.system, "pressure", counted)
+    monkeypatch.setattr(scheme.system, "_pressure", counted)
     scheme.residual(field, dt)
-    # cells -3..n+2, the midpoints of cells -1..n, interface nodes 0..n twice
-    assert calls == [(106, 3), (102, 3), (101, 3), (101, 3)]
+    # cells -3..n+2, the midpoints of cells -1..n, interface nodes 0..n
+    # from both sides in one array
+    assert calls == [(106, 3), (102, 3), (202, 3)]
+
+
+@pytest.mark.parametrize("oscillation", ["oe", "mp"])
+def test_b_squared_once_per_state_set(oscillation, monkeypatch):
+    # a stage derives B^2 once per distinct MHD state array and hands it on:
+    # the decoded nodes (from the decode's W), the extended averages, the
+    # limited midpoints, the one-sided interface states stacked into one
+    # array and, with MP, its limited endpoints' decode. Wrapped at the
+    # law's formula, which a stage called 9 times per residual when each
+    # pressure and speed took its own
+    cfg = load_config("mhd_shock_tube").with_overrides(
+        n=200, oscillation=oscillation)
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    field, _, _ = run_mod.advance(scheme, field, 0.05 * cfg.t_final, cfg.cfl,
+                                  cfg.integrator)
+    b_squared = scheme.system._b_squared
+    seen = []
+
+    def counted(U):
+        seen.append(U)
+        return b_squared(U)
+
+    monkeypatch.setattr(scheme.system, "_b_squared", counted)
+    record = {}
+    entry = scheme.stage_entry(field)
+    scheme.residual(field, scheme.max_dt(field, cfg.cfl, entry), record,
+                    entry=entry)
+    assert record["idp_active"] == 0
+    n = cfg.n
+    want = [(n + 5, 7), (n + 6, 7)]                 # nodes -2..n+2, cells -3..n+2
+    if oscillation == "mp":
+        want.append((2, n + 2, 7))                  # limited endpoints
+    want += [(n + 2, 7), (2 * (n + 1), 7)]          # midpoints, interfaces
+    assert [U.shape for U in seen] == want
+    assert len({id(U) for U in seen}) == len(seen)  # all held, so ids distinct
+    # a whole step: three stages, each its own state sets
+    seen.clear()
+    make_integrator(cfg.integrator).step(scheme, field, 1e-4)
+    assert [U.shape for U in seen] == 3 * want
 
 
 @pytest.mark.parametrize("preset", ["sod", "mhd_shock_tube"])
@@ -678,18 +793,21 @@ def _stage_calls(scheme, field, cfl):
 
 
 @pytest.mark.parametrize("preset, n, budget, limited", [
-    ("advection_smooth", 20, 52, True), ("sod", 200, 178, False)])
+    ("advection_smooth", 20, 52, True), ("sod", 200, 160, False)])
 def test_stage_call_budget(preset, n, budget, limited):
     # at paper sizes each call costs about as much as its arithmetic: these
     # stages made 127 (advection) and 240 (sod, MP) calls, then 48 and 187,
     # since the scalar limiter stopped copying its inputs, the scalar speeds
     # became one kernel call, the guards' reductions lost their Python
     # wrappers, advection's speed became one constant and each law took its
-    # own numerics in place of the dispatch on its type. They make 51 and
-    # 162 since the ghost rows are filled in place, where extension built
+    # own numerics in place of the dispatch on its type. They made 51 and
+    # 162 once the ghost rows were filled in place, where extension built
     # new arrays; the scalar limiter's flat gathers and scatters cost
-    # advection 9 more. The budgets are those counts plus at most 10%, and
-    # advection's stays at 52
+    # advection 9 more. They make 52 and 156 since a gas derives each
+    # state set once and its interface flux takes both sides in one law
+    # call (the law's `interface_flux` is one call deeper for advection).
+    # Advection's budget stays at 52; sod's is 160, under the 162 it made
+    # before
     cfg = load_config(preset).with_overrides(n=n)
     scheme = run_mod.build_scheme(cfg)
     field = run_mod.initial_field(cfg, scheme)
