@@ -73,9 +73,9 @@ class ScalarLaw:
     def _constant(self, u):
         return np.full(np.shape(u), self.constant_speed)
 
-    # p and state (what gas systems accept precomputed) are ignored
+    # state (what gas systems accept precomputed) is ignored
 
-    def flux(self, U, p=None):
+    def flux(self, U):
         return self.flux_fn(U[..., 0])[..., None]
 
     def max_wave_speed(self, U, state=None):
@@ -212,11 +212,9 @@ class _Gas:
             guard("state", U, rho, POSITIVE)
         return self._pressure(U, rho)
 
-    def flux(self, U, p=None):
-        """F(U); a p given is trusted, one computed here is checked
-        (positive density, then finite pressure: `state j`)."""
-        if p is not None:
-            return self._flux(U, self.derive(U, p))
+    def flux(self, U):
+        """F(U), from states checked here (positive density, then finite
+        pressure: `state j`)."""
         state = self.guarded_state(U)
         guard("state", U, state.p, FINITE)
         return self._flux(U, state)

@@ -193,9 +193,9 @@ def _assert_system_limited_same(system, got, want):
     p against p_mid there, and its rho, v_x and B^2 against a derivation
     taken afresh of the limited midpoints."""
     for g, w in zip(got[:4], want[:4]):
-        _assert_same_bits(g, w.reshape(g.shape))
+        _assert_same_bits(g, w)
     state, fresh = got[4], system.derive(got[1])
-    _assert_same_bits(state.p, want[4].reshape(state.p.shape))
+    _assert_same_bits(state.p, want[4])
     for g, w in zip(state, fresh):
         if w is None:                           # Euler's B^2
             assert g is None
@@ -306,7 +306,7 @@ def test_scaling_system_matches_full_array_formula(system, kind, n_active, rng):
     shape = (4, 16, system.nvars)
     got = limiters.scaling_limit_system(
         system, *(x.reshape(shape) for x in (avg, left, mid, right)))
-    assert got[4].p.shape == (4, 16)
+    want = tuple(w.reshape(shape if w.ndim == 2 else shape[:2]) for w in want)
     _assert_system_limited_same(system, got, want)
 
 
