@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -89,9 +89,8 @@ _SECTION_KEYS = {
     "ic": ("name", "exact"),
 }
 _RENAMES = {("system", "kind"): "system", ("ic", "name"): "ic"}
-_INT_KEYS = {"n"}
-_BOOL_KEYS = {"idp"}
-_STR_KEYS = {"system", "bc", "integrator", "oscillation", "ic", "exact"}
+# each key's type as RunConfig annotates it ("float | None" and the like)
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str, label: str) -> RunConfig:
@@ -110,15 +109,13 @@ def parse_config_text(text: str, label: str) -> RunConfig:
             if key not in keys:
                 raise ConfigError(f"unknown key [{section}] {key}")
             name = _RENAMES.get((section, key), key)
+            kind = _TYPES[name]
             try:
-                if name in _INT_KEYS:
-                    kw[name] = parser.getint(section, key)
-                elif name in _BOOL_KEYS:
-                    kw[name] = parser.getboolean(section, key)
-                elif name in _STR_KEYS:
+                if kind.startswith("str"):
                     kw[name] = parser.get(section, key).strip()
                 else:
-                    kw[name] = parser.getfloat(section, key)
+                    kw[name] = {"int": parser.getint, "bool": parser.getboolean}.get(
+                        kind, parser.getfloat)(section, key)
             except (ValueError, configparser.Error):
                 raw = parser.get(section, key, raw=True)
                 raise ConfigError(f"[{section}] {key}: bad value {raw!r}") from None

@@ -98,7 +98,7 @@ def scaling_limit_scalar(avg, left, mid, right, lo, hi):
     return hat_l, hat_m, hat_r, theta
 
 
-def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
+def scaling_limit_system(system, avg, left, mid, right, avg_state=None):
     """Two-stage (density then pressure) scaling limiter for Euler/MHD.
 
     Floors are per cell: min(EPS_RHO or EPS_P, value at the cell average).
@@ -108,7 +108,7 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
 
     avg, left, mid, right: (..., d) states of one shape; avg has positive,
     finite density and pressure (the scheme checks its averages once per
-    stage). p_avg: the pressures of avg if the caller has them. Returns
+    stage). avg_state: avg's derivation if the caller has it. Returns
     (left_hat, mid_hat, right_hat, theta, mid_state) with mid_state the
     derivation (`GasState`: rho, v_x, p, B^2) of the limited midpoints.
 
@@ -126,8 +126,7 @@ def scaling_limit_system(system, avg, left, mid, right, p_avg=None):
     avg = avg.reshape(-1, d)
     mid = mid.reshape(-1, d)
 
-    p_a = (system.pressure(avg, check=False) if p_avg is None
-           else p_avg.reshape(-1))
+    p_a = (system.derive(avg) if avg_state is None else avg_state).p.reshape(-1)
     e_rho = np.minimum(EPS_RHO, avg[:, 0])
     e_p = np.minimum(EPS_P, p_a)
     theta = np.ones(len(avg))

@@ -140,9 +140,11 @@ class PampaScheme:
         first bad cell or node. Points and averages must be finite and, for
         systems, have positive density and pressure; with the IDP limiter, a
         scalar law's averages must lie in [u_min, u_max]. A system's points
-        are checked as U, which a finite W may overflow (decoded without
-        floating-point warnings); a scalar law's as W, whose inf clips to a
-        finite u."""
+        are checked as U, which a finite W may overflow; a scalar law's as
+        W, whose inf clips to a finite u. For a system the caller holds
+        np.errstate(all="ignore") around the call (`stage_entry`, and
+        `run.advance` for the final field), so an overflow or a bad state
+        reaches the checks as inf or nan and not as a warning."""
         sys = self.system
         ga, gp, g = mesh.AVG_GHOST, mesh.PT_GHOST, sys.domain_rule
         data, bc, split, reflect = field.data, self.bc, self._split, self._reflect
@@ -154,9 +156,8 @@ class PampaScheme:
             # the scaling limiter needs a scalar law's averages inside G
             guard("average", A, A, g if self.limiter.idp else FINITE, ga)
             return A, Wx, Ux, None, None
-        with np.errstate(all="ignore"):
-            Ux, node = transform.from_transformed(sys, Wx, with_state=True)
-            avg = sys.derive(A)
+        Ux, node = transform.from_transformed(sys, Wx, with_state=True)
+        avg = sys.derive(A)
         guard("point", Ux, Ux, FINITE, gp)
         guard("average", A, A[:, 0], g, ga)
         guard("average", A, avg.p, g, ga)
@@ -166,9 +167,9 @@ class PampaScheme:
 
     def stage_entry(self, field: DofField) -> StageEntry:
         """`guard(field)` with its wave speeds; `advance` builds one per step.
-        For a gas the decode, the derivations and the speeds run under one
-        np.errstate: a speed that overflows is inf, which `max_dt` names.
-        A law with a constant speed takes only the speeds OE reads."""
+        For a gas the guard's decode and derivations and the speeds run
+        under one np.errstate: a speed that overflows is inf, which `max_dt`
+        names. A law with a constant speed takes only the speeds OE reads."""
         if self.scalar:
             return self._with_speeds(*self.guard(field))
         with np.errstate(all="ignore"):
@@ -204,9 +205,6 @@ class PampaScheme:
         n, m = self.n, self.n_points
         e = self.stage_entry(field) if entry is None else entry
         A, Wx, Ux, dxx = e.A, e.Wx, e.Ux, self._dxx
-        p_node = p_avg = None                   # a scalar law derives nothing
-        if e.avg is not None:
-            p_node, p_avg = e.node.p, e.avg.p
 
         # limited triples (left, mid, right) for cells -1..n (index c+1)
         cel_a = A[2 : n + 4]                                     # cells -1..n
@@ -223,7 +221,7 @@ class PampaScheme:
                                          e.speed_avg[c])
             u_l, u_m, u_r = limiters.oe_apply(theta_oe, cel_a, u_l, u_r)
         elif lim.oscillation == "mp":
-            w_avg = transform.to_transformed(sys, A, p_avg)
+            w_avg = transform.to_transformed(sys, A, e.avg)
             # row 0: right endpoints of cells -1..n; row 1: left endpoints
             w_lim = limiters.mp_limit(w_avg, Wx)
             mp_changed = int(np.count_nonzero(w_lim[0] != Wx[2 : n + 4])
@@ -234,8 +232,9 @@ class PampaScheme:
             u_m = limiters.midpoint_value(cel_a, u_l, u_r)
 
         if lim.idp:
+            # a scalar law derives nothing (its entry's derivations are None)
             hat_l, hat_m, hat_r, theta, mid = sys.scaling_limit(
-                cel_a, u_l, u_m, u_r, None if p_avg is None else p_avg[2 : n + 4])
+                cel_a, u_l, u_m, u_r, e.avg and e.avg.rows(slice(2, n + 4)))
         else:
             # an unlimited midpoint may leave G: its derivation is checked
             # once for the encode and speeds (row j: cell j - 1's midpoint)
@@ -251,7 +250,7 @@ class PampaScheme:
         np.divide(-(fluxes[1:] - fluxes[:-1]), dxx[3 : n + 3], out=rates.data[rows_avg])
 
         # point residual at owned nodes
-        w_mid = transform.to_transformed(sys, hat_m, None if mid is None else mid.p)
+        w_mid = transform.to_transformed(sys, hat_m, mid)
         # alpha must dominate the node's own spectral radius for the
         # splitting to upwind correctly; the midpoint speeds enter as an
         # enlargement but are capped at twice the largest physical speed in
@@ -287,7 +286,7 @@ class PampaScheme:
         delta_p = ((half[:m] - mid2[0:m]) + here) / dxx[2 : m + 2]
         del here, mid2, half  # not held through the Jacobian action
         jd = transform.apply_jacobian(sys, Ux[2 : m + 2], delta_m + delta_p,
-                                      None if p_node is None else p_node[2 : m + 2])
+                                      e.node and e.node.rows(slice(2, m + 2)))
         np.negative(jd - alpha * (delta_m - delta_p), out=rates.data[rows_pt])
 
         if record is not None:

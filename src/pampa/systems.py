@@ -36,6 +36,11 @@ class GasState(NamedTuple):
     p: np.ndarray
     b2: np.ndarray | None
 
+    def rows(self, s):
+        """The derivation of U[s], bit for bit: each array's rows s."""
+        rho, vx, p, b2 = self
+        return GasState(rho[s], vx[s], p[s], None if b2 is None else b2[s])
+
 
 class ScalarLaw:
     """Scalar conservation law u_t + f(u)_x = 0 with invariant interval G.
@@ -119,7 +124,7 @@ class ScalarLaw:
     def from_primitive(self, prim):
         return prim
 
-    def encode(self, U, p=None):
+    def encode(self, U, state=None):
         """The clipped-ReLU map's inverse on [u_min, u_max]: w in [0, 1]."""
         return (U - self.u_min) / (self.u_max - self.u_min)
 
@@ -128,15 +133,15 @@ class ScalarLaw:
         span = self.u_max - self.u_min
         return span * np.minimum(np.maximum(W, 0.0), 1.0) + self.u_min, None, None
 
-    def jacobian_action(self, U, vec, p=None):
+    def jacobian_action(self, U, vec, state=None):
         """f'(u) * vec; with a constant speed c, c * vec."""
         c = self.constant_speed
         if c is not None:
             return c * vec
         return self.dflux_fn(U[..., 0])[..., None] * vec
 
-    def scaling_limit(self, avg, left, mid, right, p_avg=None):
-        """The scalar limiter on [u_min, u_max]; no midpoint pressure."""
+    def scaling_limit(self, avg, left, mid, right, avg_state=None):
+        """The scalar limiter on [u_min, u_max]; no midpoint derivation."""
         hat_l, hat_m, hat_r, theta = limiters.scaling_limit_scalar(
             avg, left, mid, right, self.u_min, self.u_max)
         return hat_l, hat_m, hat_r, theta[..., 0], None
@@ -288,16 +293,16 @@ class _Gas:
         return self.conservative(prim[..., 0], prim, prim[..., -1],
                                  self._b_squared(prim))
 
-    def encode(self, U, p=None):
-        """W = (q, velocities, fields, s) of U; a p given is trusted, one
-        computed here is checked (`state j`)."""
-        if p is None:
-            p = self.checked_state(U).p
+    def encode(self, U, state=None):
+        """W = (q, velocities, fields, s) of U; `state`, U's derivation, is
+        trusted if given, one taken here is checked (`state j`)."""
+        if state is None:
+            state = self.checked_state(U)
         rho = U[..., 0]
         W = U.copy()                     # the fields (MHD's By, Bz) as they are
         W[..., 0] = inv_softplus(rho)
         W[..., self._velocity] /= U[..., :1]
-        W[..., -1] = np.log(p) - self.gamma * np.log(rho)
+        W[..., -1] = np.log(state.p) - self.gamma * np.log(rho)
         return W
 
     def decode(self, W):
@@ -309,9 +314,10 @@ class _Gas:
         b2 = self._b_squared(W)
         return self.conservative(rho, W, p, b2), p, b2
 
-    def scaling_limit(self, avg, left, mid, right, p_avg=None):
+    def scaling_limit(self, avg, left, mid, right, avg_state=None):
         """`limiters.scaling_limit_system`: density, then pressure."""
-        return limiters.scaling_limit_system(self, avg, left, mid, right, p_avg)
+        return limiters.scaling_limit_system(self, avg, left, mid, right,
+                                             avg_state)
 
     def reflect(self, U):
         """Mirror states at a wall; conservative and transformed alike."""
@@ -358,11 +364,10 @@ class Euler(_Gas):
         speed = np.abs(state.vx) + self._fast_speed(state)
         return np.maximum(speed[:k], speed[k:])
 
-    def jacobian_action(self, U, vec, p=None):
-        """J(U) @ vec of the W form, J similar to dF/dU."""
-        p = self.pressure(U) if p is None else p
-        rho = U[..., 0]
-        v = U[..., 1] / rho
+    def jacobian_action(self, U, vec, state=None):
+        """J(U) @ vec of the W form, J similar to dF/dU; `state`: U's
+        derivation, if known."""
+        rho, v, p, _ = self.guarded_state(U) if state is None else state
         qp = _softplus_deriv_inv(rho)
         g = self.gamma
         y = np.empty(vec.shape)           # U broadcasts against vec
@@ -461,11 +466,10 @@ class IdealMHD(_Gas):
         jump = (S[:k, 4:6] - S[k:, 4:6]) ** 2       # of By and Bz
         return base + np.sqrt(jump[:, 0] + jump[:, 1]) / ssum
 
-    def jacobian_action(self, U, vec, p=None):
-        """J(U) @ vec of the W form, J similar to dF/dU."""
-        p = self.pressure(U) if p is None else p
-        rho = U[..., 0]
-        vx = U[..., 1] / rho
+    def jacobian_action(self, U, vec, state=None):
+        """J(U) @ vec of the W form, J similar to dF/dU; `state`: U's
+        derivation, if known."""
+        rho, vx, p, _ = self.guarded_state(U) if state is None else state
         By, Bz = U[..., 4], U[..., 5]
         qp = _softplus_deriv_inv(rho)
         g = self.gamma

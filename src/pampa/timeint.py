@@ -16,50 +16,43 @@ from collections import deque
 from .errors import ConfigError
 
 
-def _euler_stage(scheme, field, dt, resid=None, record=None, entry=None):
-    if resid is None:
-        record = {} if record is None else record
-        resid = scheme.residual(field, dt, record, entry=entry)
-    return scheme.finish_stage(field.like(field.data + dt * resid.data)), record
-
-
-def _rk3_step(scheme, field, dt, t, step, on_stage, first_resid=None,
-              first_record=None, entry=None):
-    """Shu-Osher three-stage SSP RK3 (weights 1; 3/4,1/4; 1/3,2/3)."""
-    s1, rec1 = _euler_stage(scheme, field, dt, first_resid, first_record, entry)
-    if on_stage:
-        on_stage(t + dt, step, 0, s1, rec1)
-
-    fe2, rec2 = _euler_stage(scheme, s1, dt)
-    s2 = scheme.finish_stage(field.like(0.75 * field.data + 0.25 * fe2.data))
-    if on_stage:
-        on_stage(t + dt, step, 1, s2, rec2)
-
-    fe3, rec3 = _euler_stage(scheme, s2, dt)
-    out = scheme.finish_stage(
-        field.like(field.data / 3.0 + (2.0 / 3.0) * fe3.data))
-    if on_stage:
-        on_stage(t + dt, step, 2, out, rec3)
-    return out
+def _stages(scheme, field, dt, t, step, on_stage, table, resid=None,
+            record=None, entry=None):
+    """One step in Shu-Osher form. Stage k takes a forward-Euler step s
+    from the stage before it (from `field` at k = 0); where table[k] is not
+    None, the stage is the convex combination table[k](u, s) with the
+    step's input u. Each stage passes `finish_stage`, then `on_stage`. A
+    given residual (with its record) or entry serves the first stage."""
+    stage = field
+    for k, combine in enumerate(table):
+        if resid is None:
+            record = {}
+            resid = scheme.residual(stage, dt, record, entry=entry)
+        stage = scheme.finish_stage(field.like(stage.data + dt * resid.data))
+        if combine is not None:
+            stage = scheme.finish_stage(field.like(combine(field.data, stage.data)))
+        if on_stage:
+            on_stage(t + dt, step, k, stage, record)
+        resid = entry = None
+    return stage
 
 
 class ForwardEuler:
+    table = (None,)
+
     def step_size(self, cfl_dt: float) -> float:
         return cfl_dt
 
     def step(self, scheme, field, dt, t=0.0, step=0, on_stage=None, entry=None):
-        out, rec = _euler_stage(scheme, field, dt, entry=entry)
-        if on_stage:
-            on_stage(t + dt, step, 0, out, rec)
-        return out
+        return _stages(scheme, field, dt, t, step, on_stage, self.table,
+                       entry=entry)
 
 
-class SspRk3:
-    def step_size(self, cfl_dt: float) -> float:
-        return cfl_dt
+class SspRk3(ForwardEuler):
+    """Shu-Osher three-stage SSP RK3 (weights 1; 3/4,1/4; 1/3,2/3)."""
 
-    def step(self, scheme, field, dt, t=0.0, step=0, on_stage=None, entry=None):
-        return _rk3_step(scheme, field, dt, t, step, on_stage, entry=entry)
+    table = (None, lambda u, s: 0.75 * u + 0.25 * s,
+             lambda u, s: u / 3.0 + (2.0 / 3.0) * s)
 
 
 class SspMultistep3:
@@ -98,8 +91,8 @@ class SspMultistep3:
         if len(self._hist) < 3:
             self._hist.append((field, resid))
             self._hist_dt = dt
-            return _rk3_step(scheme, field, dt, t, step, on_stage,
-                             first_resid=resid, first_record=record)
+            return _stages(scheme, field, dt, t, step, on_stage, SspRk3.table,
+                           resid, record)
         old_field, old_resid = self._hist[0]
         w_new, w_old = 16.0 / 27.0, 11.0 / 27.0
         data = (w_new * (field.data + 3.0 * dt * resid.data)

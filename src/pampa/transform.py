@@ -54,10 +54,10 @@ def _softplus_deriv_inv(x):
     return 1.0 / (-np.expm1(-x))
 
 
-def to_transformed(system, U, p=None):
-    """W = Psi(U); p: a gas's checked pressure of U, else computed and
-    checked."""
-    return system.encode(U, p)
+def to_transformed(system, U, state=None):
+    """W = Psi(U); state: a gas's checked derivation of U (`systems.GasState`),
+    else taken and checked."""
+    return system.encode(U, state)
 
 
 def from_transformed(system, W, with_state: bool = False):
@@ -78,7 +78,7 @@ def jacobian_transformed(system, U):
     return np.swapaxes(apply_jacobian(system, U[..., None, :], eye), -1, -2)
 
 
-def apply_jacobian(system, U, vec, p=None):
+def apply_jacobian(system, U, vec, state=None):
     """J(U) @ vec without the matrices; vec has the shape of the result
-    and U broadcasts against it. p: a gas's pressure of U, if known."""
-    return system.jacobian_action(U, vec, p)
+    and U broadcasts against it. state: a gas's derivation of U, if known."""
+    return system.jacobian_action(U, vec, state)

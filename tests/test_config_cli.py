@@ -202,7 +202,11 @@ def test_every_run_config_field_has_one_ini_key():
     settable = {f.name for f in fields(config.RunConfig)} - {"label"}
     assert len(names) == len(set(names))
     assert set(names) == settable
-    assert config._INT_KEYS | config._BOOL_KEYS | config._STR_KEYS <= settable
+    # the parser reads each key's type off its annotation: int, bool, a str
+    # or else a float, so every annotation must be one of those
+    kinds = {config._TYPES[name] for name in settable}
+    assert all(k in ("int", "bool") or k.startswith(("str", "float"))
+               for k in kinds), kinds
 
 
 _MINIMAL_INI = {

@@ -290,9 +290,8 @@ def test_scaling_system_matches_full_array_formula(system, kind, n_active, rng):
         assert (log["low_rho"], log["low_p"]) == (0, n_active)
     else:
         assert log["low_rho"] > 0 and log["low_p"] > 0
-    p_avg = system.pressure(avg)
-    for p in (None, p_avg):
-        got = limiters.scaling_limit_system(system, avg, left, mid, right, p)
+    for state in (None, system.derive(avg)):
+        got = limiters.scaling_limit_system(system, avg, left, mid, right, state)
         _assert_system_limited_same(system, got, want)
     if kind != "mixed":
         assert np.array_equal(np.flatnonzero(want[3] < 1.0), active)

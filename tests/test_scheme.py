@@ -341,6 +341,33 @@ def test_final_field_check_takes_no_wave_speeds(monkeypatch):
     assert final == {"decode": 1, "speed": 0, "residual": 0}
 
 
+def test_one_errstate_per_gas_stage_entry(monkeypatch):
+    # a gas stage entry runs the guard's decode and derivations and the
+    # speeds under one np.errstate, which the guard does not enter again; a
+    # scalar entry takes none. advance holds one around its final-field
+    # guard, after the last on_step
+    made = [0]
+    errstate = np.errstate
+
+    def counted(*args, **kwargs):
+        made[0] += 1
+        return errstate(*args, **kwargs)
+
+    for preset, per_entry in (("sod", 1), ("advection_smooth", 0)):
+        cfg = load_config(preset).with_overrides(n=40)
+        scheme = run_mod.build_scheme(cfg)
+        field = run_mod.initial_field(cfg, scheme)
+        monkeypatch.setattr(np, "errstate", counted)
+        made[0] = 0
+        scheme.stage_entry(field)
+        assert made[0] == per_entry
+        at_step = []
+        run_mod.advance(scheme, field, 0.02 * cfg.t_final, cfg.cfl,
+                        cfg.integrator, on_step=lambda *a: at_step.append(made[0]))
+        assert len(at_step) >= 2 and made[0] - at_step[-1] == 1
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("preset", ["sod", "mhd_shock_tube", "jiang_shu",
                                     "advection_smooth"])
 def test_diagnostics_row_from_the_next_entry(preset, tmp_path):
@@ -793,7 +820,8 @@ def _stage_calls(scheme, field, cfl):
 
 
 @pytest.mark.parametrize("preset, n, budget, limited", [
-    ("advection_smooth", 20, 52, True), ("sod", 200, 160, False)])
+    ("advection_smooth", 20, 52, True), ("burgers_steepening", 20, 66, True),
+    ("sod", 200, 160, False), ("mhd_shock_tube", 200, 247, False)])
 def test_stage_call_budget(preset, n, budget, limited):
     # at paper sizes each call costs about as much as its arithmetic: these
     # stages made 127 (advection) and 240 (sod, MP) calls, then 48 and 187,
@@ -807,7 +835,9 @@ def test_stage_call_budget(preset, n, budget, limited):
     # state set once and its interface flux takes both sides in one law
     # call (the law's `interface_flux` is one call deeper for advection).
     # Advection's budget stays at 52; sod's is 160, under the 162 it made
-    # before
+    # before. Burgers (computed scalar speeds) and MHD with OE hold the
+    # 66 and 247 they make, so all four paths of scripts/stage_calls.py
+    # are held
     cfg = load_config(preset).with_overrides(n=n)
     scheme = run_mod.build_scheme(cfg)
     field = run_mod.initial_field(cfg, scheme)
