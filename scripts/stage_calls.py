@@ -5,11 +5,11 @@
 
 SRC_DIR is the directory that holds the `pampa` package (`src` of a
 checkout); it is put first on sys.path. For advection_smooth and
-burgers_steepening (n=20, 640), sod with MP (n=200, 2000) and
-mhd_shock_tube with OE (n=200, 2000) it advances the preset's initial field
-to t_final/20, where the advection runs limit a cell or two per stage as
-they do for most of a run, and prints, for each of the three calls of the
-next step's first stage,
+burgers_steepening (n=20, 640), sod with MP (n=200, 2000),
+mhd_shock_tube with OE (n=200, 2000) and shu_osher with OE (n=640) it
+advances the preset's initial field to t_final/20, where the advection runs
+limit a cell or two per stage as they do for most of a run, and prints, for
+each of the three calls of the next step's first stage,
 
 * `scheme.stage_entry(field)`,
 * `scheme.max_dt(field, cfl, entry)`,
@@ -22,7 +22,9 @@ the Python-level calls it makes (`call` and `c_call` events of
 is where a change of it shows first; compare two checkouts by running it
 on each, alternately. Advection's speed is one constant and Burgers' is
 computed per state, so the two scalar laws show the two speed paths side
-by side.
+by side. So do the two OE runs for `oe_theta`: mhd_shock_tube forms its
+jump integrals on a few gathered rows, shu_osher, almost all of whose
+cells are live, on the whole range.
 """
 
 import argparse
@@ -33,7 +35,7 @@ from pathlib import Path
 CASES = (("advection_smooth", 20), ("advection_smooth", 640),
          ("burgers_steepening", 20), ("burgers_steepening", 640),
          ("sod", 200), ("sod", 2000),
-         ("mhd_shock_tube", 200), ("mhd_shock_tube", 2000))
+         ("mhd_shock_tube", 200), ("mhd_shock_tube", 2000), ("shu_osher", 640))
 CALLS = ("stage_entry", "max_dt", "residual")
 T_FRAC = 0.05
 

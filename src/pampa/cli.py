@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import oracle, run as run_mod
 from .config import load_config, preset_names
-from .errors import PampaError
+from .errors import ConfigError, PampaError
 from .scheme import OSCILLATION_KINDS
 from .systems import Euler, IdealMHD, advection, burgers
 
@@ -33,6 +33,19 @@ def _cell_counts(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(
                 f"{entry!r} in {text!r} is not a cell count") from None
     return counts
+
+
+def _thm43_eps(text: str) -> float:
+    """An argparse type: an eps the counterexample takes, else exit 2."""
+    try:
+        eps = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        oracle.check_thm43_eps(eps)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return eps
 
 
 def cmd_run(args) -> int:
@@ -136,6 +149,8 @@ _VERIFY_SUITES = {
 
 def cmd_verify(args) -> int:
     names = list(_VERIFY_SUITES) if args.suite == "all" else [args.suite]
+    if "sweep" in names:
+        load_config(args.preset)  # a bad preset fails before any suite runs
     failed = False
     for name in names:
         for line in _VERIFY_SUITES[name](args):
@@ -184,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("all", *_VERIFY_SUITES))
     p.add_argument("--system", choices=("all", *_VERIFY_SYSTEMS), default="all")
     p.add_argument("--samples", type=_at_least(1), default=100_000)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=_thm43_eps, default=0.1)
     p.add_argument("--preset", default="jiang_shu", help="preset for the sweep suite")
     p.add_argument("--seed", type=_at_least(0), default=42,
                    help="seed for the randomised suites")

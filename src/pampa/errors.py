@@ -39,3 +39,15 @@ def guard(kind: str, states, values, rule, offset: int = 0):
     ok = ((inner >= lo) & (inner <= hi)).reshape(len(inner), -1).all(axis=-1)
     j = int(np.argmin(ok))
     raise DomainError(f"{kind} {j} needs {need}, got {states[offset + j]}")
+
+
+def inside(rule, a, b=None) -> bool:
+    """Whether every entry of `a`, and of `b` (a's shape) if given, lies in
+    the closed interval of `rule`: guard's test of a whole state set in one
+    min and one max (over np.minimum(a, b) and np.maximum(a, b)), without
+    its report. A nan fails. A caller that gets False calls `guard` on each
+    quantity, which names the first bad row."""
+    _, lo, hi = rule
+    low, high = (a, a) if b is None else (np.minimum(a, b), np.maximum(a, b))
+    return bool(np.minimum.reduce(low, axis=None) >= lo
+                and np.maximum.reduce(high, axis=None) <= hi)

@@ -10,7 +10,17 @@ the cell average over (left endpoint, midpoint, right endpoint):
   exp(-beta*dt*sigma/dx) with sigma measuring the mismatch between the
   cell's parabola and its neighbours' parabolas, in Legendre form; a cell
   whose jump integrals lie under a relative rounding floor (OE_FLOOR)
-  counts as constant and keeps theta = 1 exactly;
+  counts as constant and keeps theta = 1 exactly. Those are most cells of
+  a run, so a screen finds them first and OE forms its jump integrals on
+  the other rows alone. It bounds each cell's denominator from the l2
+  norms of the average jumps D and of the neighbours' slopes N1 and
+  curvatures N2: by the triangle inequality the neighbour's coefficients
+  on the own cell are at most max(1, |2 off|, |c2|)(D + N1 + N2),
+  b max(1, |6 off|)(N1 + N2) and b^2 N2, and (D + N1 + N2)^2 <= 3 (D^2 +
+  N1^2 + N2^2). The denominator sums non-negative terms, so rounding moves
+  it by about 1e-14 relative, and a cell whose bound times 16 (plus floors
+  against underflow) stays under the floor is one the floor test leaves
+  alone (proof in `oe_theta`);
 * the MP limiter, which clips node values into a monotonicity-preserving
   interval built from neighbouring cell averages and curvature estimates.
 
@@ -38,6 +48,10 @@ MP_ALPHA, MP_BETA = 2.0, 4.0
 # OE: relative floor on the jump integrals, (1000 eps)^2 (see `oe_theta`),
 # and the P2 weight of a jump integral, 1/5 plus the folded curvature term
 OE_FLOOR, _P2_WEIGHT = (1000.0 * np.finfo(float).eps) ** 2, 0.2 + 48.0
+# OE screen: floors against underflow, and the X rows of an own row's left
+# neighbour, right neighbour and own cell (see `oe_theta`)
+_OE_TAU, _OE_TINY = 2.0 ** -1000, 2.0 ** -900
+_OE_ROWS = np.array([[0], [2], [1]])
 
 
 def minmod4(a, b, c, d):
@@ -202,24 +216,26 @@ def parabola_coeffs(avg, left, right):
 
 def oe_geometry(sizes, d):
     """The grid factors of `oe_theta` for cells 1..K-2 of K cells of the
-    given (K,) sizes and d components: (dx, left, right), with dx the (K-2,)
-    own sizes and, per neighbour side, the (K-2, d) factors b, 2 off, 6 off,
-    6 off^2 + (b^2 - 1)/2 and b^2 of the neighbour's Legendre coefficients
-    on the own cell (see `oe_theta`). They depend on the grid alone, so a
-    scheme builds them once. They come at full (K-2, d) shape because a
-    product of same-shape arrays runs several times faster than one that
+    given (K,) sizes and d components: (dx, factors, screen), with dx the
+    (K-2,) own sizes, factors the (5, 2, K-2, d) factors b, 2 off, 6 off,
+    c2 = 6 off^2 + (b^2 - 1)/2 and b^2 of the neighbour's Legendre
+    coefficients on the own cell (see `oe_theta`), left neighbour then
+    right, and screen the (2, K-2) constants 16 * 3C of the two sides, with
+    C = m0^2 + b^2 m1^2/3 + (1/5 + 48) b^4, m0 = max(1, |2 off|, |c2|) and
+    m1 = max(1, |6 off|). They depend on the grid alone, so a scheme builds
+    them once. The factors come at full (K-2, d) shape because a product
+    of same-shape arrays runs several times faster than one that
     broadcasts a per-cell factor over the short component axis; at d = 1
     that is the (K-2, 1) shape of the broadcast."""
     dxo = sizes[1:-1]
-
-    def side(nb, sign):
-        b = dxo / sizes[nb]
-        off = sign * 0.5 * (b + 1.0)
-        b2 = b * b
-        return tuple(np.repeat(f[:, None], d, axis=1) for f in
-                     (b, 2.0 * off, 6.0 * off, 6.0 * off * off + 0.5 * (b2 - 1.0), b2))
-
-    return dxo, side(slice(0, -2), 1.0), side(slice(2, None), -1.0)
+    b = dxo / np.stack((sizes[:-2], sizes[2:]))
+    off = np.array([[0.5], [-0.5]]) * (b + 1.0)
+    b2 = b * b
+    f = np.stack((b, 2.0 * off, 6.0 * off, 6.0 * off * off + 0.5 * (b2 - 1.0), b2))
+    m0 = np.maximum(np.maximum(1.0, np.abs(f[1])), np.abs(f[3]))
+    m1 = np.maximum(1.0, np.abs(f[2]))
+    screen = 48.0 * (m0 * m0 + b2 * (m1 * m1) / 3.0 + _P2_WEIGHT * (b2 * b2))
+    return dxo, np.repeat(f[..., None], d, axis=-1), screen
 
 
 def oe_theta(avgs, lefts, rights, geometry, dt, lo, hi, speed):
@@ -235,50 +251,141 @@ def oe_theta(avgs, lefts, rights, geometry, dt, lo, hi, speed):
     with slope a1 = (R - L)/2 and curvature a2 = (L + R)/2 - A, whose square
     integrates to A^2 + a1^2/3 + a2^2/5. A neighbour's parabola at
     xi_nb = off + b*xi has on the own cell the coefficients
-    A + 2 off a1 + (6 off^2 + (b^2 - 1)/2) a2, b (a1 + 6 off a2) and b^2 a2.
-    The curvature term dx^5/3 (p'')^2 is 48 dx a2^2 and folds into the P2
-    weight: each jump integral is dx sum_k (da0^2 + da1^2/3 + (1/5 + 48) da2^2).
-    The factors dx and span = s_r - s_l cancel in sigma and are left out.
+    A_nb + 2 off a1 + c2 a2 (c2 = 6 off^2 + (b^2 - 1)/2), t1 = b (a1 +
+    6 off a2) and t2 = b^2 a2, in the neighbour's a1, a2; t0 is the first
+    less A. The curvature term dx^5/3 (p'')^2 is 48 dx a2^2 and folds into
+    the P2 weight: each jump integral is dx sum_k (da0^2 + da1^2/3 +
+    (1/5 + 48) da2^2), so a side's denominator term is d = |t0|^2 +
+    |t1|^2/3 + (1/5 + 48)|t2|^2 + own_dev with own_dev = |a1|^2/3 +
+    |a2|^2/5 of the own cell. The factors dx and span = s_r - s_l cancel in
+    sigma and are left out.
 
-    A cell with den <= OE_FLOOR * span * sum_k A_k^2 counts as constant:
-    sigma = 0 and theta = 1 exactly, where otherwise sigma is a ratio of
-    two rounding-noise integrals. Relative to span * sum_k A_k^2, noise of
-    up to 4 ulps per component reaches 4e3 eps^2 on a uniform grid and 3e5
-    eps^2 with neighbour size ratios up to 4, and the solver's constant
-    states stay under 1e-28 (2e3 eps^2), while a smooth profile of
-    relative amplitude 1e-8 on 24 cells gives 5e-21 or more; the floor
+    A cell with den <= rhs = OE_FLOOR * span * sum_k A_k^2 counts as
+    constant: sigma = 0 and theta = 1 exactly, where otherwise sigma is a
+    ratio of two rounding-noise integrals. Relative to span * sum_k A_k^2,
+    noise of up to 4 ulps per component reaches 4e3 eps^2 on a uniform
+    grid and 3e5 eps^2 with neighbour size ratios up to 4, and the solver's
+    constant states stay under 1e-28 (2e3 eps^2), while a smooth profile
+    of relative amplitude 1e-8 on 24 cells gives 5e-21 or more; the floor
     (1000 eps)^2 ~ 4.9e-26 lies between the two.
+
+    Most cells of a run are such constants (94% of mhd_shock_tube's), so a
+    screen bounds den from above before any jump integral is formed, and
+    the exact formulas run only on the rows it keeps: gathered by `take`,
+    both sides stacked, their ten square sums reduced by one einsum; where
+    it keeps more than half, over the whole range as views.
+
+    The bound. Per row, with l2 norms over the components, take the
+    average jump D = |A_nb - A|, N1 = |a1_nb|, N2 = |a2_nb| and S = D +
+    N1 + N2. The triangle inequality gives
+
+        |t0| <= m0 (D + N1 + N2),   m0 = max(1, |2 off|, |c2|),
+        |t1| <= b m1 (N1 + N2),     m1 = max(1, |6 off|),
+        |t2|  = b^2 N2,
+
+    so a side's d is at most C S^2 + own_dev with C = m0^2 + b^2 m1^2/3 +
+    (1/5 + 48) b^4. By Cauchy-Schwarz S^2 <= 3 (D^2 + N1^2 + N2^2), which
+    the square sums give without a square root: d is at most
+    B = 3C (D^2 + N1^2 + N2^2) + own_dev (16 * 3C is `oe_geometry`'s
+    screen), and den at most s_r B_l - s_l B_r.
+
+    Rounding. As s_r >= 0 >= s_l, den = s_r d_l - s_l d_r sums
+    non-negative terms, as do the sums forming each d and the bound (a
+    t-component sums signed terms, but its rounded value is bounded by
+    the absolute values of its rounded terms). In the normal range a
+    rounding is a relative error of at most 2^-53, and the few dozen
+    between the inputs and den, or the bound, move each by at most about
+    1e-14 relative, which the factor 16 covers. An operation that
+    underflows makes an absolute error of at most 2^-1075 instead: a
+    t-component may then pass its bound by 2^-1073, which at most doubles
+    its square (the square of the excess underflows), and the final
+    products of den may add a few 2^-1074. tau = 2^-1000, added to each
+    side's bound and scaled by s like d, exceeds the first; tiny = 2^-900
+    keeps rhs above everything the second adds, and no row with rhs <=
+    2^-900 is skipped. A row with
+
+        s_r (16 B_l + tau) - s_l (16 B_r + tau) + tiny < rhs
+
+    therefore has den < rhs and gets sigma = +0.0, the live test's value.
+    A finite 16 B keeps its side's d under a fifth of the largest double,
+    so no d overflows on a skipped row, and a NaN or infinite bound (which
+    a NaN or infinite value among the row's inputs gives) fails the
+    comparison: such a row is never skipped. The screen's square sums are
+    the exact path's (own_dev and rhs come from the same einsum), so every
+    kept row gets the unscreened formula's value, and theta is that
+    formula's bit for bit, signed zeros included.
     """
-    def square_sum(x):                       # over the components, axis 1
-        return np.einsum("ij,ij->i", x, x)
+    dxo, factors, screen = geometry
+    K, d = avgs.shape
+    lnb, own, rnb = slice(0, -2), slice(1, -1), slice(2, None)
+    # planes: slope a1, curvature a2, average A and the jump A[j+1] - A[j]
+    X = np.empty((4, K, d))
+    a1, a2, A, jump = X
+    np.subtract(rights, lefts, out=a1)
+    a1 *= 0.5
+    np.add(lefts, rights, out=a2)
+    a2 *= 0.5
+    a2 -= avgs
+    A[...] = avgs
+    np.subtract(avgs[1:], avgs[:-1], out=jump[:-1])
+    jump[-1] = 0.0                                   # summed, never read
+    sq = np.einsum("qkd,qkd->qk", X, X)
+    # per own row, in one array for one gather: own_dev, s_l, s_r, rhs
+    P = np.empty((4, K - 2))
+    own_dev, s_l, s_r, rhs = P
+    np.add(sq[0, own] / 3.0, sq[1, own] / 5.0, out=own_dev)
+    np.minimum(np.minimum(lo[lnb], lo[own]), np.minimum(lo[rnb], 0.0), out=s_l)
+    np.maximum(np.maximum(hi[lnb], hi[own]), np.maximum(hi[rnb], 0.0), out=s_r)
+    np.multiply(OE_FLOOR * (s_r - s_l), sq[2, own], out=rhs)
 
-    dxo, left, right = geometry
-    a1 = 0.5 * (rights - lefts)
-    a2 = 0.5 * (lefts + rights) - avgs
-    own, lnb, rnb = slice(1, -1), slice(0, -2), slice(2, None)
-    Ao, a1o, a2o = avgs[own], a1[own], a2[own]
-    own_dev = square_sum(a1o) / 3.0 + square_sum(a2o) / 5.0
+    # the screen: D^2 + N1^2 + N2^2 per side, then the bound of den
+    n12 = sq[0] + sq[1]
+    S = np.empty((2, K - 2))
+    np.add(sq[3, :-2], n12[lnb], out=S[0])
+    np.add(sq[3, 1:-1], n12[rnb], out=S[1])
+    B = screen * S + (16.0 * own_dev + _OE_TAU)
+    rows = (~(s_r * B[0] - s_l * B[1] + _OE_TINY < rhs)).nonzero()[0]
 
-    def jumps(nb, factors):
-        """(eta, d) against the neighbour cells `nb`."""
-        b, off2, off6, c2, b2 = factors
-        n1, n2 = a1[nb], a2[nb]
-        t2 = b2 * n2
-        t1 = b * (n1 + off6 * n2)
-        t0 = (avgs[nb] - Ao) + off2 * n1 + c2 * n2
-        d0 = square_sum(t0)
-        return (d0 + square_sum(a1o - t1) / 3.0 + _P2_WEIGHT * square_sum(a2o - t2),
-                d0 + square_sum(t1) / 3.0 + _P2_WEIGHT * square_sum(t2) + own_dev)
-
-    eta_l, d_l = jumps(lnb, left)
-    eta_r, d_r = jumps(rnb, right)
-
-    s_l = np.minimum(np.minimum(lo[lnb], lo[own]), np.minimum(lo[rnb], 0.0))
-    s_r = np.maximum(np.maximum(hi[lnb], hi[own]), np.maximum(hi[rnb], 0.0))
-    num = s_r * eta_l - s_l * eta_r
-    den = s_r * d_l - s_l * d_r
-    live = den > OE_FLOOR * (s_r - s_l) * square_sum(Ao)
-    sigma = np.where(live, num / np.where(live, den, 1.0), 0.0)
+    sigma = np.zeros(K - 2)
+    k = rows.size
+    if 2 * k > K - 2:
+        # every row, as views: neighbour side s of own row r is X row r + 2s
+        s0, s1, s2 = X.strides
+        nb = np.ndarray((3, 2, K - 2, d), X.dtype, X, 0, (s0, 2 * s1, s1, s2))
+        ow, f, rows = X[:3, own], factors, slice(None)
+    elif k:
+        # X rows r (left), r + 2 (right) and r + 1 (own) of own rows r
+        G = X[:3].take(rows + _OE_ROWS, 1)
+        nb, ow, f = G[:, :2], G[:, 2], factors.take(rows, 2)
+        P = P.take(rows, 1)
+    if k:
+        own_dev, s_l, s_r, rhs = P
+        n1, n2, A_nb = nb
+        a1o, a2o, Ao = ow
+        b, off2, off6, c2, b2 = f
+        # per side t0, a1o - t1, t1, a2o - t2 and t2, in the order of the
+        # unscreened formula: t0 = ((A_nb - Ao) + off2 n1) + c2 n2,
+        # t1 = b (n1 + off6 n2), t2 = b2 n2
+        W = np.empty((5,) + n1.shape)
+        t0, u1, t1, u2, t2 = W
+        np.multiply(b2, n2, out=t2)
+        np.multiply(off6, n2, out=t1)
+        t1 += n1
+        t1 *= b
+        np.subtract(A_nb, Ao, out=t0)
+        np.multiply(off2, n1, out=u1)
+        t0 += u1
+        np.multiply(c2, n2, out=u1)
+        t0 += u1
+        np.subtract(a1o, t1, out=u1)
+        np.subtract(a2o, t2, out=u2)
+        ss = np.einsum("qskd,qskd->qsk", W, W)
+        # (eta, d - own_dev) per side, then (num, den)
+        E = (ss[0] + ss[1:3] / 3.0) + _P2_WEIGHT * ss[3:5]
+        E[1] += own_dev
+        num, den = s_r * E[:, 0] - s_l * E[:, 1]
+        live = den > rhs
+        sigma[rows] = np.where(live, num / np.where(live, den, 1.0), 0.0)
 
     beta = np.maximum(np.maximum(speed[lnb], speed[own]), speed[rnb])
     return np.exp(-beta * dt * sigma / dxo)

@@ -227,6 +227,13 @@ class Thm43Result:
                 f"theta={self.theta:.6f}")
 
 
+def check_thm43_eps(eps: float) -> None:
+    """Raise ConfigError unless 0 < eps < 1/4 (nan included), the eps for
+    which `thm43_counterexample`'s midpoint lies outside G = [0, 1]."""
+    if not 0.0 < eps < 0.25:
+        raise ConfigError("counterexample needs 0 < eps < 1/4")
+
+
 def thm43_counterexample(eps: float, ratio: float = 1.0 / 6.0) -> Thm43Result:
     """Single advection cell with avg = 1 - 2*eps/3, endpoints (1, 0) and
     G = [0, 1]: the parabola midpoint is 5/4 - eps outside G. One step at
@@ -236,8 +243,7 @@ def thm43_counterexample(eps: float, ratio: float = 1.0 / 6.0) -> Thm43Result:
     The neighbour cells are the constants 1 (left) and 0 (right), so their
     one-sided interface values are those constants.
     """
-    if not 0.0 < eps < 0.25:
-        raise ConfigError("counterexample needs 0 < eps < 1/4")
+    check_thm43_eps(eps)
     avg = 1.0 - 2.0 * eps / 3.0
     u_l, u_r = 1.0, 0.0
     mid = limiters.midpoint_value(avg, u_l, u_r)

@@ -386,6 +386,27 @@ def test_cli_verify_rejects_a_negative_seed(suite, capsys):
     assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["-1", "0", "0.25", "nan", "abc"])
+def test_cli_verify_rejects_a_bad_eps_before_any_suite(eps, capsys):
+    # the counterexample's eps is checked by the parser: no suite runs
+    # first (they ran, for minutes at the default samples, before the
+    # counterexample refused it)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "all", "--eps", eps, "--samples", "10"])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    want = ("invalid float value: 'abc'" if eps == "abc"
+            else "counterexample needs 0 < eps < 1/4")
+    assert f"argument --eps: {want}" in out.err and out.out == ""
+
+
+def test_cli_verify_rejects_a_bad_preset_before_any_suite(capsys):
+    assert cli.main(["verify", "all", "--preset", "nope", "--samples", "10"]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: no preset or config file 'nope'; presets: ")
+    assert out.out == ""
+
+
 @pytest.mark.parametrize("argv, bad", [
     (["verify", "bogus"], "argument suite: invalid choice: 'bogus'"),
     (["verify", "thm43", "--system", "bogus"],

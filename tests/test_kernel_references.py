@@ -155,6 +155,92 @@ def test_oe_theta_matches_per_call_factors(d, K, rng):
             assert np.any(ref == 1.0)
 
 
+def _screen_inputs(kind, d, rng):
+    """One oe_theta input set of K = 300 cells that probes the screen:
+    neighbour size ratios up to 8 and the fields of `kind`."""
+    K = 300
+    sizes = 10.0 ** rng.uniform(-3.0, -3.0 + np.log10(8.0), K)
+    # runs of 2 to 12 cells share a base state (and, below, a magnitude)
+    run = np.repeat(np.arange(K), rng.integers(2, 13, K))[:K]
+    base = (rng.uniform(0.5, 2.0, (K, d)) * rng.choice([-1.0, 1.0], (K, d)))[run]
+    x = np.cumsum(sizes) / np.sum(sizes)
+    if kind == "magnitudes":
+        # random parabolas, flat cells and ulp noise at 1e-150 to 1e150
+        scale = 10.0 ** rng.uniform(-150.0, 150.0, (K, 1))[run]
+        avgs = scale * base
+        lefts = avgs + scale * rng.normal(0.0, 0.3, (K, d))
+        rights = avgs + scale * rng.normal(0.0, 0.3, (K, d))
+        flat = rng.random(K) < 0.4
+        lefts[flat] = rights[flat] = avgs[flat]
+        noisy = rng.random(K) < 0.3
+        lefts[noisy] = avgs[noisy] + 3.0 * np.spacing(avgs[noisy])
+    elif kind == "ulp_noise":
+        # constant runs with 0 to 16 ulps of noise per component
+        ulps = rng.integers(0, 17, (K, 1))
+
+        def noisy():
+            return base + rng.integers(-16, 17, (K, d)) % (ulps + 1) * np.spacing(base)
+
+        avgs, lefts, rights = noisy(), noisy(), noisy()
+    else:
+        # smooth waves, random noise and pure curvature (L = R, where the
+        # bound is tight) of relative size 1e-15 to 1e-11, across the
+        # floor's 1000 eps ~ 2e-13: jump integrals of 0.1 to 10 times the
+        # floor lie inside. The zero-span kind takes the same fields
+        # (on a quarter of the runs: the rest stay constant, so that the
+        # screen's rows are few and are gathered)
+        amp = 10.0 ** rng.uniform(-15.0, -11.0, (K, 1)) * (rng.random((K, 1)) < 0.25)[run]
+        pick = rng.integers(0, 3, K)
+        phase = rng.uniform(0.0, 2.0 * np.pi, d)
+        cycles = rng.uniform(1.0, 40.0)
+
+        def field(xi):
+            return base * (1.0 + amp * np.sin(2.0 * np.pi * cycles * xi[:, None] + phase))
+
+        def noise():
+            return base * (1.0 + amp * rng.normal(0.0, 1.0, (K, d)))
+
+        h = np.concatenate([[0.0], x])
+        avgs = field(0.5 * (h[:-1] + h[1:]))
+        lefts, rights = field(h[:-1]), field(h[1:])
+        rough, bump = pick == 1, pick == 2
+        avgs[rough], lefts[rough], rights[rough] = noise()[rough], noise()[rough], noise()[rough]
+        avgs[bump] = base[bump]
+        lefts[bump] = rights[bump] = noise()[bump]
+    lo = rng.uniform(-2.0, 0.5, K)
+    hi = lo + rng.uniform(0.0, 2.0, K)
+    if kind == "zero_span":
+        lo[:] = hi[:] = 0.0
+    elif kind != "ulp_noise":
+        lo[rng.random(K) < 0.1] = 0.0        # one-sided spans, some of them
+        hi[rng.random(K) < 0.1] = 0.0
+        hi = np.maximum(hi, lo)
+    speed = np.maximum(np.abs(lo), np.abs(hi))
+    dt = 0.1 * sizes.min() / max(speed.max(), 1.0)
+    return sizes, avgs, lefts, rights, lo, hi, speed, dt
+
+
+@pytest.mark.parametrize("kind", ["magnitudes", "ulp_noise", "near_floor", "zero_span"])
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_oe_theta_screen_is_exact(kind, d, rng):
+    # the screen skips a row only where the floor test would: theta is the
+    # unscreened formula's bit for bit on fields that probe its bound from
+    # both sides. A screen 100 times weaker, or one without the average
+    # jumps D, fails here (checked on a broken copy)
+    screened = 0
+    for _ in range(6):
+        sizes, avgs, lefts, rights, lo, hi, speed, dt = _screen_inputs(kind, d, rng)
+        theta = limiters.oe_theta(avgs, lefts, rights, limiters.oe_geometry(sizes, d),
+                                  dt, lo, hi, speed)
+        ref = _oe_theta_ref(avgs, lefts, rights, sizes, dt, lo, hi, speed)
+        _assert_same(theta, ref)
+        assert theta.tobytes() == ref.tobytes()
+        screened += np.count_nonzero(ref == 1.0)
+        if kind == "near_floor":
+            assert np.any(ref < 1.0) and np.any(ref == 1.0)
+    assert screened > 0
+
+
 @pytest.mark.parametrize("d", [1, 3, 7])
 def test_oe_apply_matches_broadcast_blend(d, rng):
     K = 64

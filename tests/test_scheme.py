@@ -622,6 +622,41 @@ def test_finite_entry_that_overflows_fails_at_stage_0(preset, array, row, col,
     assert str(err.value) == f"step 1 stage 0 (t = 0.0): {got}"
 
 
+@pytest.mark.parametrize("preset", ["sod", "mhd_shock_tube"])
+def test_gas_entry_fails_as_its_located_guards_do(preset, monkeypatch, rng):
+    # a gas entry tests each state set at once and runs its five located
+    # guards only when a test fails: with planted faults (one or two, in
+    # averages and points, every component) it passes or fails as the
+    # located guards alone do, with the same message
+    from pampa import scheme as scheme_mod
+
+    cfg = load_config(preset).with_overrides(n=20)
+    scheme = run_mod.build_scheme(cfg)
+    d = scheme.system.nvars
+    bad = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-310, 1e200, 800.0]
+
+    def outcome(field):
+        try:
+            scheme.stage_entry(field)
+        except DomainError as exc:
+            return str(exc)
+        return None
+
+    failures = 0
+    for _ in range(60):
+        field = run_mod.initial_field(cfg, scheme)
+        for _ in range(rng.integers(1, 3)):
+            arr = getattr(field, "avgs" if rng.random() < 0.5 else "points")
+            arr[rng.integers(len(arr)), rng.integers(d)] = rng.choice(bad)
+        fast = outcome(field)
+        with monkeypatch.context() as m:
+            m.setattr(scheme_mod, "inside", lambda *args: False)
+            located = outcome(field)
+        assert fast == located
+        failures += fast is not None
+    assert failures > 20
+
+
 def test_unlimited_midpoint_outside_g_fails_loudly():
     # without the IDP limiter a gas midpoint may leave G; the residual
     # names the row of the midpoints (row j is the midpoint of cell j - 1)
@@ -821,7 +856,7 @@ def _stage_calls(scheme, field, cfl):
 
 @pytest.mark.parametrize("preset, n, budget, limited", [
     ("advection_smooth", 20, 52, True), ("burgers_steepening", 20, 66, True),
-    ("sod", 200, 160, False), ("mhd_shock_tube", 200, 247, False)])
+    ("sod", 200, 150, False), ("mhd_shock_tube", 200, 158, False)])
 def test_stage_call_budget(preset, n, budget, limited):
     # at paper sizes each call costs about as much as its arithmetic: these
     # stages made 127 (advection) and 240 (sod, MP) calls, then 48 and 187,
@@ -834,10 +869,12 @@ def test_stage_call_budget(preset, n, budget, limited):
     # advection 9 more. They make 52 and 156 since a gas derives each
     # state set once and its interface flux takes both sides in one law
     # call (the law's `interface_flux` is one call deeper for advection).
-    # Advection's budget stays at 52; sod's is 160, under the 162 it made
-    # before. Burgers (computed scalar speeds) and MHD with OE hold the
-    # 66 and 247 they make, so all four paths of scripts/stage_calls.py
-    # are held
+    # Advection's budget stays at 52. Burgers (computed scalar speeds)
+    # holds the 66 it makes, so all four paths of scripts/stage_calls.py
+    # are held. Sod and MHD with OE made 156 and 247; they make 150 and 158
+    # since a gas entry tests each state set at once, with the located
+    # guards only on a failure, and OE forms its jump integrals on the few
+    # rows its floor screen keeps, both sides in one pass
     cfg = load_config(preset).with_overrides(n=n)
     scheme = run_mod.build_scheme(cfg)
     field = run_mod.initial_field(cfg, scheme)
