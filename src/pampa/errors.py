@@ -22,32 +22,27 @@ FINITE = ("finite values", -_BIG, _BIG)
 POSITIVE = ("positive, finite density and pressure", 5e-324, _BIG)
 
 
-def guard(kind: str, states, values, rule, offset: int = 0):
+def guard(kind: str, states, values, rule, offset: int = 0, more=None):
     """The one located check of G: raise DomainError unless every entry of
     `values` (a quantity of `states`, row for row; 0-d is one row) lies in
     the closed interval of `rule`. It names the first bad row from `offset`
     on, counted from offset, as `{kind} {j}`: that row is never a ghost, as
-    ghosts copy or mirror interior rows (finiteness, rho and p kept)."""
+    ghosts copy or mirror interior rows (finiteness, rho and p kept).
+
+    `more`, a second quantity of `states` at values' shape, is checked
+    after `values` as a second guard would check it, and both are tested
+    at once: one min over np.minimum(values, more), one max over
+    np.maximum(values, more)."""
     need, lo, hi = rule
+    low, high = ((values, values) if more is None
+                 else (np.minimum(values, more), np.maximum(values, more)))
     # ufunc reductions: ndarray.min/max are Python wrappers around them
-    if not values.size or (np.minimum.reduce(values, axis=None) >= lo
-                           and np.maximum.reduce(values, axis=None) <= hi):
+    if not values.size or (np.minimum.reduce(low, axis=None) >= lo
+                           and np.maximum.reduce(high, axis=None) <= hi):
         return  # a nan fails both
-    if np.ndim(values) == 0:
-        values, states = np.reshape(values, 1), np.asarray(states)[None]
-    inner = values[offset:]
-    ok = ((inner >= lo) & (inner <= hi)).reshape(len(inner), -1).all(axis=-1)
-    j = int(np.argmin(ok))
-    raise DomainError(f"{kind} {j} needs {need}, got {states[offset + j]}")
-
-
-def inside(rule, a, b=None) -> bool:
-    """Whether every entry of `a`, and of `b` (a's shape) if given, lies in
-    the closed interval of `rule`: guard's test of a whole state set in one
-    min and one max (over np.minimum(a, b) and np.maximum(a, b)), without
-    its report. A nan fails. A caller that gets False calls `guard` on each
-    quantity, which names the first bad row."""
-    _, lo, hi = rule
-    low, high = (a, a) if b is None else (np.minimum(a, b), np.maximum(a, b))
-    return bool(np.minimum.reduce(low, axis=None) >= lo
-                and np.maximum.reduce(high, axis=None) <= hi)
+    states = np.asarray(states) if np.ndim(values) else np.asarray(states)[None]
+    for v in (values,) if more is None else (values, more):
+        ok = ((v >= lo) & (v <= hi)).reshape(len(states), -1)[offset:].all(axis=-1)
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise DomainError(f"{kind} {j} needs {need}, got {states[offset + j]}")

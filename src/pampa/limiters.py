@@ -269,11 +269,17 @@ def oe_theta(avgs, lefts, rights, geometry, dt, lo, hi, speed):
     of relative amplitude 1e-8 on 24 cells gives 5e-21 or more; the floor
     (1000 eps)^2 ~ 4.9e-26 lies between the two.
 
-    Most cells of a run are such constants (94% of mhd_shock_tube's), so a
-    screen bounds den from above before any jump integral is formed, and
-    the exact formulas run only on the rows it keeps: gathered by `take`,
-    both sides stacked, their ten square sums reduced by one einsum; where
-    it keeps more than half, over the whole range as views.
+    Most cells are often such constants (94% of mhd_shock_tube's up to
+    t = 0.005), so a screen bounds den from above before any jump integral
+    is formed, and the exact formulas run only on the rows it keeps:
+    gathered by `take`, both sides stacked, their ten square sums reduced
+    by one einsum; where it keeps more than half, over the whole range as
+    views. Gathering costs more than it saves from about two thirds kept
+    (mhd_shock_tube and blast_waves states, 2-core Xeon), and gathers
+    that large made malloc return and re-fault their pages on every call,
+    so the views take over at half: gathering every time made a shu_osher
+    stage (93% kept) 8% slower than the unscreened formula, and the last
+    third of an mhd_shock_tube run 30% slower.
 
     The bound. Per row, with l2 norms over the components, take the
     average jump D = |A_nb - A|, N1 = |a1_nb|, N2 = |a2_nb| and S = D +

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import limiters, mesh, transform
-from .errors import FINITE, ConfigError, guard, inside
+from .errors import FINITE, ConfigError, guard
 from .systems import GasState, ScalarLaw
 
 
@@ -158,14 +158,9 @@ class PampaScheme:
             return A, Wx, Ux, None, None
         Ux, node = transform.from_transformed(sys, Wx, with_state=True)
         avg = sys.derive(A)
-        # one test per state set; the located checks run only if one fails
-        if not (inside(FINITE, Ux) and inside(g, A[:, 0], avg.p)
-                and inside(g, Ux[:, 0], node.p)):
-            guard("point", Ux, Ux, FINITE, gp)
-            guard("average", A, A[:, 0], g, ga)
-            guard("average", A, avg.p, g, ga)
-            guard("point", Ux, Ux[:, 0], g, gp)
-            guard("point", Ux, node.p, g, gp)
+        guard("point", Ux, Ux, FINITE, gp)
+        guard("average", A, A[:, 0], g, ga, more=avg.p)
+        guard("point", Ux, Ux[:, 0], g, gp, more=node.p)
         return A, Wx, Ux, node, avg
 
     def stage_entry(self, field: DofField) -> StageEntry:

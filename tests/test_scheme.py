@@ -7,7 +7,7 @@ import pytest
 
 from pampa import mesh, oracle, run as run_mod, transform
 from pampa.config import build_system, load_config
-from pampa.errors import ConfigError, DomainError
+from pampa.errors import ConfigError, DomainError, guard
 from pampa.presets import IC_REGISTRY
 from pampa.scheme import DofField, LimiterConfig, PampaScheme, llf_flux
 from pampa.systems import Euler, IdealMHD, advection, burgers
@@ -624,16 +624,21 @@ def test_finite_entry_that_overflows_fails_at_stage_0(preset, array, row, col,
 
 @pytest.mark.parametrize("preset", ["sod", "mhd_shock_tube"])
 def test_gas_entry_fails_as_its_located_guards_do(preset, monkeypatch, rng):
-    # a gas entry tests each state set at once and runs its five located
-    # guards only when a test fails: with planted faults (one or two, in
-    # averages and points, every component) it passes or fails as the
-    # located guards alone do, with the same message
+    # a gas entry tests rho and p of each state set in one guard call: with
+    # planted faults (one or two, in averages and points, every component)
+    # it passes or fails as its five located guards, run one quantity at a
+    # time in the same order, do, with the same message
     from pampa import scheme as scheme_mod
 
     cfg = load_config(preset).with_overrides(n=20)
     scheme = run_mod.build_scheme(cfg)
     d = scheme.system.nvars
     bad = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-310, 1e200, 800.0]
+
+    def one_at_a_time(kind, states, values, rule, offset=0, more=None):
+        guard(kind, states, values, rule, offset)
+        if more is not None:
+            guard(kind, states, more, rule, offset)
 
     def outcome(field):
         try:
@@ -650,7 +655,7 @@ def test_gas_entry_fails_as_its_located_guards_do(preset, monkeypatch, rng):
             arr[rng.integers(len(arr)), rng.integers(d)] = rng.choice(bad)
         fast = outcome(field)
         with monkeypatch.context() as m:
-            m.setattr(scheme_mod, "inside", lambda *args: False)
+            m.setattr(scheme_mod, "guard", one_at_a_time)
             located = outcome(field)
         assert fast == located
         failures += fast is not None

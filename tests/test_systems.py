@@ -199,3 +199,30 @@ def test_guard_takes_single_and_empty_inputs():
     with pytest.raises(DomainError, match=r"^state 0 needs positive, finite density "
                                           r"and pressure, got 0\.0$"):
         guard("state", np.array([0.0, 1.0]), np.array([0.0, 1.0]), POSITIVE)
+
+
+def test_guard_with_more_checks_values_then_more():
+    # a second quantity is tested with the first in one min and one max and
+    # reported as a second guard after the first would report it: the
+    # first bad row of values wins, then the first of more
+    states = np.arange(1.0, 13.0).reshape(4, 3)
+    rho, p = states[:, 0].copy(), states[:, 2].copy()
+    guard("average", states, rho, POSITIVE, more=p)
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        for where in [(None, 2), (3, None), (3, 1), (1, 3)]:
+            r, q = rho.copy(), p.copy()
+            if where[0] is not None:
+                r[where[0]] = bad
+            if where[1] is not None:
+                q[where[1]] = bad
+            for offset in (0, 1):
+                def one_at_a_time():
+                    guard("average", states, r, POSITIVE, offset)
+                    guard("average", states, q, POSITIVE, offset)
+                with pytest.raises(DomainError) as want:
+                    one_at_a_time()
+                with pytest.raises(DomainError) as got:
+                    guard("average", states, r, POSITIVE, offset, more=q)
+                assert str(got.value) == str(want.value)
+    with pytest.raises(DomainError, match=r"^state 0 needs finite values, got 1\.0$"):
+        guard("state", np.array(1.0), np.array(1.0), FINITE, more=np.array(np.inf))
