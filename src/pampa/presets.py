@@ -1,11 +1,11 @@
 """Benchmark initial conditions and exact solutions.
 
 Initial conditions are pointwise primitive-variable functions `f(cfg, x)`;
-cell averages are produced by per-cell Gauss quadrature unless a preset
-installs a custom builder (the point blast sets the centre-cell energy
-directly). Where a jump sits exactly on a grid node and the problem
-statement leaves the nodal value open, the node takes the mean of the two
-one-sided states.
+cell averages are their per-cell Gauss averages, which `finish_averages`
+then adjusts where a preset says so (the point blast sets the centre-cell
+energy directly). Piecewise-constant data comes from `_piecewise`: where a
+jump sits exactly on a grid node and the problem statement leaves the
+nodal value open, the node takes the mean of the two one-sided states.
 """
 
 from __future__ import annotations
@@ -49,50 +49,46 @@ def _scalar(fn):
 
 
 def _ic_burgers_square(cfg, x):
-    x = np.asarray(x, dtype=float)
-    r = np.abs(x)
-    u = np.where(r < 0.2, 2.0, np.where(r > 0.2, -1.0, 0.5))
-    return u[..., None]
+    return _piecewise(x, [-0.2, 0.2], [[-1.0], [2.0], [-1.0]])
 
 
 def _ic_euler_smooth(cfg, x):
     return _exact_density_wave(cfg, x, 0.0)   # x - 0.0 is x, -0.0 included
 
 
-def _riemann2(x, split, left, right, split_side="left"):
-    """Two-state primitive data; split_side picks the value exactly at the
-    split ('left', 'right', or 'mean')."""
+def _piecewise(x, splits, states, tie="mean"):
+    """Piecewise-constant data: states[k] between splits[k-1] and splits[k]
+    (ascending), each point taking states[searchsorted(splits, x, "right")].
+    A point exactly on a split takes the mean of its two states, or with
+    tie="left" the state before it."""
     x = np.asarray(x, dtype=float)
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    at = {"left": left, "right": right, "mean": 0.5 * (left + right)}[split_side]
-    out = np.where((x < split)[..., None], left, right)
-    return np.where((x == split)[..., None], at, out)
+    states = np.asarray(states, dtype=float)
+    after = np.searchsorted(splits, x, side="right")
+    before = np.searchsorted(splits, x, side="left")
+    out = states[after]
+    on = before < after
+    at = states[before[on]]
+    out[on] = at if tie == "left" else 0.5 * (at + states[after[on]])
+    return out
 
 
 def _ic_sod(cfg, x):
-    return _riemann2(x, 0.0, [1.0, 0.0, 1.0], [0.125, 0.0, 0.1], "left")
+    return _piecewise(x, [0.0], [[1.0, 0.0, 1.0], [0.125, 0.0, 0.1]], "left")
 
 
 def _ic_double_rarefaction(cfg, x):
-    return _riemann2(x, 0.0, [7.0, -1.0, 0.2], [7.0, 1.0, 0.2], "mean")
+    return _piecewise(x, [0.0], [[7.0, -1.0, 0.2], [7.0, 1.0, 0.2]])
 
 
 def _ic_leblanc(cfg, x):
     g = cfg.gamma
-    return _riemann2(x, 3.0, [1.0, 0.0, 0.1 * (g - 1.0)],
-                     [1e-3, 0.0, 1e-7 * (g - 1.0)], "left")
+    return _piecewise(x, [3.0], [[1.0, 0.0, 0.1 * (g - 1.0)],
+                                 [1e-3, 0.0, 1e-7 * (g - 1.0)]], "left")
 
 
 def _ic_blast_waves(cfg, x):
-    x = np.asarray(x, dtype=float)
-    lo = np.array([1.0, 0.0, 1e3])
-    mi = np.array([1.0, 0.0, 1e-2])
-    hi = np.array([1.0, 0.0, 1e2])
-    out = np.where((x < 0.1)[..., None], lo, np.where((x < 0.9)[..., None], mi, hi))
-    out = np.where((x == 0.1)[..., None], 0.5 * (lo + mi), out)
-    out = np.where((x == 0.9)[..., None], 0.5 * (mi + hi), out)
-    return out
+    return _piecewise(x, [0.1, 0.9], [[1.0, 0.0, 1e3], [1.0, 0.0, 1e-2],
+                                      [1.0, 0.0, 1e2]])
 
 
 def _ic_shu_osher(cfg, x):
@@ -104,34 +100,29 @@ def _ic_shu_osher(cfg, x):
 
 
 def _ic_sedov_background(cfg, x):
-    x = np.asarray(x, dtype=float)
-    rho = np.ones_like(x)
-    zero = np.zeros_like(x)
-    p = np.full_like(x, (cfg.gamma - 1.0) * 1e-12)
-    return np.stack([rho, zero, p], axis=-1)
-
-
-def build_sedov(cfg, system, grid, gauss_averages):
-    """Uniform (rho, v, E) = (1, 0, 1e-12) except the centre-cell average
-    energy, set to 3.2e6 * dx; node values stay at the background."""
-    n = grid.n_cells
-    if n % 2 == 0:
-        raise ConfigError("the point-blast preset needs an odd cell count")
-    avgs = gauss_averages(lambda x: system.from_primitive(_ic_sedov_background(cfg, x)),
-                          grid)
-    center = n // 2
-    avgs[center, 2] = 3.2e6 * float(grid.cell_sizes[center])
-    return avgs
+    return _piecewise(x, [], [[1.0, 0.0, (cfg.gamma - 1.0) * 1e-12]])
 
 
 def _ic_mhd_shock_tube(cfg, x):
-    return _riemann2(x, 0.5, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-                     [0.3, 0.0, 0.0, 1.0, 1.0, 0.0, 0.2], "mean")
+    return _piecewise(x, [0.5], [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                                 [0.3, 0.0, 0.0, 1.0, 1.0, 0.0, 0.2]])
 
 
 def _ic_mhd_leblanc(cfg, x):
-    return _riemann2(x, 0.0, [2.0, 0.0, 0.0, 0.0, 5000.0, 5000.0, 1e9],
-                     [1e-3, 0.0, 0.0, 0.0, 5000.0, 5000.0, 1.0], "mean")
+    return _piecewise(x, [0.0], [[2.0, 0.0, 0.0, 0.0, 5000.0, 5000.0, 1e9],
+                                 [1e-3, 0.0, 0.0, 0.0, 5000.0, 5000.0, 1.0]])
+
+
+def finish_averages(cfg, grid, avgs):
+    """A preset's own change to the Gauss averages of its initial
+    condition, in place: the point blast puts 3.2e6 * dx of energy in its
+    centre cell (node values stay at the background)."""
+    if cfg.ic != "sedov_background":
+        return
+    n = grid.n_cells
+    if n % 2 == 0:
+        raise ConfigError("the point-blast preset needs an odd cell count")
+    avgs[n // 2, 2] = 3.2e6 * float(grid.cell_sizes[n // 2])
 
 
 IC_REGISTRY = {
@@ -147,10 +138,6 @@ IC_REGISTRY = {
     "leblanc": _ic_leblanc,
     "mhd_shock_tube": _ic_mhd_shock_tube,
     "mhd_leblanc": _ic_mhd_leblanc,
-}
-
-AVERAGE_BUILDERS = {
-    "sedov_background": build_sedov,
 }
 
 

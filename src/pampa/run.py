@@ -13,8 +13,8 @@ import numpy as np
 
 from . import __version__, mesh, transform
 from .config import RunConfig, build_system
-from .errors import ConfigError, DomainError
-from .presets import AVERAGE_BUILDERS, EXACT_REGISTRY, IC_REGISTRY
+from .errors import FINITE, ConfigError, DomainError, guard
+from .presets import EXACT_REGISTRY, IC_REGISTRY, finish_averages
 from .scheme import DofField, LimiterConfig, PampaScheme, llf_flux
 from .systems import ScalarLaw
 from .timeint import make_integrator
@@ -52,15 +52,14 @@ def _initial_state(cfg: RunConfig, system, x) -> np.ndarray:
 
 
 def initial_averages(cfg: RunConfig, system, grid: mesh.Grid1D) -> np.ndarray:
-    """Initial cell averages: the preset's own builder if it has one,
-    otherwise 5-point Gauss averages of its initial condition."""
-    builder = AVERAGE_BUILDERS.get(cfg.ic)
-    if builder is not None:
-        return builder(cfg, system, grid, gauss_cell_averages)
+    """Initial cell averages: 5-point Gauss averages of the preset's initial
+    condition, clipped to [u_min, u_max] for a scalar law, as the preset
+    finishes them (`presets.finish_averages`)."""
     avgs = gauss_cell_averages(lambda x: _initial_state(cfg, system, x), grid)
     if isinstance(system, ScalarLaw):
         # quadrature rounding must not push averages past the bounds
         avgs = np.clip(avgs, system.u_min, system.u_max)
+    finish_averages(cfg, grid, avgs)
     return avgs
 
 
@@ -308,7 +307,10 @@ REFERENCE_CFL = 0.45
 
 
 def reference_solution(cfg: RunConfig, n_cells: int):
-    """First-order finite-volume LLF run on n_cells (cell averages only)."""
+    """First-order finite-volume LLF run on n_cells (cell averages only).
+    Each step checks its averages as a stage entry does: DomainError names
+    `step k (t = ...): average j` or, for an infinite speed, `wave speed of
+    cell j`."""
     cfg = cfg.validate()
     system = build_system(cfg)
     grid = mesh.uniform_grid(cfg.a, cfg.b, n_cells)
@@ -317,15 +319,26 @@ def reference_solution(cfg: RunConfig, n_cells: int):
     inner = slice(mesh.AVG_GHOST - 1, n_cells + mesh.AVG_GHOST + 1)
     dx = grid.cell_sizes
     t = 0.0
+    step = 0
     eps_t = 1e-12 * max(1.0, cfg.t_final)
     while t < cfg.t_final - eps_t:
+        step += 1
         ext = mesh.extend_averages(U, cfg.bc, system)[inner]
-        lam = system.max_wave_speed(ext)
-        pairmax = np.maximum(lam[:-1], lam[1:])  # interface bounds
-        cellmax = np.maximum(pairmax[:-1], pairmax[1:])
-        dt = REFERENCE_CFL * float(np.min(dx / np.maximum(cellmax, 1e-300)))
+        try:
+            with np.errstate(all="ignore"):
+                state = system.derive(ext)  # None for a scalar law
+                guard("average", ext, ext[:, 0], system.domain_rule, 1,
+                      more=None if state is None else state.p)
+                lam = system.max_wave_speed(ext, state)
+                pairmax = np.maximum(lam[:-1], lam[1:])  # interface bounds
+                cellmax = np.maximum(pairmax[:-1], pairmax[1:])
+                dt = REFERENCE_CFL * float(np.min(dx / np.maximum(cellmax, 1e-300)))
+            if not dt > 0.0:  # an infinite (or nan) speed
+                guard("wave speed of cell", lam, lam, FINITE, 1)
+        except DomainError as err:
+            raise DomainError(f"step {step} (t = {t!r}): {err}") from err
         dt = min(dt, cfg.t_final - t)
-        F = llf_flux(system, ext[:-1], ext[1:])
+        F = llf_flux(system, ext[:-1], ext[1:], check=False)
         U = U - (dt / dx)[:, None] * (F[1:] - F[:-1])
         t += dt
     return grid.cell_centers, U, system.primitive(U)

@@ -80,6 +80,49 @@ def test_preset_initial_conditions_spot_values():
                        [0.3, 0.0, 0.0, 1.0, 1.0, 0.0, 0.2])
 
 
+def _piecewise_data(cfg):
+    """(splits, primitive states between them, the value on a split:
+    'left' for the state before it, 'mean' for the mean of the two)."""
+    g = cfg.gamma
+    return {
+        "sod": ([0.0], [[1.0, 0.0, 1.0], [0.125, 0.0, 0.1]], "left"),
+        "double_rarefaction": ([0.0], [[7.0, -1.0, 0.2], [7.0, 1.0, 0.2]], "mean"),
+        "leblanc": ([3.0], [[1.0, 0.0, 0.1 * (g - 1.0)],
+                            [1e-3, 0.0, 1e-7 * (g - 1.0)]], "left"),
+        "blast_waves": ([0.1, 0.9], [[1.0, 0.0, 1e3], [1.0, 0.0, 1e-2],
+                                     [1.0, 0.0, 1e2]], "mean"),
+        "mhd_shock_tube": ([0.5], [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                                   [0.3, 0.0, 0.0, 1.0, 1.0, 0.0, 0.2]], "mean"),
+        "mhd_leblanc": ([0.0], [[2.0, 0.0, 0.0, 0.0, 5000.0, 5000.0, 1e9],
+                                [1e-3, 0.0, 0.0, 0.0, 5000.0, 5000.0, 1.0]], "mean"),
+        "burgers_steepening": ([-0.2, 0.2], [[-1.0], [2.0], [-1.0]], "mean"),
+        "sedov": ([], [[1.0, 0.0, (g - 1.0) * 1e-12]], "mean"),
+    }[cfg.label]
+
+
+@pytest.mark.parametrize("preset", ["sod", "double_rarefaction", "leblanc",
+                                    "blast_waves", "mhd_shock_tube", "mhd_leblanc",
+                                    "burgers_steepening", "sedov"])
+def test_piecewise_initial_conditions_at_and_beside_each_split(preset):
+    # a point on a split takes the tie state; one ulp either side, the
+    # state on that side; a state's value is the same across its interval
+    cfg = load_config(preset)
+    from pampa.presets import IC_REGISTRY
+
+    ic = IC_REGISTRY[cfg.ic]
+    splits, states, tie = _piecewise_data(cfg)
+    states = np.array(states)
+    edges = [cfg.a, *splits, cfg.b]
+    for k, state in enumerate(states):
+        inside = np.linspace(edges[k], edges[k + 1], 7)[1:-1]
+        assert np.array_equal(ic(cfg, inside), np.tile(state, (5, 1)))
+    for k, s in enumerate(splits):
+        before, after = states[k], states[k + 1]
+        on = before if tie == "left" else 0.5 * (before + after)
+        x = np.array([np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf)])
+        assert np.array_equal(ic(cfg, x), np.stack([before, on, after]))
+
+
 def test_sedov_center_cell_energy():
     cfg = load_config("sedov")
     scheme = run_mod.build_scheme(cfg)
@@ -322,6 +365,35 @@ def test_reference_uses_the_average_builder():
     assert np.sum(U[:, 2]) * dx == pytest.approx(3.2e6 * dx * dx, rel=1e-12)
     with pytest.raises(ConfigError):
         run_mod.reference_solution(cfg, 60)
+
+
+@pytest.mark.parametrize("preset, cell, comp, value, error", [
+    ("sod", 0, 2, -1.0, "average 0 needs positive, finite density and pressure, "
+                        "got [ 1.  0. -1.]"),
+    ("burgers_steepening", 5, 0, np.nan, "average 5 needs values in [-1.0, 2.0], "
+                                         "got [nan]"),
+    ("mhd_shock_tube", 3, 6, 0.0, "average 3 needs positive, finite density and "
+                                  "pressure, got [1. 0. 0. 0. 0. 0. 0.]"),
+    ("sod", 5, 0, -1.0, "average 5 needs positive, finite density and pressure, "
+                        "got [-1.   0.   2.5]"),
+    ("sod", 5, 0, 1e-310, "wave speed of cell 5 needs finite values, got inf"),
+], ids=["sod-energy", "burgers-nan", "mhd-energy", "sod-density", "sod-speed"])
+def test_reference_fails_on_the_bad_average(monkeypatch, preset, cell, comp,
+                                            value, error):
+    # the reference checks each step's averages itself: a state outside G,
+    # and an infinite wave speed, fail at step 1 and name the cell, not a
+    # ghost-counted row and not silently
+    built = run_mod.initial_averages
+
+    def planted(cfg, system, grid):
+        avgs = built(cfg, system, grid)
+        avgs[cell, comp] = value
+        return avgs
+
+    monkeypatch.setattr(run_mod, "initial_averages", planted)
+    with pytest.raises(DomainError) as err:
+        run_mod.reference_solution(load_config(preset), 20)
+    assert str(err.value) == f"step 1 (t = 0.0): {error}"
 
 
 def test_reference_metadata_notes_published_resolution(tmp_path):
