@@ -122,8 +122,17 @@ class PampaScheme:
         self.n = n
         self.n_points = n if bc == mesh.PERIODIC else n + 1
         self._split = n + 6           # a field buffer holds A in rows :split
+        self._blocks = np.array([0, self._split])   # and Wx in rows split:
+        # a scalar law's rules: its averages in G, which the limiter needs
+        # (else finite), and finite points; as (lo, hi) of each
+        self._avg_rule = system.domain_rule if self.limiter.idp else FINITE
+        self._bounds = self._avg_rule[1:] + FINITE[1:]
         self._reflect = getattr(system, "reflect", None)
         c = system.constant_speed
+        # a constant speed without OE has no speed arrays to take, and a
+        # unit speed multiplies nothing (x * 1.0 is x bit for bit)
+        self._speedless = c is not None and self.limiter.oscillation != "oe"
+        self._unit_speed = c == 1.0
         self._unit_dt = (None if c is None
                          else float(np.minimum.reduce(grid.cell_sizes)) / c)
         dxx = mesh.extend_cell_sizes(grid, bc)                   # cells -3..n+2
@@ -152,9 +161,16 @@ class PampaScheme:
         Wx = mesh.fill_ghosts(data[split:], bc, gp, reflect, nodal=True)  # nodes -2..
         if self.scalar:
             Ux = transform.from_transformed(sys, Wx)
-            guard("point", Ux, Wx, FINITE, gp)
-            # the scaling limiter needs a scalar law's averages inside G
-            guard("average", A, A, g if self.limiter.idp else FINITE, ga)
+            # the extremes of both blocks of the buffer in one reduction
+            # pair; only a failure (a nan fails every test) runs the located
+            # guards, which name the first bad node or cell
+            low = np.minimum.reduceat(data, self._blocks, axis=0)
+            high = np.maximum.reduceat(data, self._blocks, axis=0)
+            lo, hi, w_min, w_max = self._bounds
+            if not (lo <= low[0, 0] and high[0, 0] <= hi
+                    and w_min <= low[1, 0] and high[1, 0] <= w_max):
+                guard("point", Ux, Wx, FINITE, gp)
+                guard("average", A, A, self._avg_rule, ga)
             return A, Wx, Ux, None, None
         Ux, node = transform.from_transformed(sys, Wx, with_state=True)
         avg = sys.derive(A)
@@ -174,6 +190,8 @@ class PampaScheme:
             return self._with_speeds(*self.guard(field))
 
     def _with_speeds(self, A, Wx, Ux, node, avg) -> StageEntry:
+        if self._speedless:
+            return StageEntry(A, Wx, Ux, node, avg, None, None, None)
         sys, rng, speed_node, speed_avg = self.system, None, None, None
         computed = sys.constant_speed is None
         if self.limiter.oscillation == "oe":
@@ -285,7 +303,9 @@ class PampaScheme:
         del here, mid2, half  # not held through the Jacobian action
         jd = transform.apply_jacobian(sys, Ux[2 : m + 2], delta_m + delta_p,
                                       e.node and e.node.rows(slice(2, m + 2)))
-        np.negative(jd - alpha * (delta_m - delta_p), out=rates.data[rows_pt])
+        jump = delta_m - delta_p
+        np.negative(jd - (jump if self._unit_speed else alpha * jump),
+                    out=rates.data[rows_pt])
 
         if record is not None:
             record["theta"] = theta

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import limiters
 from .errors import FINITE, POSITIVE, ConfigError, DomainError, guard
-from .transform import _softplus_deriv_inv, inv_softplus, softplus
+from .transform import _inv_softplus, _softplus_deriv_inv, softplus
 
 
 def _finite(U):
@@ -69,6 +69,7 @@ class ScalarLaw:
         self.dflux_fn = dflux_fn
         self.speed_fn = speed_fn
         self.constant_speed = constant_speed
+        self._unit_speed = constant_speed == 1.0   # x * 1.0 is x bit for bit
         self.u_min = float(u_min)
         self.u_max = float(u_max)
         self.domain_rule = (f"values in [{self.u_min}, {self.u_max}]",
@@ -134,11 +135,12 @@ class ScalarLaw:
         return span * np.minimum(np.maximum(W, 0.0), 1.0) + self.u_min, None, None
 
     def jacobian_action(self, U, vec, state=None):
-        """f'(u) * vec; with a constant speed c, c * vec."""
+        """f'(u) * vec; with a constant speed c, c * vec, which for c = 1
+        is vec itself."""
         c = self.constant_speed
-        if c is not None:
-            return c * vec
-        return self.dflux_fn(U[..., 0])[..., None] * vec
+        if c is None:
+            return self.dflux_fn(U[..., 0])[..., None] * vec
+        return vec if self._unit_speed else c * vec
 
     def scaling_limit(self, avg, left, mid, right, avg_state=None):
         """The scalar limiter on [u_min, u_max]; no midpoint derivation."""
@@ -300,7 +302,7 @@ class _Gas:
             state = self.checked_state(U)
         rho = U[..., 0]
         W = U.copy()                     # the fields (MHD's By, Bz) as they are
-        W[..., 0] = inv_softplus(rho)
+        W[..., 0] = _inv_softplus(rho)   # rho > 0 was checked with state
         W[..., self._velocity] /= U[..., :1]
         W[..., -1] = np.log(state.p) - self.gamma * np.log(rho)
         return W

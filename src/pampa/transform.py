@@ -32,9 +32,9 @@ def softplus(q):
     """ln(1 + e^q), overflow-safe for any finite q."""
     q = np.asarray(q, dtype=float)
     out = np.log1p(np.exp(np.minimum(q, _EXP_SWITCH)))
-    big = q > _EXP_SWITCH
-    if np.logical_or.reduce(big, axis=None):  # big.any() without its wrapper
-        out = np.where(big, q + np.log1p(np.exp(-np.abs(q))), out)
+    # some q above the switch? fmax skips nan, as q > _EXP_SWITCH does
+    if q.size and np.fmax.reduce(q, axis=None) > _EXP_SWITCH:
+        out = np.where(q > _EXP_SWITCH, q + np.log1p(np.exp(-np.abs(q))), out)
     return out
 
 
@@ -42,10 +42,14 @@ def inv_softplus(x):
     """ln(e^x - 1) for x > 0, overflow-safe."""
     x = np.asarray(x, dtype=float)
     guard("argument", x, x, _POSITIVE_ARG)
+    return _inv_softplus(x)
+
+
+def _inv_softplus(x):
+    """inv_softplus of a float array x already known to be positive."""
     out = np.log(np.expm1(np.minimum(x, _EXP_SWITCH)))
-    big = x > _EXP_SWITCH
-    if np.logical_or.reduce(big, axis=None):
-        out = np.where(big, x + np.log1p(-np.exp(-x)), out)
+    if x.size and np.fmax.reduce(x, axis=None) > _EXP_SWITCH:
+        out = np.where(x > _EXP_SWITCH, x + np.log1p(-np.exp(-x)), out)
     return out
 
 

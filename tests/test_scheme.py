@@ -7,10 +7,10 @@ import pytest
 
 from pampa import mesh, oracle, run as run_mod, transform
 from pampa.config import build_system, load_config
-from pampa.errors import ConfigError, DomainError, guard
+from pampa.errors import FINITE, ConfigError, DomainError, guard
 from pampa.presets import IC_REGISTRY
 from pampa.scheme import DofField, LimiterConfig, PampaScheme, llf_flux
-from pampa.systems import Euler, IdealMHD, advection, burgers
+from pampa.systems import Euler, IdealMHD, ScalarLaw, advection, burgers
 from pampa.timeint import make_integrator
 
 
@@ -662,6 +662,105 @@ def test_gas_entry_fails_as_its_located_guards_do(preset, monkeypatch, rng):
     assert failures > 20
 
 
+def _scalar_located_guards(scheme, field):
+    """A scalar entry's check as its two located guards, in its order, over
+    `field`, whose ghost rows the entry has filled: the points' W finite
+    (named from node 0 on), then the averages in [u_min, u_max] with the
+    IDP limiter, else finite (named from cell 0 on)."""
+    n, system = scheme.n, scheme.system
+    A, Wx = field.data[: n + 6], field.data[n + 6 :]
+    guard("point", transform.from_transformed(system, Wx), Wx, FINITE,
+          mesh.PT_GHOST)
+    rule = system.domain_rule if scheme.limiter.idp else FINITE
+    guard("average", A, A, rule, mesh.AVG_GHOST)
+
+
+@pytest.mark.parametrize("idp", [True, False], ids=["idp", "no-idp"])
+@pytest.mark.parametrize("preset,bc", [
+    ("advection_smooth", "periodic"), ("advection_smooth", "outflow"),
+    ("burgers_steepening", "periodic")])
+def test_scalar_entry_fails_as_its_located_guards_do(preset, bc, idp):
+    # a scalar entry tests both blocks of the field buffer (A against its
+    # rule, W finite) with one minimum and one maximum reduction: with a
+    # fault planted in A or in W, in an interior row or in one that feeds
+    # the ghosts, it passes or fails as the two located guards do, with the
+    # same message; values on u_min and u_max pass, and so do averages
+    # outside [u_min, u_max] without the limiter and any finite W
+    cfg = load_config(preset).with_overrides(n=20, bc=bc, idp=idp)
+    scheme = run_mod.build_scheme(cfg)
+    lo, hi = scheme.system.u_min, scheme.system.u_max
+    big = np.finfo(float).max
+    values = [math.nan, -math.nan, math.inf, -math.inf, big, -big, lo, hi,
+              np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf),
+              lo - 1.0, hi + 1.0]
+    base = run_mod.initial_field(cfg, scheme)
+
+    def outcomes(field):
+        got = []
+        for check in (scheme.stage_entry, lambda f: _scalar_located_guards(scheme, f)):
+            try:
+                check(field)
+                got.append(None)
+            except DomainError as exc:
+                got.append(str(exc))
+        return got
+
+    for array, kind in (("avgs", "average"), ("points", "point")):
+        m = len(getattr(base, array))
+        for row in (0, 1, 2, m // 2, m - 3, m - 2, m - 1):
+            for value in values:
+                field = base.copy()
+                getattr(field, array)[row] = value
+                fast, located = outcomes(field)
+                assert fast == located
+                bad = not math.isfinite(value) or (
+                    kind == "average" and idp and not lo <= value <= hi)
+                if bad:
+                    assert fast.startswith(f"{kind} {row} needs ")
+                else:
+                    assert fast is None
+    # a bad average and a bad point: the points are named first
+    for value in (math.nan, math.inf, hi + 1.0):
+        field = base.copy()
+        field.avgs[1], field.points[-1] = value, -math.inf
+        fast, located = outcomes(field)
+        assert fast == located
+        assert fast.startswith(f"point {len(base.points) - 1} needs ")
+
+
+def test_unit_speed_multiplies_nothing(monkeypatch, rng):
+    # advection's constant speed is exactly 1.0 and x * 1.0 is x bit for bit
+    # (-0.0, infinities and nan too), so its Jacobian action is vec and its
+    # residual skips the product alpha * (delta_m - delta_p): both are what
+    # the path that multiplies by c = 1.0 gives; another constant multiplies
+    law = advection(0.0, 1.0)
+    vec = np.array([[-0.0], [0.0], [math.inf], [-math.inf], [math.nan],
+                    [-math.nan], [5e-324], [-2.5]])
+    assert law.jacobian_action(np.full_like(vec, 0.5), vec).tobytes() == vec.tobytes()
+    double = ScalarLaw(lambda u: 2.0 * u, 0.0, 1.0, constant_speed=2.0)
+    assert double.jacobian_action(vec, vec).tobytes() == (2.0 * vec).tobytes()
+
+    cfg = load_config("advection_smooth").with_overrides(n=20)
+    scheme = run_mod.build_scheme(cfg)
+    preset_field, _, _ = run_mod.advance(      # where cells are limited
+        scheme, run_mod.initial_field(cfg, scheme), 0.05 * cfg.t_final,
+        cfg.cfl, cfg.integrator)
+    random_field = DofField(rng.uniform(1.0, 2.0, (20, 1)),
+                            rng.uniform(-0.2, 1.2, (20, 1)))
+    random_field.points[::3] = -0.0
+    for field in (preset_field, random_field):
+        dt = scheme.max_dt(field, cfg.cfl)
+        record, ref_record = {}, {}
+        rates = scheme.residual(field, dt, record)
+        with monkeypatch.context() as m:
+            m.setattr(scheme, "_unit_speed", False)
+            m.setattr(scheme.system, "_unit_speed", False)
+            ref = scheme.residual(field, dt, ref_record)
+        assert rates.data.tobytes() == ref.data.tobytes()
+        assert record["theta"].tobytes() == ref_record["theta"].tobytes()
+        assert record["idp_active"] == ref_record["idp_active"] > 0
+
+
 def test_unlimited_midpoint_outside_g_fails_loudly():
     # without the IDP limiter a gas midpoint may leave G; the residual
     # names the row of the midpoints (row j is the midpoint of cell j - 1)
@@ -862,7 +961,9 @@ def _stage_calls(scheme, field, cfl):
 @pytest.mark.parametrize("preset, n, budget, limited", [
     ("advection_smooth", 20, 52, True), ("burgers_steepening", 20, 66, True),
     ("sod", 200, 160, False), ("mhd_shock_tube", 200, 247, False),
-    ("sod", 200, 150, False), ("mhd_shock_tube", 200, 158, False)])
+    ("sod", 200, 150, False), ("mhd_shock_tube", 200, 158, False),
+    ("advection_smooth", 20, 48, True), ("burgers_steepening", 20, 62, True),
+    ("sod", 200, 142, False), ("mhd_shock_tube", 200, 154, False)])
 def test_stage_call_budget(preset, n, budget, limited):
     # at paper sizes each call costs about as much as its arithmetic: these
     # stages made 127 (advection) and 240 (sod, MP) calls, then 48 and 187,
@@ -882,7 +983,11 @@ def test_stage_call_budget(preset, n, budget, limited):
     # guards only on a failure, and OE forms its jump integrals on the few
     # rows its floor screen keeps, both sides in one pass. The 160 and 247
     # rows are kept as the cases they were; the 150 and 158 rows hold the
-    # counts the gas paths make now
+    # counts the gas paths made then. A scalar entry tests both blocks of
+    # the field buffer with one minimum and one maximum reduction, where
+    # two located guards made four (advection 48, Burgers 62), and a gas
+    # encode no longer guards the densities its derivation has checked
+    # (sod with MP encodes twice a stage: 142; MHD with OE once: 154)
     cfg = load_config(preset).with_overrides(n=n)
     scheme = run_mod.build_scheme(cfg)
     field = run_mod.initial_field(cfg, scheme)

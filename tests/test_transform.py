@@ -89,6 +89,58 @@ def test_softplus_matches_two_branch_formula(rng):
             assert got.tobytes() == want.tobytes()
 
 
+def _softplus_any_branch(q):
+    """softplus deciding its overflow branch by any(q > 30)."""
+    q = np.asarray(q, dtype=float)
+    out = np.log1p(np.exp(np.minimum(q, 30.0)))
+    big = q > 30.0
+    if np.logical_or.reduce(big, axis=None):
+        out = np.where(big, q + np.log1p(np.exp(-np.abs(q))), out)
+    return out
+
+
+def _inv_softplus_any_branch(x):
+    """The unguarded inv_softplus deciding its branch by any(x > 30)."""
+    x = np.asarray(x, dtype=float)
+    out = np.log(np.expm1(np.minimum(x, 30.0)))
+    big = x > 30.0
+    if np.logical_or.reduce(big, axis=None):
+        out = np.where(big, x + np.log1p(-np.exp(-x)), out)
+    return out
+
+
+def test_softplus_branch_test_by_one_reduction():
+    # the overflow branch is taken when the fmax of the input (which skips
+    # nan) exceeds 30, that is when some element does: every output has
+    # the bytes, nan and zero signs included, of the elementwise test's
+    nan, inf, above = np.nan, np.inf, np.nextafter(30.0, 31.0)
+    inputs = [np.array([nan, 1.0]), np.array([nan, 40.0]), np.array([nan, nan]),
+              np.array([-nan, -0.0]), np.array([inf, 2.0]), np.array([-inf, 2.0]),
+              np.array([-inf, nan]), np.array([30.0, 29.0]), np.array([30.0, above]),
+              np.array([[above], [-0.0]]), np.array(nan), np.array(30.0),
+              np.array(above), np.float64(-0.0), np.zeros(0), np.zeros((0, 3)),
+              [1.0, 31.0]]
+    with np.errstate(all="ignore"):
+        for fn, ref in ((transform.softplus, _softplus_any_branch),
+                        (transform._inv_softplus, _inv_softplus_any_branch)):
+            for x in inputs:
+                got, want = fn(np.asarray(x, dtype=float)), ref(x)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    # the public inverse keeps its guard; an encode without a derivation
+    # checks its states' densities first
+    for bad in (nan, 0.0, -inf):
+        with pytest.raises(DomainError, match=r"^argument 1 needs positive values"):
+            transform.inv_softplus([1.0, bad, 40.0])
+    assert transform.inv_softplus(np.zeros(0)).shape == (0,)
+    gas = Euler(1.4)
+    U = gas.from_primitive(np.array([[1.0, 0.0, 1.0]] * 3))
+    for bad in (nan, 0.0, -1.0):
+        U[1, 0] = bad
+        with pytest.raises(DomainError, match=r"^state 1 needs positive"):
+            transform.to_transformed(gas, U)
+
+
 def test_unconditional_membership_bulk():
     for sys, seed in [(Euler(1.4), 7), (IdealMHD(gamma=5.0 / 3.0, bx=0.5), 8),
                       (burgers(-1.0, 2.0), 9)]:
