@@ -6,6 +6,7 @@
 SRC_DIR is the directory that holds the `pampa` package (`src` of a
 checkout); it is put first on sys.path. For advection_smooth and
 burgers_steepening (n=20, 640), sod with MP (n=200, 2000),
+double_rarefaction with MP (n=400, the benchmark's MP stage),
 mhd_shock_tube with OE (n=200, 2000) and shu_osher with OE (n=640) it
 advances the preset's initial field to t_final/20, where the advection runs
 limit a cell or two per stage as they do for most of a run, and prints, for
@@ -34,7 +35,7 @@ from pathlib import Path
 
 CASES = (("advection_smooth", 20), ("advection_smooth", 640),
          ("burgers_steepening", 20), ("burgers_steepening", 640),
-         ("sod", 200), ("sod", 2000),
+         ("sod", 200), ("sod", 2000), ("double_rarefaction", 400),
          ("mhd_shock_tube", 200), ("mhd_shock_tube", 2000), ("shu_osher", 640))
 CALLS = ("stage_entry", "max_dt", "residual")
 T_FRAC = 0.05

@@ -58,11 +58,14 @@ def minmod4(a, b, c, d):
     """sign * min(|a|,|b|,|c|,|d|) when all four share a sign, else 0.
 
     With lo/hi the min/max of the four: all positive means lo > 0 and the
-    result is lo; all negative means hi < 0 and the result is hi.
+    result is lo; all negative means hi < 0 and the result is hi. That is
+    lo clamped into [0, hi]: fmax and fmin take the number where the other
+    argument is nan, so a nan row (whose lo and hi are both nan) gives 0,
+    and + 0.0 makes a tied zero +0.0, the value of a mixed row.
     """
     lo = np.minimum(np.minimum(a, b), np.minimum(c, d))
     hi = np.maximum(np.maximum(a, b), np.maximum(c, d))
-    return np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
+    return np.fmin(np.fmax(lo, 0.0), hi) + 0.0
 
 
 def median3(a, b, c):
@@ -131,8 +134,8 @@ def scaling_limit_system(system, avg, left, mid, right, avg_state=None):
     re-halving on the cells whose pressure is then under the floor (with
     none, mid_state is the derivation already taken of the density stage's
     states; a limited row takes its blend's), and the endpoint blends on
-    the cells with theta < 1. Every
-    other cell gets its inputs as a blend with theta = 1 gives them,
+    the cells with theta < 1, searched for only if a stage limited a row.
+    Every other cell gets its inputs as a blend with theta = 1 gives them,
     `0*avg + value`, so the result is the full-array formula's bit for
     bit, signed zeros included.
     """
@@ -150,7 +153,8 @@ def scaling_limit_system(system, avg, left, mid, right, avg_state=None):
     # density is at least the floor, so its pressure needs no guard
     u_star = zero + mid
     rows = (mid[:, 0] < e_rho).nonzero()[0]
-    if rows.size:
+    limited = rows.size               # theta is 1 unless a stage limits
+    if limited:
         a, m = avg.take(rows, 0), mid.take(rows, 0)
         t = (a[:, 0] - e_rho[rows]) / (a[:, 0] - m[:, 0])
         theta[rows] = t
@@ -162,6 +166,7 @@ def scaling_limit_system(system, avg, left, mid, right, avg_state=None):
     st = system.derive(u_star)
     rows = (st.p < e_p).nonzero()[0]
     if rows.size:
+        limited = True
         a, us = avg.take(rows, 0), u_star.take(rows, 0)
         pa, e = p_a[rows], e_p[rows]
         t = (pa - e) / (pa - st.p[rows])
@@ -188,8 +193,8 @@ def scaling_limit_system(system, avg, left, mid, right, avg_state=None):
     right = right.reshape(-1, d)
     hat_l, hat_r = zero + left, zero + right
     # theta <= 1, so these are the rows with theta < 1 (and a nan theta)
-    rows = (theta != 1.0).nonzero()[0]
-    if rows.size:
+    rows = (theta != 1.0).nonzero()[0] if limited else ()
+    if len(rows):
         th = theta[rows][:, None]
         base = (1.0 - th) * avg.take(rows, 0)
         hat_l[rows] = base + th * left.take(rows, 0)

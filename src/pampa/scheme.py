@@ -240,9 +240,13 @@ class PampaScheme:
             w_avg = transform.to_transformed(sys, A, e.avg)
             # row 0: right endpoints of cells -1..n; row 1: left endpoints
             w_lim = limiters.mp_limit(w_avg, Wx)
-            mp_changed = int(np.count_nonzero(w_lim[0] != Wx[2 : n + 4])
-                             + np.count_nonzero(w_lim[1] != Wx[1 : n + 3]))
-            u_r, u_l = transform.from_transformed(sys, w_lim)
+            # the node values MP limited, as one view of Wx (a block of the
+            # field buffer): row 0 at nodes 0..n+1, row 1 one node earlier
+            s0 = Wx.strides[0]
+            w_in = np.ndarray(w_lim.shape, Wx.dtype, Wx, 2 * s0, (-s0,) + Wx.strides)
+            mp_changed = int(np.count_nonzero(w_lim != w_in))
+            u_r, u_l = transform.from_transformed(
+                sys, w_lim.reshape(-1, w_lim.shape[-1])).reshape(w_lim.shape)
             u_m = limiters.midpoint_value(cel_a, u_l, u_r)
         else:
             u_m = limiters.midpoint_value(cel_a, u_l, u_r)

@@ -170,8 +170,9 @@ class _Gas:
     scaling limiter. Each system supplies the formulas `_b_squared` (None
     without a field), `_pressure`, `_flux`, the signal speed `_fast_speed`,
     the IDP speed of a stack of pairs `_pair_speed` and `jacobian_action`,
-    its momentum columns `_velocity` (which `primitive` and `encode` divide
-    by rho), and `conservative(rho, prim, p, b2)`, the conversion that reads
+    its momentum columns `_velocity` (which `primitive` divides by rho),
+    the velocity columns after v_x that `encode` divides (`_transverse`),
+    and `conservative(rho, prim, p, b2)`, the conversion that reads
     only the middle columns of prim (velocities and fields), so that
     `decode` can hand it W itself with the decoded rho and p."""
 
@@ -181,6 +182,7 @@ class _Gas:
     # reflection: only the normal momentum (velocity) flips
     _reflection: np.ndarray
     _velocity: slice
+    _transverse: slice | None = None
 
     def __init__(self, gamma: float):
         self.gamma = float(gamma)
@@ -297,13 +299,21 @@ class _Gas:
 
     def encode(self, U, state=None):
         """W = (q, velocities, fields, s) of U; `state`, U's derivation, is
-        trusted if given, one taken here is checked (`state j`)."""
+        trusted if given, one taken here is checked (`state j`). v_x is the
+        derivation's, (rho v_x) / rho bit for bit. Euler writes every
+        column of an empty W; MHD copies U, whose fields W keeps (one
+        contiguous copy costs less than two strided column writes), and
+        divides its other velocities (`_transverse`) in place."""
         if state is None:
             state = self.checked_state(U)
         rho = U[..., 0]
-        W = U.copy()                     # the fields (MHD's By, Bz) as they are
+        if self._transverse is None:
+            W = np.empty(U.shape)
+        else:
+            W = U.copy()
+            W[..., self._transverse] /= U[..., :1]
         W[..., 0] = _inv_softplus(rho)   # rho > 0 was checked with state
-        W[..., self._velocity] /= U[..., :1]
+        W[..., 1] = state.vx
         W[..., -1] = np.log(state.p) - self.gamma * np.log(rho)
         return W
 
@@ -399,6 +409,7 @@ class IdealMHD(_Gas):
     name = "mhd"
     _reflection = np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     _velocity = slice(1, 4)
+    _transverse = slice(2, 4)                     # v_y, v_z
 
     def __init__(self, gamma: float = 5.0 / 3.0, bx: float = 0.0):
         super().__init__(gamma)

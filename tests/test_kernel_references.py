@@ -4,10 +4,13 @@
 scheme at (cells, d) shape, `oe_apply` expands theta once and the MHD flux
 works on component rows. `mp_limit` clips to its ordered interval instead
 of taking a general median and shares the face half-sums of its two side
-orientations. The gas flux, both encodes and `apply_jacobian` write their
+orientations, and `minmod4` clamps where it chose by two `np.where` calls.
+The gas flux, both encodes and `apply_jacobian` write their
 components into one array instead of calling `np.stack`, and the gas
 decode encodes W's own columns instead of a primitive copy of W; the gas
-encode writes W into one copy of U instead of a primitive copy. The scalar
+encode writes W into an empty array with the derivation's v_x, where it
+divided the velocity columns of a copy of U, which replaced a primitive
+copy. The scalar
 scaling limiter works on its inputs' own shape, copies them only when a
 row is limited and takes theta as one quotient's modulus. Advection
 carries its wave speed as one number, which the scheme reads in place of
@@ -344,6 +347,48 @@ def test_mp_limit_matches_median_form(d, n2, rng):
                      _mp_limit_ref(w_avg, w_node))
 
 
+# _MP_GRID with the infinities and nan
+_NONFINITE_GRID = np.append(_MP_GRID, [np.inf, -np.inf, np.nan])
+
+
+def test_minmod4_matches_where_form_on_every_tuple():
+    # the clamp fmin(fmax(lo, 0), hi) + 0.0 against the two np.where calls
+    # on all 11^4 argument tuples of the grid, sign bits included; neither
+    # form gives a nan, so the bytes compare
+    args = np.meshgrid(*(4 * [_NONFINITE_GRID]), indexing="ij")
+    got, want = limiters.minmod4(*args), _minmod4_ref(*args)
+    assert got.shape == want.shape == (11,) * 4
+    assert not np.isnan(want).any()
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(want[want == 0.0]).any()   # every zero is +0.0
+
+
+def _assert_same_or_nan(a, b):
+    """Equal shapes, nan in the same places and, everywhere else, equal
+    values and sign bits."""
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    _assert_same(a[~nan], b[~nan])
+
+
+@pytest.mark.parametrize("n2", [1, 2, 3, 8, 200])
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_mp_limit_matches_median_form_on_nonfinite_values(d, n2, rng):
+    # infinities make nan curvatures and steps, which both forms must carry
+    # into the same node sides
+    finite = 0
+    for _ in range(300):
+        w_avg = rng.choice(_NONFINITE_GRID, (n2 + 4, d))
+        w_node = rng.choice(_NONFINITE_GRID, (n2 + 3, d))
+        with np.errstate(invalid="ignore"):
+            got = limiters.mp_limit(w_avg, w_node)
+            want = _mp_limit_ref(w_avg, w_node)
+        _assert_same_or_nan(got, want)
+        finite += np.count_nonzero(np.isfinite(want))
+    assert finite > 0
+
+
 class _StackedEuler(Euler):
     """Euler with the flux and the encode assembled by np.stack."""
 
@@ -507,6 +552,57 @@ def test_encode_matches_primitive_copy(name, shape, rng):
     _assert_same(transform.to_transformed(system, U, system.derive(U)),
                  _to_transformed_ref(system, U, system.pressure(U)))
     _assert_same(transform.to_transformed(system, U), _to_transformed_ref(system, U))
+
+
+def _encode_copy_divide_ref(system, U, state):
+    """The gas encode that wrote W into a copy of U and divided its
+    velocity columns there."""
+    rho = U[..., 0]
+    W = U.copy()                     # the fields (MHD's By, Bz) as they are
+    W[..., 0] = transform._inv_softplus(rho)
+    W[..., system._velocity] /= U[..., :1]
+    W[..., -1] = np.log(state.p) - system.gamma * np.log(rho)
+    return W
+
+
+@pytest.mark.parametrize("name", ["euler", "mhd"])
+@pytest.mark.parametrize("shape", [(33,), (2, 33)], ids=["Kd", "2Kd"])
+def test_encode_takes_vx_from_the_derivation(name, shape, rng):
+    # encode writes the derivation's v_x into an empty W: that must be the
+    # old division of the momentum column in a copy of U, bit for bit
+    system, _ = _gas_pair(name)
+    U = system.from_primitive(_primitive_states(system.nvars, shape, rng))
+    momenta = system._velocity                       # Euler 1, MHD 1..3
+    rows = U.reshape(-1, system.nvars)
+    rows[1, momenta] = -0.0                          # signed-zero momenta
+    rows[2, momenta] = 0.0
+    rows[3, 0], rows[3, momenta] = 5e-324, -0.0      # subnormal densities
+    rows[4, 0], rows[4, momenta] = 2.5e-310, -1e-320
+    want = _encode_copy_divide_ref(system, U, system.derive(U))
+    for state in (system.derive(U), None):
+        _assert_same(transform.to_transformed(system, U, state), want)
+    assert np.signbit(want.reshape(rows.shape)[1:4, 1]).tolist() == [True, False, True]
+    # the limiter's midpoint derivation, whose limited rows come from blends
+    n = 64
+    avg = oracle.sample_states_moderate(system, rng, n)
+    left, right = (oracle.sample_states_representable(system, rng, n)
+                   for _ in range(2))
+    mid = midpoint_value(avg, left, right)
+    mid[::2] = avg[::2]                              # rows left alone
+    mid[::5, 1] = -0.0
+    _, mid_hat, _, theta, state = system.scaling_limit(avg, left, mid, right)
+    # rows limited by their density and rows by their pressure alone
+    by_density = mid[:, 0] < np.minimum(limiters.EPS_RHO, avg[:, 0])
+    assert np.any(by_density) and np.any((theta < 1.0) & ~by_density)
+    assert np.any(theta == 1.0)
+    _assert_same(system.encode(mid_hat, state),
+                 _encode_copy_divide_ref(system, mid_hat, state))
+    # without a derivation the encode still checks its densities first
+    bad = U.reshape(-1, system.nvars).copy()
+    for value in (np.nan, 0.0, -1.0):
+        bad[3, 0] = value
+        with pytest.raises(DomainError, match=r"^state 3 needs positive"):
+            system.encode(bad)
 
 
 def _scaling_limit_scalar_ref(avg, left, mid, right, lo, hi):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pampa import mesh, oracle, run as run_mod, transform
+from pampa import limiters, mesh, oracle, run as run_mod, transform
 from pampa.config import build_system, load_config
 from pampa.errors import FINITE, ConfigError, DomainError, guard
 from pampa.presets import IC_REGISTRY
@@ -881,7 +881,7 @@ def test_b_squared_once_per_state_set(oscillation, monkeypatch):
     n = cfg.n
     want = [(n + 5, 7), (n + 6, 7)]                 # nodes -2..n+2, cells -3..n+2
     if oscillation == "mp":
-        want.append((2, n + 2, 7))                  # limited endpoints
+        want.append((2 * (n + 2), 7))               # limited endpoints, as rows
     want += [(n + 2, 7), (2 * (n + 1), 7)]          # midpoints, interfaces
     assert [U.shape for U in seen] == want
     assert len({id(U) for U in seen}) == len(seen)  # all held, so ids distinct
@@ -963,7 +963,8 @@ def _stage_calls(scheme, field, cfl):
     ("sod", 200, 160, False), ("mhd_shock_tube", 200, 247, False),
     ("sod", 200, 150, False), ("mhd_shock_tube", 200, 158, False),
     ("advection_smooth", 20, 48, True), ("burgers_steepening", 20, 62, True),
-    ("sod", 200, 142, False), ("mhd_shock_tube", 200, 154, False)])
+    ("sod", 200, 142, False), ("mhd_shock_tube", 200, 154, False),
+    ("sod", 200, 137, False), ("double_rarefaction", 400, 137, False)])
 def test_stage_call_budget(preset, n, budget, limited):
     # at paper sizes each call costs about as much as its arithmetic: these
     # stages made 127 (advection) and 240 (sod, MP) calls, then 48 and 187,
@@ -987,7 +988,10 @@ def test_stage_call_budget(preset, n, budget, limited):
     # the field buffer with one minimum and one maximum reduction, where
     # two located guards made four (advection 48, Burgers 62), and a gas
     # encode no longer guards the densities its derivation has checked
-    # (sod with MP encodes twice a stage: 142; MHD with OE once: 154)
+    # (sod with MP encodes twice a stage: 142; MHD with OE once: 154). An MP
+    # stage counts its changed node sides with one comparison and one
+    # count: 137, for sod and for double_rarefaction, the benchmark's MP
+    # stage
     cfg = load_config(preset).with_overrides(n=n)
     scheme = run_mod.build_scheme(cfg)
     field = run_mod.initial_field(cfg, scheme)
@@ -1028,6 +1032,36 @@ def test_stage_record_contract(preset, oscillation):
         assert record["mp_active"] > 0
     else:
         assert record["mp_active"] == 0
+
+
+@pytest.mark.parametrize("preset", ["sod", "double_rarefaction"])
+def test_mp_count_matches_two_comparisons(preset):
+    # mp_active compares MP's (2, n+2, d) result with one strided window of
+    # Wx; it must be the count of its two rows compared one at a time. A
+    # -0.0 velocity node planted in a patch at rest comes back from MP as
+    # +0.0 on both sides, which is equal and so not a change
+    cfg = load_config(preset).with_overrides(n=200)
+    assert cfg.oscillation == "mp"
+    scheme = run_mod.build_scheme(cfg)
+    field = run_mod.initial_field(cfg, scheme)
+    field, _, _ = run_mod.advance(scheme, field, 0.05 * cfg.t_final, cfg.cfl,
+                                  cfg.integrator)
+    field.avgs[40:61, 1] = 0.0                  # cells 40..60 at rest
+    field.points[40:62, 1] = 0.0
+    field.points[50, 1] = -0.0
+    entry = scheme.stage_entry(field)
+    record = {}
+    scheme.residual(field, scheme.max_dt(field, cfg.cfl, entry), record,
+                    entry=entry)
+    n, Wx = cfg.n, entry.Wx
+    w_lim = limiters.mp_limit(
+        transform.to_transformed(scheme.system, entry.A, entry.avg), Wx)
+    want = (np.count_nonzero(w_lim[0] != Wx[2 : n + 4])
+            + np.count_nonzero(w_lim[1] != Wx[1 : n + 3]))
+    assert record["mp_active"] == want > 0
+    # node 50 is row 50 of the left sides and row 51 of the right sides
+    for got in (w_lim[0, 50, 1], w_lim[1, 51, 1]):
+        assert got == 0.0 and not np.signbit(got)
 
 
 class _Forwarding:
