@@ -19,13 +19,25 @@ each of the three calls of the next step's first stage,
 the Python-level calls it makes (`call` and `c_call` events of
 `sys.setprofile`, the call itself included) and its best time in µs over
 `--rounds` rounds, each round the mean of enough repeats to fill about
-20 ms. At paper sizes most of a stage is such fixed cost, so this table
-is where a change of it shows first; compare two checkouts by running it
-on each, alternately. Advection's speed is one constant and Burgers' is
+20 ms. The last column, `step us`, times one whole step of the preset's
+integrator from the same field and entry, a new integrator each time (so
+`ssp_ms3` takes its RK3 start step): the stages' combinations show there
+and in no call count. At paper sizes most of a stage is such fixed
+cost, so this table is where a change of it shows first; compare two
+checkouts by running it on each, alternately. Advection's speed is one constant and Burgers' is
 computed per state, so the two scalar laws show the two speed paths side
 by side. So do the two OE runs for `oe_theta`: mhd_shock_tube forms its
 jump integrals on a few gathered rows, shu_osher, almost all of whose
 cells are live, on the whole range.
+
+Call counts miss work that costs time. Filling a stage's ghost rows from
+one precomputed map takes one gather and one scatter, two `c_call`
+events, where it took two `fill_ghosts` calls, two `call` events whose
+four to six slice writes emit none: the counts stay at 48 (advection),
+62 (Burgers), 137 (sod and double_rarefaction with MP), 154
+(mhd_shock_tube with OE) and 146 (shu_osher with OE) while the stage's
+time falls. An in-place combination makes the same calls as the
+expression it replaces, with fewer temporaries.
 """
 
 import argparse
@@ -81,11 +93,12 @@ def main():
 
     from pampa import run as run_mod
     from pampa.config import load_config
+    from pampa.timeint import make_integrator
 
     print(f"{'preset':<17} {'n':>5} {'osc':>4}"
           + "".join(f" {c + ' calls':>17}" for c in CALLS)
           + "".join(f" {c + ' us':>14}" for c in CALLS)
-          + f" {'total calls':>11} {'total us':>9}")
+          + f" {'total calls':>11} {'total us':>9} {'step us':>9}")
     for name, n in CASES:
         cfg = load_config(name).with_overrides(n=n)
         scheme = run_mod.build_scheme(cfg)
@@ -101,10 +114,13 @@ def main():
         }
         calls = {c: count_calls(fns[c]) for c in CALLS}
         times = {c: best_us(fns[c], args.rounds) for c in CALLS}
+        step_us = best_us(lambda: make_integrator(cfg.integrator).step(
+            scheme, field, dt, entry=entry), args.rounds)
         print(f"{name:<17} {n:>5} {cfg.oscillation:>4}"
               + "".join(f" {calls[c]:>17}" for c in CALLS)
               + "".join(f" {times[c]:>14.1f}" for c in CALLS)
-              + f" {sum(calls.values()):>11} {sum(times.values()):>9.1f}")
+              + f" {sum(calls.values()):>11} {sum(times.values()):>9.1f}"
+              + f" {step_us:>9.1f}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
-"""1D grids, boundary conditions, and ghost extension of the discrete data."""
+"""1D grids, boundary conditions, and ghost extension of the discrete data.
+
+`ghost_map` is the one ghost rule. A scheme turns it once into flat indices
+of its field buffer; `extend_averages`, `extend_points` and
+`extend_cell_sizes` apply it to a padded copy of their input."""
 
 from __future__ import annotations
 
@@ -62,47 +66,54 @@ def check_bc(bc: str, system) -> None:
         )
 
 
-def fill_ghosts(ext: np.ndarray, bc: str, g: int, reflect=None, nodal=False):
-    """ext, its g ghost rows per side filled in place from its interior
-    under the boundary condition bc. ext holds cells or nodes -g .. m-1+g;
-    periodic nodal data holds m = n values (node n is node 0), so it wraps
-    one more row on the right, and a wall mirrors about the boundary node,
-    which is not repeated. reflect maps mirrored states (None: copies)."""
-    k, e = int(nodal), ext.shape[0]
+def ghost_map(rows: int, bc: str, g: int, nodal=False):
+    """(ghost, src, mirror) of an extended array of `rows` rows, cells or
+    nodes -g .. m-1+g: its ghost rows, the interior rows they copy under
+    the boundary condition bc, and whether a wall mirrors them. Periodic
+    nodal data holds m = n values (node n is node 0), so it wraps one more
+    row on the right; a wall mirrors about the boundary node, which is not
+    repeated."""
+    k = int(nodal)
     if bc == PERIODIC:
-        m = e - 2 * g - k
-        ext[:g], ext[m + g :] = ext[m : m + g], ext[g : e - m]
+        m = rows - 2 * g - k
+        src = np.r_[m : m + g, g : 2 * g + k]
     elif bc == OUTFLOW:
-        ext[:g], ext[e - g :] = ext[g], ext[e - g - 1]
+        src = np.repeat([g, rows - g - 1], g)
     else:
-        left, right = ext[g + k : 2 * g + k][::-1], ext[e - 2 * g - k : e - g - k][::-1]
-        if reflect is not None:
-            left, right = reflect(left), reflect(right)
-        ext[:g], ext[e - g :] = left, right
-    return ext
+        src = np.r_[2 * g + k - 1 : g + k - 1 : -1,
+                    rows - g - k - 1 : rows - 2 * g - k - 1 : -1]
+    return np.r_[:g, rows + g - len(src) : rows], src, bc == REFLECTIVE
 
 
-def _extended(data: np.ndarray, bc: str, g: int, reflect=None, nodal=False):
-    """A new array of data with g ghost rows per side (`fill_ghosts`)."""
-    ext = np.empty((len(data) + 2 * g + int(nodal and bc == PERIODIC),)
-                   + data.shape[1:])
+def _extended(data: np.ndarray, bc: str, g: int, sign=None, nodal=False):
+    """A new array of data with g ghost rows per side (`ghost_map`); a
+    wall multiplies the mirrored rows by sign (None: copies)."""
+    rows = len(data) + 2 * g + int(nodal and bc == PERIODIC)
+    ext = np.empty((rows,) + data.shape[1:])
     ext[g : g + len(data)] = data
-    return fill_ghosts(ext, bc, g, reflect, nodal)
+    ghost, src, mirror = ghost_map(rows, bc, g, nodal)
+    vals = ext[src]
+    if mirror and sign is not None:
+        vals *= sign
+    ext[ghost] = vals
+    return ext
 
 
 def extend_averages(avgs: np.ndarray, bc: str, system) -> np.ndarray:
     """Cell averages for cells -AVG_GHOST .. n-1+AVG_GHOST as an (n+6, d) array.
 
     A wall mirrors about the boundary node, negating normal momentum."""
-    return _extended(avgs, bc, AVG_GHOST, getattr(system, "reflect", None))
+    return _extended(avgs, bc, AVG_GHOST, getattr(system, "_reflection", None))
 
 
 def extend_points(points: np.ndarray, bc: str, system) -> np.ndarray:
     """Transformed point values for nodes -PT_GHOST .. n+PT_GHOST: n + 5
     rows from the n values of a periodic grid (node n is node 0), else n+1."""
-    return _extended(points, bc, PT_GHOST, getattr(system, "reflect", None),
+    return _extended(points, bc, PT_GHOST, getattr(system, "_reflection", None),
                      nodal=True)
 
 
 def extend_cell_sizes(grid: Grid1D, bc: str) -> np.ndarray:
+    """Cell sizes for cells -AVG_GHOST .. n-1+AVG_GHOST; a wall mirrors
+    them without a sign."""
     return _extended(grid.cell_sizes, bc, AVG_GHOST)

@@ -127,7 +127,6 @@ class PampaScheme:
         # (else finite), and finite points; as (lo, hi) of each
         self._avg_rule = system.domain_rule if self.limiter.idp else FINITE
         self._bounds = self._avg_rule[1:] + FINITE[1:]
-        self._reflect = getattr(system, "reflect", None)
         c = system.constant_speed
         # a constant speed without OE has no speed arrays to take, and a
         # unit speed multiplies nothing (x * 1.0 is x bit for bit)
@@ -135,6 +134,16 @@ class PampaScheme:
         self._unit_speed = c == 1.0
         self._unit_dt = (None if c is None
                          else float(np.minimum.reduce(grid.cell_sizes)) / c)
+        # the ghost rows of both blocks of a field buffer and the rows they
+        # copy, as flat indices of its entries, and at walls each copied
+        # entry's sign
+        ga, sa, mirror = mesh.ghost_map(n + 6, bc, mesh.AVG_GHOST)
+        gp, sp, _ = mesh.ghost_map(n + 5, bc, mesh.PT_GHOST, nodal=True)
+        ghost, src = np.r_[ga, gp + self._split], np.r_[sa, sp + self._split]
+        self._ghost = (ghost[:, None] * d + np.arange(d)).ravel()
+        self._ghost_src = (src[:, None] * d + np.arange(d)).ravel()
+        self._ghost_sign = (np.tile(system._reflection, len(ghost)) if mirror
+                            else None)
         dxx = mesh.extend_cell_sizes(grid, bc)                   # cells -3..n+2
         self._dxx = np.repeat(dxx[:, None], d, axis=1)
         self._oe_geometry = (limiters.oe_geometry(dxx[1 : n + 5], d)  # cells -2..n+1
@@ -156,9 +165,12 @@ class PampaScheme:
         reaches the checks as inf or nan and not as a warning."""
         sys = self.system
         ga, gp, g = mesh.AVG_GHOST, mesh.PT_GHOST, sys.domain_rule
-        data, bc, split, reflect = field.data, self.bc, self._split, self._reflect
-        A = mesh.fill_ghosts(data[:split], bc, ga, reflect)            # cells -3..n+2
-        Wx = mesh.fill_ghosts(data[split:], bc, gp, reflect, nodal=True)  # nodes -2..
+        data, split = field.data, self._split
+        vals = data.take(self._ghost_src)      # one gather, one scatter
+        if self._ghost_sign is not None:
+            vals *= self._ghost_sign
+        data.put(self._ghost, vals)
+        A, Wx = data[:split], data[split:]     # cells -3..n+2, nodes -2..n+2
         if self.scalar:
             Ux = transform.from_transformed(sys, Wx)
             # the extremes of both blocks of the buffer in one reduction

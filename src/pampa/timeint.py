@@ -5,7 +5,9 @@ residual evaluation), so convexity carries the invariant-domain property of
 a single Euler step to the composed methods. Each integrator's
 `step_size` turns the forward-Euler CFL step into the step it may take.
 Fields and rates share one buffer layout (`DofField`), and each term of a
-combination is one operation on whole buffers, ghost rows included.
+combination is one operation on whole buffers, ghost rows included, made in
+place in a buffer that the step allocated itself: the step's input, the
+residuals it is handed and its history are only read.
 """
 
 from __future__ import annotations
@@ -21,20 +23,36 @@ def _stages(scheme, field, dt, t, step, on_stage, table, resid=None,
     """One step in Shu-Osher form. Stage k takes a forward-Euler step s
     from the stage before it (from `field` at k = 0); where table[k] is not
     None, the stage is the convex combination table[k](u, s) with the
-    step's input u. Each stage passes `finish_stage`, then `on_stage`. A
-    given residual (with its record) or entry serves the first stage."""
+    step's input u, made in place in s. Each stage passes `finish_stage`,
+    then `on_stage`. A given residual (with its record) or entry serves the
+    first stage."""
     stage = field
     for k, combine in enumerate(table):
         if resid is None:
             record = {}
             resid = scheme.residual(stage, dt, record, entry=entry)
-        stage = scheme.finish_stage(field.like(stage.data + dt * resid.data))
+        data = resid.data * dt
+        data += stage.data
+        stage = scheme.finish_stage(field.like(data))
         if combine is not None:
-            stage = scheme.finish_stage(field.like(combine(field.data, stage.data)))
+            combine(field.data, data)
+            stage = scheme.finish_stage(stage)
         if on_stage:
             on_stage(t + dt, step, k, stage, record)
         resid = entry = None
     return stage
+
+
+def _rk3_second(u, s):
+    """s = 0.75 u + 0.25 s, in place."""
+    s *= 0.25
+    s += 0.75 * u
+
+
+def _rk3_third(u, s):
+    """s = u / 3 + (2/3) s, in place."""
+    s *= 2.0 / 3.0
+    s += u / 3.0
 
 
 class ForwardEuler:
@@ -51,8 +69,7 @@ class ForwardEuler:
 class SspRk3(ForwardEuler):
     """Shu-Osher three-stage SSP RK3 (weights 1; 3/4,1/4; 1/3,2/3)."""
 
-    table = (None, lambda u, s: 0.75 * u + 0.25 * s,
-             lambda u, s: u / 3.0 + (2.0 / 3.0) * s)
+    table = (None, _rk3_second, _rk3_third)
 
 
 class SspMultistep3:
@@ -95,8 +112,14 @@ class SspMultistep3:
                            resid, record)
         old_field, old_resid = self._hist[0]
         w_new, w_old = 16.0 / 27.0, 11.0 / 27.0
-        data = (w_new * (field.data + 3.0 * dt * resid.data)
-                + w_old * (old_field.data + (12.0 / 11.0) * dt * old_resid.data))
+        # both terms in place in two new buffers
+        data = resid.data * (3.0 * dt)
+        data += field.data
+        data *= w_new
+        old = old_resid.data * ((12.0 / 11.0) * dt)
+        old += old_field.data
+        old *= w_old
+        data += old
         out = scheme.finish_stage(field.like(data))
         self._hist.append((field, resid))
         self._hist_dt = dt

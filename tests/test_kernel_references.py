@@ -15,9 +15,10 @@ scaling limiter works on its inputs' own shape, copies them only when a
 row is limited and takes theta as one quotient's modulus. Advection
 carries its wave speed as one number, which the scheme reads in place of
 the arrays of ones it built from `_unit_speed`. A field is one buffer
-whose ghost rows a stage entry fills in place, where `mesh._extend` built
-new arrays by concatenation, and the integrators combine whole buffers,
-where they combined the averages and the points apart. A gas interface
+whose ghost rows a stage entry fills in place from one precomputed map,
+where `mesh._extend` built new arrays by concatenation, and the
+integrators combine whole buffers in place, where they combined the
+averages and the points apart into new arrays. A gas interface
 flux takes one derivation of both sides stacked, where it took two
 pressures, a pair speed of two speed calls and two fluxes.
 None of that may change a bit of the result, so the code they replaced is
@@ -886,6 +887,49 @@ def test_ghost_fill_matches_concatenation(law, bc, n, rng):
     _assert_bits(field.points, points)
 
 
+_MAX = np.finfo(float).max
+_EDGE = np.array([-0.0, np.inf, -np.inf, np.nan, _MAX, -_MAX, 5e-324, 1.5])
+
+
+def _edge_rows(m, d):
+    """(m, d) edge values, column j the list rotated by 3j."""
+    return _EDGE[(np.arange(m)[:, None] + 3 * np.arange(d)) % len(_EDGE)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 17])
+@pytest.mark.parametrize("law, bc", [
+    (law, bc) for law in sorted(_LAWS) for bc in mesh.BC_KINDS
+    if bc != mesh.REFLECTIVE or law != "advection"])      # no scalar walls
+def test_ghost_map_copies_edge_values(law, bc, n):
+    # every interior row a boundary condition copies or mirrors holds -0.0,
+    # +-inf, nan, +-max or a subnormal (at n=3 the periodic ghosts read
+    # every row): the map's gather, the wall's signs and its scatter give
+    # the concatenated arrays bit for bit, in both blocks of a field
+    # buffer, whose ghost rows held 7.25 before, and in the three
+    # extensions, cell sizes mirrored without a sign
+    system = _LAWS[law]
+    reflect = getattr(system, "reflect", None)
+    grid = mesh.uniform_grid(0.0, 1.0, n)
+    scheme = PampaScheme(system, grid, bc)
+    avgs = _edge_rows(n, system.nvars)
+    points = _edge_rows(scheme.n_points, system.nvars)[::-1]
+    field = DofField(avgs, points)
+    field.data.fill(7.25)
+    field.avgs[...], field.points[...] = avgs, points
+    want_a = _extend_ref(avgs, bc, mesh.AVG_GHOST, reflect)
+    want_w = _extend_ref(points, bc, mesh.PT_GHOST, reflect, nodal=True)
+    with np.errstate(all="ignore"), pytest.raises(DomainError):
+        scheme.stage_entry(field)                  # after the fill
+    _assert_bits(field.data[: n + 6], want_a)
+    _assert_bits(field.data[n + 6 :], want_w)
+    _assert_bits(mesh.extend_averages(avgs, bc, system), want_a)
+    _assert_bits(mesh.extend_points(points, bc, system), want_w)
+    sizes = _edge_rows(n, 1)[:, 0]
+    _assert_bits(mesh.extend_cell_sizes(mesh.Grid1D(grid.nodes, sizes,
+                                                    grid.cell_centers), bc),
+                 _extend_ref(sizes, bc, mesh.AVG_GHOST))
+
+
 def _euler_stage_ref(scheme, field, dt, resid=None):
     """A forward-Euler stage on the averages and the points apart."""
     if resid is None:
@@ -956,6 +1000,51 @@ def test_buffer_combinations_match_two_array_formulas(preset, kind):
         field, ref = integ.step(scheme, field, dt), ref_step(scheme, ref, dt)
         _assert_bits(field.avgs, ref.avgs)
         _assert_bits(field.points, ref.points)
+
+
+def _step_inputs(field, entry, hist):
+    """The arrays a step is handed or holds: the field's buffer, every
+    array of the entry and every buffer of the history."""
+    arrays = [field.data]
+    for part in entry:
+        arrays += [a for a in (part if isinstance(part, tuple) else (part,))
+                   if a is not None]
+    return arrays + [x.data for pair in hist for x in pair]
+
+
+@pytest.mark.parametrize("kind", sorted(_REF_STEPS))
+@pytest.mark.parametrize("preset", ["jiang_shu", "sod", "blast_waves"],
+                         ids=["periodic", "outflow", "reflective"])
+def test_step_combines_only_into_its_own_buffers(preset, kind):
+    # the combinations work in place: each step leaves its input field,
+    # the entry it is handed and every (field, resid) of the multistep
+    # history (the residuals that start steps hand their first stage) as
+    # they were, bit for bit. One step size, half the first step's, holds
+    # the history, so ssp_ms3 leaves its RK3 start after three steps (sod's
+    # CFL step falls at every step and would restart it)
+    cfg = load_config(preset).with_overrides(n=40)
+    scheme = run_mod.build_scheme(cfg)
+    integ = make_integrator(kind)
+    hist = getattr(integ, "_hist", ())
+    field = run_mod.initial_field(cfg, scheme)
+    dt = 0.5 * integ.step_size(scheme.max_dt(field, cfg.cfl))
+    multistep = 0
+    for _ in range(6):
+        entry = scheme.stage_entry(field)
+        multistep += len(hist) == 3
+        held = list(hist)
+        kept = [a.copy() for a in _step_inputs(field, entry, held)]
+        out = integ.step(scheme, field, dt, entry=entry)
+        for got, want in zip(_step_inputs(field, entry, held), kept):
+            _assert_bits(got, want)
+        if hist:
+            # this step's residual, which it kept, is still the field's
+            new_field, resid = hist[-1]
+            assert new_field is field
+            _assert_bits(resid.data, scheme.residual(field, dt, {}, entry=entry).data)
+        assert not np.shares_memory(out.data, field.data)
+        field = out
+    assert multistep == (3 if kind == "ssp_ms3" else 0)
 
 
 # The gas interface as two calls per side: each side's pressure (or, with
